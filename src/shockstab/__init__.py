@@ -64,6 +64,7 @@ from .splitting import (
     aggregate,
     child_rng,
     monte_carlo,
+    oot_partition,
     split_once,
 )
 from .stability import (
@@ -139,6 +140,7 @@ __all__ = [
     "make_shocked_fixture",
     "mix",
     "monte_carlo",
+    "oot_partition",
     "postprocess",
     "run_pipeline",
     "run_pipeline_on_frame",

@@ -117,12 +117,14 @@ class FeatureEncoding:
             if col.kind is not ColumnKind.CATEGORICAL:
                 raise SchemaMismatchError(name, "expected categorical")
             index = {c: k for k, c in enumerate(cats)}
+            # unseen categories map to -1 and encode as all-zero
+            codes = np.array(
+                [index.get(MISSING_CATEGORY if v is None else str(v), -1) for v in col.values],
+                dtype=np.intp,
+            )
+            rows = np.flatnonzero(codes >= 0)
             block = np.zeros((frame.row_count, len(cats)))
-            for i, v in enumerate(col.values):
-                key = MISSING_CATEGORY if v is None else str(v)
-                k = index.get(key)
-                if k is not None:  # unseen categories encode as all-zero
-                    block[i, k] = 1.0
+            block[rows, codes[rows]] = 1.0
             blocks.append(block)
         if not blocks:
             return np.zeros((frame.row_count, 0))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import sys
 import zlib
 from dataclasses import dataclass, field
@@ -33,10 +34,10 @@ from .splitting import (
     OOT,
     ShockSplit,
     SplitSpec,
-    _oot_boundary,
     aggregate,
     child_rng,
     monte_carlo,
+    oot_partition,
 )
 from .stability import (
     DEFAULT_COEFFICIENTS,
@@ -313,11 +314,136 @@ def _snap_labels(batch: SyntheticBatch, label: str, rng) -> SyntheticBatch:
 def _drift_frames(frame, config, splits) -> tuple[TabularFrame, TabularFrame]:
     """Pre/post segments the dataset-level DS is computed on."""
     if config.split.mode == OOT:
-        pre_idx, post_idx = _oot_boundary(frame, config.split)
+        pre_idx, post_idx = oot_partition(frame, config.split)
         return frame.take(pre_idx), frame.take(post_idx)
     # OOS has no temporal boundary; use the run-0 pseudo-shock partition
     first = splits[0]
     return concat_frames(first.train, first.test), first.shocked_test
+
+
+def _run_one(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> tuple:
+    """One Monte Carlo run: the A-model, then one B-model per outlier level.
+
+    Returns (a_pair, a_failure, cells). Exactly one of a_pair and a_failure
+    is None. Each cell is (level, pair, failure) with exactly one of pair and
+    failure set; a level of None applies the cell to every level. Failures
+    abort only the affected cell. Depends on nothing but its arguments, so
+    runs may execute in any process and order.
+    """
+    run = split.run_index
+    train_frame = split.train.drop_columns(feature_drop)
+    eval_split = ShockSplit(
+        train=train_frame,
+        test=split.test.drop_columns(feature_drop),
+        shocked_test=split.shocked_test.drop_columns(feature_drop),
+        run_index=run,
+    )
+    try:
+        a_model = train_baseline(train_frame, config.label, config.train)
+        a_pair = evaluate_pair(a_model, eval_split, config.label)
+    except ShockStabError as exc:
+        failure = {"run": run, "error": f"a-model failed: {exc}"}
+        return None, {"run": run, "error": str(exc)}, [(None, None, failure)]
+
+    if config.real_fraction == 1.0:
+        return a_pair, None, [(None, a_pair, None)]
+
+    n_real = train_frame.row_count
+    n_synth = int(
+        round(n_real * (1.0 - config.real_fraction) / config.real_fraction)
+    )
+    try:
+        source = upsample(
+            train_frame, config.upsample_target, seed=level_seed(config.seed, run, "upsample")
+        ) if config.upsample_target else train_frame
+        generator = fit(source)
+    except ShockStabError as exc:
+        return a_pair, None, [(None, None, {"run": run, "error": f"fit failed: {exc}"})]
+
+    cells = []
+    for label in config.levels:
+        seed = level_seed(config.seed, run, label)
+        fraction = 0.0 if label == WITHOUT_LEVEL else float(label) / 100.0
+        try:
+            spec = OutlierSpec(
+                family=config.family,
+                outlier_fraction=fraction,
+                total_rows=max(n_synth, 1),
+                seed=seed,
+                tail_sigma=config.tail_sigma,
+                nonneg_columns=config.nonneg_columns,
+            )
+            batch = postprocess(generate(generator, spec), spec)
+            batch = _snap_labels(batch, config.label, child_rng(seed, 1))
+            mixed = mix(train_frame, batch, config.real_fraction, seed=seed)
+            b_model = train_baseline(mixed, config.label, config.train)
+            cells.append((label, evaluate_pair(b_model, eval_split, config.label), None))
+        except ShockStabError as exc:
+            cells.append((label, None, {"run": run, "error": str(exc)}))
+    return a_pair, None, cells
+
+
+# (splits, feature_drop, config) in a forked worker. It is set by the
+# worker's initializer, whose arguments a fork hands over without pickling,
+# so frames never travel through pickle and the parent's module state is
+# untouched.
+_WORKER_RUNS = None
+
+
+def _init_worker(splits: list, feature_drop: set, config: PipelineConfig) -> None:
+    global _WORKER_RUNS
+    _WORKER_RUNS = (splits, feature_drop, config)
+
+
+def _run_in_worker(index: int) -> tuple:
+    splits, feature_drop, config = _WORKER_RUNS
+    return _run_one(splits[index], feature_drop, config)
+
+
+# Variables a BLAS library reads its thread count from at start-up.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _worker_count(runs: int) -> int:
+    """Processes for `runs` runs: the CPU count over BLAS's thread count.
+
+    A BLAS library starts one thread per CPU unless the environment says
+    otherwise, so workers only help when it is pinned to fewer threads than
+    there are CPUs; unpinned, every worker's BLAS threads would compete for
+    the same cores. The largest thread count set in _BLAS_THREAD_VARS counts.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    values = (os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS)
+    pinned = [int(v) for v in values if v.isdigit() and int(v) >= 1]
+    blas_threads = max(pinned) if pinned else cpus
+    return max(1, min(cpus // blas_threads, runs))
+
+
+def _map_runs(splits: list, feature_drop: set, config: PipelineConfig) -> list:
+    """`_run_one` over every split, results in run order.
+
+    Runs go to `_worker_count` forked worker processes when that is more
+    than one and the platform can fork; otherwise they run serially in this
+    process. Workers keep the parent's BLAS settings, so both ways give the
+    same bits.
+    """
+    workers = _worker_count(len(splits))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [_run_one(split, feature_drop, config) for split in splits]
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(splits, feature_drop, config),
+    ) as pool:
+        return list(pool.map(_run_in_worker, range(len(splits))))
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -327,6 +453,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     synthesize, mix and train/evaluate the B-model. Failures abort only the
     affected cell and are recorded in the report. With real_fraction == 1.0
     the B-model retrains on the unmixed real data (SU is identically 0).
+    Runs may execute in parallel processes (see `_worker_count`); the
+    report is byte-identical for every process count.
     """
     frame = load_csv(
         config.input_path,
@@ -359,67 +487,17 @@ def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> Pipeli
     levels = {label: LevelResult(label=label) for label in config.levels}
     report.levels = [levels[label] for label in config.levels]
 
-    for split in splits:
-        run = split.run_index
-        train_frame = split.train.drop_columns(feature_drop)
-        eval_split = ShockSplit(
-            train=train_frame,
-            test=split.test.drop_columns(feature_drop),
-            shocked_test=split.shocked_test.drop_columns(feature_drop),
-            run_index=run,
-        )
-        try:
-            a_model = train_baseline(train_frame, config.label, config.train)
-            report.a_runs.append(evaluate_pair(a_model, eval_split, config.label))
-        except ShockStabError as exc:
-            report.a_failures.append({"run": run, "error": str(exc)})
-            for result in report.levels:
-                result.failures.append(
-                    {"run": run, "error": f"a-model failed: {exc}"}
-                )
-            continue
-
-        if config.real_fraction == 1.0:
-            for label in config.levels:
-                levels[label].b_runs.append(report.a_runs[-1])
-            continue
-
-        n_real = train_frame.row_count
-        n_synth = int(
-            round(n_real * (1.0 - config.real_fraction) / config.real_fraction)
-        )
-        try:
-            source = upsample(
-                train_frame, config.upsample_target, seed=level_seed(config.seed, run, "upsample")
-            ) if config.upsample_target else train_frame
-            generator = fit(source)
-        except ShockStabError as exc:
-            for result in report.levels:
-                result.failures.append({"run": run, "error": f"fit failed: {exc}"})
-            continue
-
-        for label in config.levels:
-            result = levels[label]
-            seed = level_seed(config.seed, run, label)
-            fraction = 0.0 if label == WITHOUT_LEVEL else float(label) / 100.0
-            try:
-                spec = OutlierSpec(
-                    family=config.family,
-                    outlier_fraction=fraction,
-                    total_rows=max(n_synth, 1),
-                    seed=seed,
-                    tail_sigma=config.tail_sigma,
-                    nonneg_columns=config.nonneg_columns,
-                )
-                batch = postprocess(generate(generator, spec), spec)
-                batch = _snap_labels(batch, config.label, child_rng(seed, 1))
-                mixed = mix(train_frame, batch, config.real_fraction, seed=seed)
-                b_model = train_baseline(mixed, config.label, config.train)
-                result.b_runs.append(
-                    evaluate_pair(b_model, eval_split, config.label)
-                )
-            except ShockStabError as exc:
-                result.failures.append({"run": run, "error": str(exc)})
+    for a_pair, a_failure, cells in _map_runs(splits, feature_drop, config):
+        if a_failure is None:
+            report.a_runs.append(a_pair)
+        else:
+            report.a_failures.append(a_failure)
+        for label, pair, failure in cells:
+            for result in report.levels if label is None else (levels[label],):
+                if failure is None:
+                    result.b_runs.append(pair)
+                else:
+                    result.failures.append(failure)
 
     if report.a_runs:
         report.a_base = aggregate([p.auc_base for p in report.a_runs])

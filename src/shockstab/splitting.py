@@ -95,7 +95,11 @@ class ShockSplit:
     run_index: int
 
 
-def _oot_boundary(frame: TabularFrame, spec: SplitSpec):
+def oot_partition(frame: TabularFrame, spec: SplitSpec):
+    """Row indices dated before and at-or-after `spec.shock_date`, in row order.
+
+    Every row needs a parseable date; a missing one raises DateParseError.
+    """
     col = frame.column(spec.date_column)
     pre, shocked = [], []
     for i in range(frame.row_count):
@@ -122,7 +126,7 @@ def split_once(frame: TabularFrame, spec: SplitSpec, run_index: int = 0) -> Shoc
         raise EmptyInputError("cannot split an empty frame")
     rng = child_rng(spec.seed, run_index)
     if spec.mode == OOT:
-        pre, shocked = _oot_boundary(frame, spec)
+        pre, shocked = oot_partition(frame, spec)
         if not pre:
             raise DegenerateSplitError("no rows before the shock date")
         if not shocked:

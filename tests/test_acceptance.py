@@ -253,10 +253,10 @@ def test_criterion_8_pipeline(tmp_path):
 
 
 def _pre_post(frame):
-    from shockstab.splitting import _oot_boundary
+    from shockstab.splitting import oot_partition
 
     spec = SplitSpec(mode="oot", date_column="date", shock_date="2018-03-22")
-    pre_idx, post_idx = _oot_boundary(frame, spec)
+    pre_idx, post_idx = oot_partition(frame, spec)
     return frame.take(pre_idx), frame.take(post_idx)
 
 
@@ -299,13 +299,13 @@ def test_criterion_10_lending_club_optional():
         print("SKIP  criterion 10: optional (set SHOCKSTAB_LC_CSV to enable)")
         pytest.skip("Lending Club data not available")
     from shockstab.frame import load_csv
-    from shockstab.splitting import _oot_boundary
+    from shockstab.splitting import oot_partition
 
     date_col = os.environ.get("SHOCKSTAB_LC_DATE_COL", "issue_d")
     label = os.environ.get("SHOCKSTAB_LC_LABEL", "loan_condition_int")
     frame = load_csv(path)
     spec = SplitSpec(mode="oot", date_column=date_col, shock_date="2018-03-22")
-    pre_idx, post_idx = _oot_boundary(frame, spec)
+    pre_idx, post_idx = oot_partition(frame, spec)
     report = distribution_shift(
         frame.take(pre_idx), frame.take(post_idx), excluded={date_col, label}
     )

@@ -11,7 +11,10 @@ from shockstab.errors import (
     EmptyInputError,
     SchemaMismatchError,
 )
+from shockstab.fixtures import make_shocked_fixture
 from shockstab.model import (
+    MISSING_CATEGORY,
+    TrainConfig,
     auc,
     build_encoding,
     evaluate_pair,
@@ -130,6 +133,52 @@ def test_training_is_deterministic():
     m2 = train_baseline(frame, "label")
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
+
+
+def _reference_gd(x, y, config):
+    """A verbatim copy of train_baseline's gradient-descent loop.
+
+    Reports are compared byte for byte, so a rewrite of the loop must give
+    the same bits as this one.
+    """
+    n, d = x.shape
+    w = np.zeros(d)
+    b = 0.0
+    lr = config.learning_rate
+    for _ in range(config.epochs):
+        z = np.clip(x @ w + b, -700, 700)
+        p = 1.0 / (1.0 + np.exp(-z))
+        err = p - y
+        grad_w = x.T @ err / n + config.l2 * w
+        grad_b = float(err.mean())
+        w -= lr * grad_w
+        b -= lr * grad_b
+    return w, b
+
+
+@pytest.mark.parametrize("rows", [300, 2240])
+def test_train_baseline_bitwise_equals_reference_loop(rows):
+    frame = make_shocked_fixture(rows=rows).drop_columns({"date"})
+    config = TrainConfig()
+    model = train_baseline(frame, "is_bad", config)
+    x = model.encoding.design_matrix(frame)
+    w, b = _reference_gd(x, frame.column("is_bad").values, config)
+    assert model.weights.tobytes() == w.tobytes()
+    assert model.bias.hex() == b.hex()
+
+
+def test_one_hot_equals_per_row_reference():
+    train = make_frame(s=["b", "a", None, "c", "a"], label=[0.0, 1.0, 0.0, 1.0, 1.0])
+    enc = build_encoding(train, "label")
+    test = make_frame(s=["a", "unseen", None, "c", "b", "None"], label=[0.0] * 6)
+    cats = enc.categorical["s"]
+    expected = np.zeros((test.row_count, len(cats)))
+    for i, v in enumerate(test.column("s").values):
+        key = MISSING_CATEGORY if v is None else str(v)
+        if key in cats:
+            expected[i, cats.index(key)] = 1.0
+    assert enc.design_matrix(test).tobytes() == expected.tobytes()
+    assert enc.design_matrix(test.take([])).shape == (0, len(cats))
 
 
 def test_single_class_training_error():

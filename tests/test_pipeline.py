@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from shockstab import pipeline
 from shockstab.errors import ConfigError
 from shockstab.fixtures import make_shocked_fixture
 from shockstab.pipeline import (
@@ -108,6 +109,56 @@ def test_determinism_modulo_timestamp(fixture_csv):
     a = run_pipeline(_config(fixture_csv, runs=3))
     b = run_pipeline(_config(fixture_csv, runs=3))
     assert a.to_json(strip_timestamp=True) == b.to_json(strip_timestamp=True)
+
+
+@pytest.fixture(scope="module")
+def small_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "small.csv"
+    make_shocked_fixture(rows=300).to_csv(path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        # every B cell fails: pins the order of the per-level failure records
+        {"family": "no-such-family"},
+        # every A cell fails: its failure is copied to every level
+        {"split": SplitSpec(mode="oos", shock_fraction=0.995, mc_runs=4, seed=5)},
+    ],
+    ids=["ok", "levels-failed", "a-failed"],
+)
+def test_serial_and_parallel_reports_byte_identical(small_csv, overrides, monkeypatch):
+    config = _config(small_csv, runs=4, **overrides)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda runs: 1)
+    serial = run_pipeline(config)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda runs: 2)
+    parallel = run_pipeline(config)
+    assert serial.to_json(strip_timestamp=True) == parallel.to_json(strip_timestamp=True)
+    if overrides:
+        assert serial.partial
+        for lvl in serial.levels:
+            assert [f["run"] for f in lvl.failures] == [0, 1, 2, 3]
+    else:
+        assert not serial.partial
+
+
+def test_worker_count_leaves_cores_to_blas(monkeypatch):
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    for var in pipeline._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    # unpinned BLAS takes every core itself
+    assert pipeline._worker_count(10) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert pipeline._worker_count(10) == 4
+    assert pipeline._worker_count(3) == 3
+    # the largest pinned count counts; unparseable values are ignored
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.setenv("MKL_NUM_THREADS", "many")
+    assert pipeline._worker_count(10) == 2
+    monkeypatch.setenv("OMP_NUM_THREADS", "8")
+    assert pipeline._worker_count(10) == 1
 
 
 def test_audit_closure_su_recomputable(small_report):
