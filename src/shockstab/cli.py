@@ -156,8 +156,8 @@ def _cmd_su_grid(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    spec = _split_spec(args)  # a config error stops before the CSV is read
     frame = load_csv(args.file)
-    spec = _split_spec(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -248,8 +248,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train_eval(args) -> int:
+    spec = _split_spec(args)  # a config error stops before the CSV is read
     frame = load_csv(args.file)
-    spec = _split_spec(args)
     config = TrainConfig(
         learning_rate=args.learning_rate, epochs=args.epochs, l2=args.l2
     )

@@ -82,11 +82,23 @@ class Column:
         """Values with missing cells dropped."""
         return self.values[~self.missing_mask]
 
+    def text(self, missing_token: str = "") -> list:
+        """Every cell as text, preferring the retained raw string."""
+        if self.raw is not None:
+            return [missing_token if r is None else r for r in self.raw]
+        if self.kind is ColumnKind.NUMERICAL:
+            return [
+                missing_token if math.isnan(v) else repr(v)
+                for v in self.values.tolist()
+            ]
+        return [missing_token if v is None else str(v) for v in self.values]
+
     def take(self, indices) -> "Column":
+        indices = np.asarray(indices, dtype=np.intp)
         raw = None
         if self.raw is not None:
-            raw = tuple(self.raw[i] for i in indices)
-        return Column(self.name, self.kind, self.values[list(indices)].copy(), raw)
+            raw = tuple(map(self.raw.__getitem__, indices.tolist()))
+        return Column(self.name, self.kind, self.values[indices], raw)
 
 
 class TabularFrame:
@@ -122,7 +134,7 @@ class TabularFrame:
 
     def take(self, indices) -> "TabularFrame":
         """Row subset in the given order; retains raw text where present."""
-        indices = list(indices)
+        indices = np.asarray(indices, dtype=np.intp)
         return TabularFrame([c.take(indices) for c in self.columns])
 
     def drop_columns(self, names) -> "TabularFrame":
@@ -134,25 +146,13 @@ class TabularFrame:
             a.kind == b.kind for a, b in zip(self.columns, other.columns)
         )
 
-    def cell_text(self, col: Column, i: int, missing_token: str = "") -> str:
-        """Textual form of one cell, preferring the retained raw string."""
-        if col.raw is not None:
-            r = col.raw[i]
-            return missing_token if r is None else r
-        v = col.values[i]
-        if col.kind is ColumnKind.NUMERICAL:
-            return missing_token if math.isnan(v) else repr(float(v))
-        return missing_token if v is None else str(v)
-
     def to_csv(self, path, delimiter: str = ",", missing_token: str = "") -> None:
         """Write the frame as RFC-4180 CSV with a header row."""
+        texts = [c.text(missing_token) for c in self.columns]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, delimiter=delimiter)
             writer.writerow(self.column_names)
-            for i in range(self.row_count):
-                writer.writerow(
-                    [self.cell_text(c, i, missing_token) for c in self.columns]
-                )
+            writer.writerows(zip(*texts))
 
 
 def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:

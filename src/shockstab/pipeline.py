@@ -27,7 +27,7 @@ import scipy
 from . import __version__
 from .drift import DEFAULT_TAU, DriftReport, distribution_shift
 from .errors import ConfigError, ShockStabError
-from .frame import Column, TabularFrame, concat_frames, load_csv
+from .frame import Column, ColumnKind, TabularFrame, concat_frames, load_csv
 from .model import TrainConfig, evaluate_pair, train_baseline
 from .splitting import (
     Aggregate,
@@ -89,6 +89,11 @@ class PipelineConfig:
     dataset_name: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.levels, (list, tuple)):
+            # a string would otherwise read as one level per character
+            raise ConfigError(
+                f"levels must be a list of outlier levels, got {self.levels!r}"
+            )
         labels = [normalize_level(v) for v in self.levels]
         if len(set(labels)) != len(labels):
             dup = next(l for l in labels if labels.count(l) > 1)
@@ -305,10 +310,24 @@ def _snap_labels(batch: SyntheticBatch, label: str, rng) -> SyntheticBatch:
     return SyntheticBatch(
         frame=TabularFrame(columns),
         outlier_mask=batch.outlier_mask,
-        provenance=batch.provenance,
         marginals=batch.marginals,
         spec=batch.spec,
     )
+
+
+def _without_raw(frame: TabularFrame, date_column: str | None) -> TabularFrame:
+    """`frame` without the CSV text its columns keep; the pipeline writes no CSV.
+
+    The OOT date column instead becomes its text, which is what the
+    partition parses (a numerical 20180322 would read back as 20180322.0).
+    It is neither a feature nor a DS column, so its kind does not matter.
+    """
+    return TabularFrame([
+        Column(c.name, ColumnKind.CATEGORICAL, np.array(c.raw, dtype=object))
+        if c.name == date_column and c.raw is not None
+        else Column(c.name, c.kind, c.values)
+        for c in frame.columns
+    ])
 
 
 def _drift_frames(frame, config, splits) -> tuple[TabularFrame, TabularFrame]:
@@ -466,6 +485,9 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
 def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> PipelineReport:
     """Same as run_pipeline but on an already-loaded frame."""
+    frame = _without_raw(
+        frame, config.split.date_column if config.split.mode == OOT else None
+    )
     splits = monte_carlo(frame, config.split)
 
     # features never include the label or (in OOT mode) the raw date column

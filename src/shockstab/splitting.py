@@ -10,6 +10,7 @@ earlier ones.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import NamedTuple
@@ -72,7 +73,13 @@ class SplitSpec:
         if self.mode == OOT:
             if not self.date_column or self.shock_date is None:
                 raise ConfigError("OOT mode requires date_column and shock_date")
-            object.__setattr__(self, "shock_date", parse_timestamp(self.shock_date))
+            try:
+                shock_date = parse_timestamp(self.shock_date)
+            except DateParseError:
+                raise ConfigError(
+                    f"shock_date {self.shock_date!r} does not parse as a date"
+                ) from None
+            object.__setattr__(self, "shock_date", shock_date)
         else:
             f = self.shock_fraction
             if f is None or not (0.0 < f < 1.0):
@@ -95,22 +102,35 @@ class ShockSplit:
     run_index: int
 
 
+# Partitions computed so far, per frame and (date column, shock date). A
+# frame is split once per Monte Carlo run through split_once(frame, spec,
+# run_index), and its dates do not change between runs, so they are parsed
+# once per frame rather than once per run.
+_PARTITIONS = weakref.WeakKeyDictionary()
+
+
 def oot_partition(frame: TabularFrame, spec: SplitSpec):
     """Row indices dated before and at-or-after `spec.shock_date`, in row order.
 
-    Every row needs a parseable date; a missing one raises DateParseError.
+    Returns two read-only np.intp arrays, computed once per frame, date
+    column and shock date. Every row needs a parseable date; a missing one
+    raises DateParseError.
     """
-    col = frame.column(spec.date_column)
-    pre, shocked = [], []
-    for i in range(frame.row_count):
-        value = frame.cell_text(col, i, missing_token="")
-        if value == "":
-            raise DateParseError(i, None)
-        if parse_timestamp(value, i) >= spec.shock_date:
-            shocked.append(i)  # boundary row belongs to the shocked regime
-        else:
-            pre.append(i)
-    return pre, shocked
+    key = (spec.date_column, spec.shock_date)
+    known = _PARTITIONS.setdefault(frame, {})
+    if key not in known:
+        texts = frame.column(spec.date_column).text()
+        shocked = np.empty(frame.row_count, dtype=bool)
+        for i, value in enumerate(texts):
+            if value == "":
+                raise DateParseError(i, None)
+            # the boundary row belongs to the shocked regime
+            shocked[i] = parse_timestamp(value, i) >= spec.shock_date
+        parts = (np.flatnonzero(~shocked), np.flatnonzero(shocked))
+        for part in parts:
+            part.setflags(write=False)
+        known[key] = parts
+    return known[key]
 
 
 def split_once(frame: TabularFrame, spec: SplitSpec, run_index: int = 0) -> ShockSplit:
@@ -127,12 +147,11 @@ def split_once(frame: TabularFrame, spec: SplitSpec, run_index: int = 0) -> Shoc
     rng = child_rng(spec.seed, run_index)
     if spec.mode == OOT:
         pre, shocked = oot_partition(frame, spec)
-        if not pre:
+        if not pre.size:
             raise DegenerateSplitError("no rows before the shock date")
-        if not shocked:
+        if not shocked.size:
             raise DegenerateSplitError("no rows at or after the shock date")
-        perm = rng.permutation(len(pre))
-        pre = [pre[i] for i in perm]
+        pre = pre[rng.permutation(pre.size)]
     else:
         n = frame.row_count
         n_shock = math.ceil(spec.shock_fraction * n)
@@ -141,20 +160,22 @@ def split_once(frame: TabularFrame, spec: SplitSpec, run_index: int = 0) -> Shoc
                 f"shock fraction {spec.shock_fraction} leaves no pre-shock rows"
             )
         perm = rng.permutation(n)
-        shocked = sorted(int(i) for i in perm[:n_shock])
-        pre = [int(i) for i in perm[n_shock:]]
-    n_train = math.floor(spec.train_fraction * len(pre))
-    train_idx, test_idx = pre[:n_train], pre[n_train:]
+        shocked = np.sort(perm[:n_shock])
+        pre = perm[n_shock:]
+    n_train = math.floor(spec.train_fraction * pre.size)
     return ShockSplit(
-        train=frame.take(train_idx),
-        test=frame.take(test_idx),
+        train=frame.take(pre[:n_train]),
+        test=frame.take(pre[n_train:]),
         shocked_test=frame.take(shocked),
         run_index=run_index,
     )
 
 
 def monte_carlo(frame: TabularFrame, spec: SplitSpec) -> list[ShockSplit]:
-    """All `spec.mc_runs` splits, run_index 0 .. mc_runs - 1."""
+    """All `spec.mc_runs` splits, run_index 0 .. mc_runs - 1.
+
+    In OOT mode the dates are parsed once, on the first run.
+    """
     return [split_once(frame, spec, r) for r in range(spec.mc_runs)]
 
 

@@ -42,9 +42,6 @@ _SYMMETRIC = frozenset({"normal", "laplace"})
 #: Families reflected with probability 1/2 (one-sided standard forms).
 _REFLECTED = frozenset({"gumbel", "weibull"})
 
-BODY = "body"
-TAIL = "tail"
-
 
 @dataclass(frozen=True)
 class OutlierSpec:
@@ -112,11 +109,10 @@ class FittedGenerator:
 
 @dataclass
 class SyntheticBatch:
-    """Generated rows plus per-row provenance and the fitted marginals."""
+    """Generated rows, which of them are tail rows, and the fitted marginals."""
 
     frame: TabularFrame
-    outlier_mask: np.ndarray
-    provenance: tuple  # "body" | "tail" per row
+    outlier_mask: np.ndarray  # True for tail rows
     marginals: dict  # numerical column -> (mean, std) used for the 3-sigma rule
     spec: OutlierSpec | None = None
 
@@ -220,7 +216,7 @@ def upsample(train: TabularFrame, target_rows: int, seed: int = 0) -> TabularFra
         return train
     rng = child_rng(seed, n, target_rows)
     extras = rng.integers(0, n, size=target_rows - n)
-    return train.take(list(range(n)) + [int(i) for i in extras])
+    return train.take(np.concatenate([np.arange(n), extras]))
 
 
 def _tail_magnitudes(family: str, rng, size: int) -> np.ndarray:
@@ -286,12 +282,10 @@ def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:
             (n, gen.frequencies[n]) for n in gen.categorical_names
         )
     }
-    provenance = np.array([BODY] * n_body + [TAIL] * n_tail, dtype=object)
-    mask = np.array([False] * n_body + [True] * n_tail, dtype=bool)
+    mask = np.arange(spec.total_rows) >= n_body
 
     perm = rng.permutation(spec.total_rows)
     numeric = numeric[perm]
-    provenance = provenance[perm]
     mask = mask[perm]
     for name in categorical:
         categorical[name] = categorical[name][perm]
@@ -307,7 +301,6 @@ def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:
     return SyntheticBatch(
         frame=TabularFrame(columns),
         outlier_mask=mask,
-        provenance=tuple(provenance),
         marginals=gen.marginals(),
         spec=spec,
     )
@@ -343,7 +336,6 @@ def postprocess(batch: SyntheticBatch, spec: OutlierSpec) -> SyntheticBatch:
     return SyntheticBatch(
         frame=TabularFrame(columns),
         outlier_mask=batch.outlier_mask,
-        provenance=batch.provenance,
         marginals=batch.marginals,
         spec=batch.spec,
     )
@@ -380,10 +372,9 @@ def mix(
     if synth_frame.row_count < needed:
         raise InsufficientSyntheticError(needed, synth_frame.row_count)
 
-    chosen = synth_frame.take(range(needed))
+    chosen = synth_frame.take(np.arange(needed))
     # align synthetic columns to the real frame's order
     chosen = TabularFrame([chosen.column(n) for n in real.column_names])
     combined = concat_frames(real, chosen)
     rng = child_rng(seed, n_real, needed)
-    perm = [int(i) for i in rng.permutation(combined.row_count)]
-    return combined.take(perm)
+    return combined.take(rng.permutation(combined.row_count))

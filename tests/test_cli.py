@@ -273,6 +273,23 @@ def test_exit_codes(write_csv, tmp_path, capsys):
     assert code == 3
 
 
+def test_split_bad_shock_date_is_config_error(fixture_csv, tmp_path, capsys):
+    code = main([
+        "split", str(fixture_csv), "--mode", "oot", "--date-col", "date",
+        "--shock-date", "notadate", "--runs", "2", "--out", str(tmp_path / "s"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "shock_date 'notadate'" in err
+    assert "row None" not in err
+    # the config is checked before the input is read
+    code = main([
+        "split", str(tmp_path / "missing.csv"), "--mode", "oot", "--date-col", "date",
+        "--shock-date", "notadate", "--out", str(tmp_path / "s"),
+    ])
+    assert code == 2
+
+
 def test_pipeline_partial_exit_code(fixture_csv, tmp_path, capsys):
     # a 0.999 pseudo-shock fraction starves training: every cell fails
     config = {

@@ -251,3 +251,25 @@ def test_take_and_concat_preserve_raw(write_csv, tmp_path):
     out = tmp_path / "sub.csv"
     sub.to_csv(out)
     assert "3.00" in out.read_text()
+
+
+def test_take_accepts_list_range_and_array(write_csv):
+    path = write_csv("t.csv", "a,b,c\n1.50,x,7\nNA,,8\n3.00,z,9\n4.5,w,\n")
+    loaded = load_csv(path)
+    plain = make_frame(a=[1.5, None, 3.0, 4.5], b=["x", None, "z", "w"])
+    for frame in (loaded, plain):
+        takes = [
+            frame.take([1, 2, 3]),
+            frame.take(range(1, 4)),
+            frame.take(np.array([1, 2, 3])),
+        ]
+        for other in takes[1:]:
+            assert other.column_names == takes[0].column_names
+            for x, y in zip(takes[0].columns, other.columns):
+                assert x.kind is y.kind
+                assert x.values.dtype == y.values.dtype
+                assert repr(x.values.tolist()) == repr(y.values.tolist())
+                assert x.raw == y.raw
+    assert loaded.take(range(1, 4)).column("a").raw == (None, "3.00", "4.5")
+    assert loaded.take(np.array([], dtype=int)).row_count == 0
+    assert all(c.raw is None for c in plain.take(range(2)).columns)

@@ -1,10 +1,15 @@
+import hashlib
 import json
+import sys
 
+import numpy as np
 import pytest
+import scipy
 
 from shockstab import pipeline
 from shockstab.errors import ConfigError
 from shockstab.fixtures import make_shocked_fixture
+from shockstab.frame import Column, ColumnKind, TabularFrame, load_csv
 from shockstab.pipeline import (
     PipelineConfig,
     emit_digest,
@@ -70,6 +75,26 @@ def test_duplicate_levels_config_error(fixture_csv):
         _config(fixture_csv, levels=("without", 5, "5"))
     with pytest.raises(ConfigError):
         _config(fixture_csv, levels=(150,))
+
+
+def test_levels_string_is_config_error(fixture_csv):
+    # "10" must not read as the levels "1" and "0"
+    with pytest.raises(ConfigError, match="levels must be a list"):
+        PipelineConfig(
+            input_path=str(fixture_csv),
+            label="is_bad",
+            split=SplitSpec(mode="oos", shock_fraction=0.2),
+            levels="10",
+        )
+    with pytest.raises(ConfigError, match="levels must be a list"):
+        PipelineConfig.from_dict(
+            {
+                "input": "x.csv",
+                "label": "y",
+                "split": {"mode": "oos", "shock_fraction": 0.2},
+                "levels": "10",
+            }
+        )
 
 
 def test_config_dict_round_trip(fixture_csv):
@@ -142,6 +167,96 @@ def test_serial_and_parallel_reports_byte_identical(small_csv, overrides, monkey
             assert [f["run"] for f in lvl.failures] == [0, 1, 2, 3]
     else:
         assert not serial.partial
+
+
+# SHA-256 of report.json (timestamp stripped), auc_runs.csv and uplift.csv
+# for the seeded 300-row run below, and the versions it was recorded with.
+# Only a change labelled as a behaviour change may update it.
+FROZEN_REPORT_DIGEST = "0e999a689e99727f878b9bdfe417c172d2e0cc09bed8e136e0d6b061d40819cf"
+FROZEN_REPORT_VERSIONS = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+def test_seeded_report_digest_frozen(tmp_path, monkeypatch):
+    versions = {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }
+    if versions != FROZEN_REPORT_VERSIONS:
+        pytest.skip(
+            f"frozen report digest was recorded under {FROZEN_REPORT_VERSIONS}, "
+            f"this is {versions}"
+        )
+    # the report embeds the input and output paths, and config_hash covers
+    # them, so both are relative to a fixed working directory
+    monkeypatch.chdir(tmp_path)
+    make_shocked_fixture(rows=300).to_csv("shocked.csv")
+    run_pipeline(_config("shocked.csv", runs=4, output_dir="out"))
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    del report["environment"]["timestamp"]
+    digest = hashlib.sha256(json.dumps(report, indent=2).encode("utf-8"))
+    for name in ("auc_runs.csv", "uplift.csv"):
+        digest.update((tmp_path / "out" / name).read_bytes())
+    assert digest.hexdigest() == FROZEN_REPORT_DIGEST
+
+
+def test_pipeline_frames_carry_no_raw_text(small_csv, monkeypatch):
+    seen = []
+
+    def recording(name):
+        real = getattr(pipeline, name)
+
+        def record(frame, *args, **kwargs):
+            seen.append((name, frame))
+            return real(frame, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, record)
+
+    real_monte_carlo = pipeline.monte_carlo
+
+    def record_splits(frame, spec):
+        splits = real_monte_carlo(frame, spec)
+        for s in splits:
+            seen.extend(("split", f) for f in (s.train, s.test, s.shocked_test))
+        return splits
+
+    monkeypatch.setattr(pipeline, "monte_carlo", record_splits)
+    for name in ("distribution_shift", "fit", "train_baseline"):
+        recording(name)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda runs: 1)
+    report = run_pipeline(_config(small_csv, runs=2))
+    assert not report.partial
+    assert {name for name, _ in seen} == {
+        "split", "distribution_shift", "fit", "train_baseline"
+    }
+    for name, frame in seen:
+        assert all(c.raw is None for c in frame.columns), name
+
+
+def test_numerical_dates_split_on_their_text(tmp_path):
+    # 20180322 loads as the number 20180322.0; the OOT partition must still
+    # parse the cell text, as when the dates are ISO strings
+    frame = make_shocked_fixture(rows=300)
+    compact = [d.replace("-", "") for d in frame.column("date").values]
+    compact_dates = Column("date", ColumnKind.CATEGORICAL, np.array(compact, dtype=object))
+    iso = tmp_path / "iso" / "shocked.csv"
+    numeric = tmp_path / "numeric" / "shocked.csv"
+    for path in (iso, numeric):
+        path.parent.mkdir()
+    frame.to_csv(iso)
+    TabularFrame(
+        [compact_dates if c.name == "date" else c for c in frame.columns]
+    ).to_csv(numeric)
+    assert load_csv(numeric).kind_of("date") is ColumnKind.NUMERICAL
+    reports = []
+    for path in (iso, numeric):
+        config = _config(path, runs=2, split=SplitSpec(
+            mode="oot", date_column="date", shock_date="20180322",
+            mc_runs=2, seed=11,
+        ))
+        reports.append(run_pipeline(config).to_dict())
+    for key in ("drift", "a_model", "levels"):
+        assert reports[0][key] == reports[1][key]
 
 
 def test_worker_count_leaves_cores_to_blas(monkeypatch):

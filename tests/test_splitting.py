@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from shockstab import splitting
 from shockstab.errors import (
     ConfigError,
     DateParseError,
@@ -189,3 +190,24 @@ def test_aggregate_median_matches_sorting_oracle():
     assert agg.median == sorted(values)[25]
     assert agg.min == min(values)
     assert agg.max == max(values)
+
+
+def test_monte_carlo_parses_each_date_once(monkeypatch):
+    frame = _frame_with_dates(30, 12)
+    spec = SplitSpec(
+        mode="oot", date_column="when", shock_date="2018-03-01", mc_runs=5, seed=4
+    )
+    calls = []
+    real = splitting.parse_timestamp
+
+    def counting(value, row_index=None):
+        calls.append(row_index)
+        return real(value, row_index)
+
+    monkeypatch.setattr(splitting, "parse_timestamp", counting)
+    splits = monte_carlo(frame, spec)
+    assert len(splits) == 5
+    assert len(calls) == frame.row_count
+    # later calls on the same frame reuse the partition
+    assert split_once(frame, spec, 7).shocked_test.row_count == 12
+    assert len(calls) == frame.row_count
