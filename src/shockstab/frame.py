@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,15 +35,19 @@ class ColumnKind(enum.Enum):
     NUMERICAL = "numerical"
 
 
-def _parse_numeric(cell: str):
-    """Return the finite float value of `cell`, or None if it is not numeric."""
-    if "_" in cell:  # float() accepts "1_000"; CSV cells should not
-        return None
+def _parse_floats(cells) -> np.ndarray | None:
+    """The float values of `cells`, or None unless every cell is numeric.
+
+    A cell is numeric when float() reads it as a finite real and it holds
+    no "_" (float() accepts "1_000"; CSV cells should not).
+    """
     try:
-        value = float(cell)
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
     except ValueError:
         return None
-    return value if math.isfinite(value) else None
+    if not np.isfinite(values).all() or "_" in "".join(cells):
+        return None
+    return values
 
 
 @dataclass(frozen=True)
@@ -76,7 +82,11 @@ class Column:
     def missing_mask(self) -> np.ndarray:
         if self.kind is ColumnKind.NUMERICAL:
             return np.isnan(self.values)
-        return np.array([v is None for v in self.values], dtype=bool)
+        return np.fromiter(
+            map(operator.is_, self.values, itertools.repeat(None)),
+            dtype=bool,
+            count=len(self.values),
+        )
 
     def non_missing(self) -> np.ndarray:
         """Values with missing cells dropped."""
@@ -181,36 +191,6 @@ def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
 # Kind inference and CSV loading
 # ---------------------------------------------------------------------------
 
-def _infer_kind(cells, missing_tokens) -> tuple[ColumnKind, list]:
-    """Decide a column's kind from raw cell strings.
-
-    Returns (kind, parsed) where parsed holds floats/None for numerical and
-    str/None for categorical. A column is numerical when every non-missing
-    cell parses as a finite real; otherwise it is categorical.
-    """
-    parsed = []
-    numeric_ok = True
-    saw_value = False
-    for cell in cells:
-        if cell in missing_tokens:
-            parsed.append(None)
-            continue
-        saw_value = True
-        if numeric_ok:
-            value = _parse_numeric(cell)
-            if value is None:
-                numeric_ok = False
-        parsed.append(cell)
-    if not saw_value:
-        return ColumnKind.CATEGORICAL, parsed  # caller decides how to report
-    if numeric_ok:
-        return (
-            ColumnKind.NUMERICAL,
-            [None if c is None else float(c) for c in parsed],
-        )
-    return ColumnKind.CATEGORICAL, parsed
-
-
 def load_csv(
     path,
     delimiter: str = ",",
@@ -220,10 +200,12 @@ def load_csv(
 ) -> TabularFrame:
     """Load a delimited text file with a header row into a TabularFrame.
 
-    Column kinds are inferred per `_infer_kind`; `categorical_override`, when
-    positive, additionally routes numeric columns with at most that many
-    distinct values to categorical. `kind_overrides` forces specific columns.
-    Missing cells are any cell equal to one of `missing_tokens`.
+    A column is numerical when it has a non-missing cell and every
+    non-missing cell is numeric (see `_parse_floats`); otherwise it is
+    categorical. `categorical_override`, when positive, additionally routes
+    numeric columns with at most that many distinct values to categorical.
+    `kind_overrides` forces specific columns. Missing cells are any cell
+    equal to one of `missing_tokens`.
     """
     missing_tokens = frozenset(missing_tokens)
     kind_overrides = kind_overrides or {}
@@ -243,50 +225,40 @@ def load_csv(
         if len(set(header)) != len(header):
             dup = next(h for h in header if header.count(h) > 1)
             raise CsvFormatError(f"{path}: duplicate header column {dup!r}")
-        rows = []
-        for i, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise RaggedRowError(i, len(header), len(row))
-            rows.append(row)
+        rows = list(reader)
+    width = len(header)
+    if any(map(width.__ne__, map(len, rows))):
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise RaggedRowError(i + 1, width, len(rows[i]))
 
     columns = []
-    for j, name in enumerate(header):
-        cells = [r[j] for r in rows]
-        kind, parsed = _infer_kind(cells, missing_tokens)
-        forced = kind_overrides.get(name)
-        if forced is not None:
-            kind = forced
-            if kind is ColumnKind.CATEGORICAL:
-                parsed = [None if c in missing_tokens else c for c in cells]
-            else:
-                parsed = []
-                for i, c in enumerate(cells):
-                    if c in missing_tokens:
-                        parsed.append(None)
-                        continue
-                    value = _parse_numeric(c)
-                    if value is None:
-                        raise CsvFormatError(
-                            f"column {name!r} forced numerical but row {i + 1} "
-                            f"holds {c!r}"
-                        )
-                    parsed.append(value)
-        elif (
-            kind is ColumnKind.NUMERICAL
-            and categorical_override > 0
-            and len({v for v in parsed if v is not None}) <= categorical_override
-        ):
-            kind = ColumnKind.CATEGORICAL
-            parsed = [None if c in missing_tokens else c for c in cells]
-
-        raw = tuple(None if c in missing_tokens else c for c in cells)
-        if kind is ColumnKind.NUMERICAL:
-            values = np.array(
-                [np.nan if v is None else v for v in parsed], dtype=np.float64
+    for name, cells in zip(header, list(zip(*rows)) or [()] * width):
+        missing = np.fromiter(
+            map(missing_tokens.__contains__, cells), dtype=bool, count=len(cells)
+        )
+        text = np.array(cells, dtype=object)
+        text[missing] = None
+        present = text[~missing]
+        kind = kind_overrides.get(name)
+        numbers = None if kind is ColumnKind.CATEGORICAL else _parse_floats(present)
+        if kind is ColumnKind.NUMERICAL and numbers is None:
+            row = next(
+                i for i, c in enumerate(text) if c is not None and _parse_floats((c,)) is None
             )
+            raise CsvFormatError(
+                f"column {name!r} forced numerical but row {row + 1} holds {cells[row]!r}"
+            )
+        if kind is None:
+            numeric = numbers is not None and present.size > 0
+            if numeric and categorical_override > 0:
+                numeric = np.unique(numbers).size > categorical_override
+            kind = ColumnKind.NUMERICAL if numeric else ColumnKind.CATEGORICAL
+        if kind is ColumnKind.NUMERICAL:
+            values = np.full(len(cells), np.nan)
+            values[~missing] = numbers
         else:
-            values = np.array(parsed, dtype=object)
-        columns.append(Column(name, kind, values, raw))
+            values = text
+        columns.append(Column(name, kind, values, tuple(text.tolist())))
     return TabularFrame(columns)
 
 

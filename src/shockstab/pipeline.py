@@ -26,7 +26,12 @@ import scipy
 
 from . import __version__
 from .drift import DEFAULT_TAU, DriftReport, distribution_shift
-from .errors import ConfigError, ShockStabError
+from .errors import (
+    ConfigError,
+    DegenerateLabelsError,
+    SchemaMismatchError,
+    ShockStabError,
+)
 from .frame import Column, ColumnKind, TabularFrame, concat_frames, load_csv
 from .model import TrainConfig, evaluate_pair, train_baseline
 from .splitting import (
@@ -125,8 +130,14 @@ class PipelineConfig:
             split = SplitSpec(**d.pop("split"))
         except TypeError as exc:
             raise ConfigError(f"bad split spec: {exc}") from None
-        coeffs = UpliftCoefficients(**d.pop("coefficients", {}))
-        train = TrainConfig(**d.pop("train", {}))
+        try:
+            coeffs = UpliftCoefficients(**d.pop("coefficients", {}))
+        except TypeError as exc:
+            raise ConfigError(f"bad coefficients: {exc}") from None
+        try:
+            train = TrainConfig(**d.pop("train", {}))
+        except TypeError as exc:
+            raise ConfigError(f"bad train config: {exc}") from None
         known = {
             "input": "input_path",
             "input_path": "input_path",
@@ -299,8 +310,14 @@ def _snap_labels(batch: SyntheticBatch, label: str, rng) -> SyntheticBatch:
     The body sampler emits a continuous relaxation of the 0/1 label; snap it
     stochastically (P(y=1) = value clipped into [0,1]) so the linear
     feature/label correlation survives while training sees binary targets.
+    A missing or categorical label raises the error `train_baseline` gives
+    for it, so a B task fails like the run's A task.
     """
+    if label not in batch.frame:
+        raise SchemaMismatchError(label, "label column missing")
     col = batch.frame.column(label)
+    if col.kind is not ColumnKind.NUMERICAL:
+        raise DegenerateLabelsError(f"label column {label!r} must be numerical 0/1")
     p = np.clip(col.values, 0.0, 1.0)
     snapped = (rng.random(len(p)) < p).astype(np.float64)
     columns = [
@@ -340,33 +357,40 @@ def _drift_frames(frame, config, splits) -> tuple[TabularFrame, TabularFrame]:
     return concat_frames(first.train, first.test), first.shocked_test
 
 
-def _run_one(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> tuple:
-    """One Monte Carlo run: the A-model, then one B-model per outlier level.
-
-    Returns (a_pair, a_failure, cells). Exactly one of a_pair and a_failure
-    is None. Each cell is (level, pair, failure) with exactly one of pair and
-    failure set; a level of None applies the cell to every level. Failures
-    abort only the affected cell. Depends on nothing but its arguments, so
-    runs may execute in any process and order.
-    """
-    run = split.run_index
-    train_frame = split.train.drop_columns(feature_drop)
-    eval_split = ShockSplit(
-        train=train_frame,
+def _without_features(split: ShockSplit, feature_drop: set) -> ShockSplit:
+    return ShockSplit(
+        train=split.train.drop_columns(feature_drop),
         test=split.test.drop_columns(feature_drop),
         shocked_test=split.shocked_test.drop_columns(feature_drop),
-        run_index=run,
+        run_index=split.run_index,
     )
+
+
+def _run_a(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> tuple:
+    """A task: train and evaluate one run's A-model on the real rows.
+
+    Returns (pair, None), or (None, error) when the model cannot be trained
+    or evaluated.
+    """
+    split = _without_features(split, feature_drop)
     try:
-        a_model = train_baseline(train_frame, config.label, config.train)
-        a_pair = evaluate_pair(a_model, eval_split, config.label)
+        a_model = train_baseline(split.train, config.label, config.train)
+        return evaluate_pair(a_model, split, config.label), None
     except ShockStabError as exc:
-        failure = {"run": run, "error": f"a-model failed: {exc}"}
-        return None, {"run": run, "error": str(exc)}, [(None, None, failure)]
+        return None, str(exc)
 
-    if config.real_fraction == 1.0:
-        return a_pair, None, [(None, a_pair, None)]
 
+def _run_b(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> list:
+    """B task: one run's B-model at every outlier level.
+
+    The generator is fitted once per run; each level then generates, mixes
+    with the real rows, trains and evaluates. Returns cells (level, pair,
+    failure) with exactly one of pair and failure set; a level of None
+    applies the cell to every level. A failure aborts only its cell.
+    """
+    run = split.run_index
+    split = _without_features(split, feature_drop)
+    train_frame = split.train
     n_real = train_frame.row_count
     n_synth = int(
         round(n_real * (1.0 - config.real_fraction) / config.real_fraction)
@@ -377,7 +401,7 @@ def _run_one(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> tu
         ) if config.upsample_target else train_frame
         generator = fit(source)
     except ShockStabError as exc:
-        return a_pair, None, [(None, None, {"run": run, "error": f"fit failed: {exc}"})]
+        return [(None, None, {"run": run, "error": f"fit failed: {exc}"})]
 
     cells = []
     for label in config.levels:
@@ -396,10 +420,22 @@ def _run_one(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> tu
             batch = _snap_labels(batch, config.label, child_rng(seed, 1))
             mixed = mix(train_frame, batch, config.real_fraction, seed=seed)
             b_model = train_baseline(mixed, config.label, config.train)
-            cells.append((label, evaluate_pair(b_model, eval_split, config.label), None))
+            cells.append((label, evaluate_pair(b_model, split, config.label), None))
         except ShockStabError as exc:
             cells.append((label, None, {"run": run, "error": str(exc)}))
-    return a_pair, None, cells
+    return cells
+
+
+def _task_list(runs: int, config: PipelineConfig) -> list:
+    """Every (function, run) task of a pipeline, in the order workers take them.
+
+    B tasks come first: each trains one model per level on real plus
+    synthetic rows, several times the work of an A task, so queueing the
+    short A tasks last lets them fill the workers' idle tail. With
+    real_fraction == 1.0 every level reuses the A pair and no B task runs.
+    """
+    b_tasks = [] if config.real_fraction == 1.0 else [(_run_b, r) for r in range(runs)]
+    return b_tasks + [(_run_a, r) for r in range(runs)]
 
 
 # (splits, feature_drop, config) in a forked worker. It is set by the
@@ -414,17 +450,18 @@ def _init_worker(splits: list, feature_drop: set, config: PipelineConfig) -> Non
     _WORKER_RUNS = (splits, feature_drop, config)
 
 
-def _run_in_worker(index: int) -> tuple:
+def _run_in_worker(task: tuple):
+    fn, index = task
     splits, feature_drop, config = _WORKER_RUNS
-    return _run_one(splits[index], feature_drop, config)
+    return fn(splits[index], feature_drop, config)
 
 
 # Variables a BLAS library reads its thread count from at start-up.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _worker_count(runs: int) -> int:
-    """Processes for `runs` runs: the CPU count over BLAS's thread count.
+def _worker_count(tasks: int) -> int:
+    """Processes for `tasks` tasks: the CPU count over BLAS's thread count.
 
     A BLAS library starts one thread per CPU unless the environment says
     otherwise, so workers only help when it is pinned to fewer threads than
@@ -438,31 +475,48 @@ def _worker_count(runs: int) -> int:
     values = (os.environ.get(var, "").strip() for var in _BLAS_THREAD_VARS)
     pinned = [int(v) for v in values if v.isdigit() and int(v) >= 1]
     blas_threads = max(pinned) if pinned else cpus
-    return max(1, min(cpus // blas_threads, runs))
+    return max(1, min(cpus // blas_threads, tasks))
 
 
 def _map_runs(splits: list, feature_drop: set, config: PipelineConfig) -> list:
-    """`_run_one` over every split, results in run order.
+    """Every run's (a_pair, a_failure, cells), in run order.
 
-    Runs go to `_worker_count` forked worker processes when that is more
-    than one and the platform can fork; otherwise they run serially in this
-    process. Workers keep the parent's BLAS settings, so both ways give the
-    same bits.
+    Exactly one of a_pair and a_failure is None; cells are as `_run_b`
+    returns them. The tasks of `_task_list` go to `_worker_count` forked
+    worker processes when that is more than one and the platform can fork;
+    otherwise they run serially in this process. Workers keep the parent's
+    BLAS settings, so both ways give the same bits. A run whose A-model
+    fails records that failure at every level, and its B cells are dropped.
     """
-    workers = _worker_count(len(splits))
+    tasks = _task_list(len(splits), config)
+    workers = _worker_count(len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
-        return [_run_one(split, feature_drop, config) for split in splits]
+        results = [fn(splits[index], feature_drop, config) for fn, index in tasks]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(splits, feature_drop, config),
+        ) as pool:
+            results = list(pool.map(_run_in_worker, tasks))
+    done = dict(zip(tasks, results))
 
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(splits, feature_drop, config),
-    ) as pool:
-        return list(pool.map(_run_in_worker, range(len(splits))))
+    runs = []
+    for index, split in enumerate(splits):
+        run = split.run_index
+        a_pair, a_error = done[(_run_a, index)]
+        if a_pair is None:
+            failure = {"run": run, "error": f"a-model failed: {a_error}"}
+            runs.append((None, {"run": run, "error": a_error}, [(None, None, failure)]))
+        else:
+            # without a B task every level reuses the A pair
+            cells = done.get((_run_b, index), [(None, a_pair, None)])
+            runs.append((a_pair, None, cells))
+    return runs
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -471,9 +525,10 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     Per run: train/evaluate the A-model on real data; per (run, level):
     synthesize, mix and train/evaluate the B-model. Failures abort only the
     affected cell and are recorded in the report. With real_fraction == 1.0
-    the B-model retrains on the unmixed real data (SU is identically 0).
-    Runs may execute in parallel processes (see `_worker_count`); the
-    report is byte-identical for every process count.
+    every level reuses the A-model's AUC pair (SU is identically 0).
+    Each run's A-model and its B-models are separate tasks that may execute
+    in parallel processes (see `_map_runs`); the report is byte-identical
+    for every process count.
     """
     frame = load_csv(
         config.input_path,

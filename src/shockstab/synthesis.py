@@ -296,7 +296,8 @@ def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:
         if kind is ColumnKind.NUMERICAL:
             columns.append(Column(name, kind, numeric[:, num_index[name]].copy()))
         else:
-            values = np.array([str(v) for v in categorical[name]], dtype=object)
+            # .tolist() turns the numpy str_ draws into Python str
+            values = np.array(categorical[name].tolist(), dtype=object)
             columns.append(Column(name, kind, values))
     return SyntheticBatch(
         frame=TabularFrame(columns),

@@ -273,6 +273,28 @@ def test_exit_codes(write_csv, tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("train", {"epochz": 3}), ("coefficients", {"k4": 1.0}), ("train", [400])],
+    ids=["train-key", "coefficients-key", "train-not-object"],
+)
+def test_pipeline_bad_nested_config_is_config_error(fixture_csv, tmp_path, capsys, key, value):
+    config = {
+        "input": str(fixture_csv),
+        "label": "is_bad",
+        "split": {"mode": "oos", "shock_fraction": 0.2, "mc_runs": 2},
+        "levels": ["without"],
+        key: value,
+    }
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["pipeline", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert f"bad {'train config' if key == 'train' else key}" in err
+
+
 def test_split_bad_shock_date_is_config_error(fixture_csv, tmp_path, capsys):
     code = main([
         "split", str(fixture_csv), "--mode", "oot", "--date-col", "date",

@@ -12,6 +12,7 @@ from shockstab.errors import (
     SchemaMismatchError,
 )
 from shockstab.fixtures import make_shocked_fixture
+from shockstab.frame import TabularFrame
 from shockstab.model import (
     MISSING_CATEGORY,
     TrainConfig,
@@ -23,7 +24,7 @@ from shockstab.model import (
 )
 from shockstab.splitting import ShockSplit
 
-from conftest import make_frame
+from conftest import cat_col, make_frame, num_col
 
 
 # ---------------------------------------------------------------------------
@@ -168,17 +169,35 @@ def test_train_baseline_bitwise_equals_reference_loop(rows):
 
 
 def test_one_hot_equals_per_row_reference():
-    train = make_frame(s=["b", "a", None, "c", "a"], label=[0.0, 1.0, 0.0, 1.0, 1.0])
-    enc = build_encoding(train, "label")
-    test = make_frame(s=["a", "unseen", None, "c", "b", "None"], label=[0.0] * 6)
-    cats = enc.categorical["s"]
-    expected = np.zeros((test.row_count, len(cats)))
-    for i, v in enumerate(test.column("s").values):
-        key = MISSING_CATEGORY if v is None else str(v)
-        if key in cats:
-            expected[i, cats.index(key)] = 1.0
-    assert enc.design_matrix(test).tobytes() == expected.tobytes()
-    assert enc.design_matrix(test.take([])).shape == (0, len(cats))
+    cases = [
+        (["b", "a", None, "c", "a"], ["a", "unseen", None, "c", "b", "None"]),
+        # a literal "None" category is not the missing bucket
+        (["None", "a", None], [None, "None", "a", "b"]),
+        (["None", "a"], [None, "None", "a"]),
+        # cells that are not str encode as their text
+        ([1, "1", 2.5, None, "x"], [1, "1", 2.5, "2.5", 3, None, "x"]),
+    ]
+
+    def frame(cells):
+        return TabularFrame([
+            cat_col("s", cells),
+            num_col("label", [float(i % 2) for i in range(len(cells))]),
+        ])
+
+    for train_cells, test_cells in cases:
+        train, test = frame(train_cells), frame(test_cells)
+        enc = build_encoding(train, "label")
+        cats = sorted({str(v) for v in train_cells if v is not None})
+        if None in train_cells:
+            cats.append(MISSING_CATEGORY)
+        assert enc.categorical["s"] == tuple(cats)
+        expected = np.zeros((test.row_count, len(cats)))
+        for i, v in enumerate(test.column("s").values):
+            key = MISSING_CATEGORY if v is None else str(v)
+            if key in cats:
+                expected[i, cats.index(key)] = 1.0
+        assert enc.design_matrix(test).tobytes() == expected.tobytes()
+        assert enc.design_matrix(test.take([])).shape == (0, len(cats))
 
 
 def test_single_class_training_error():

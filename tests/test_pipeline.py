@@ -143,30 +143,73 @@ def small_csv(tmp_path_factory):
     return path
 
 
+# OOS splits of the 300-row fixture whose A-model fails in every run, and
+# in runs 0 and 2 only (a single-class evaluation set)
+A_FAILS = SplitSpec(mode="oos", shock_fraction=0.995, mc_runs=4, seed=5)
+A_FAILS_0_2 = SplitSpec(mode="oos", shock_fraction=0.96, mc_runs=4, seed=1)
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, failures",
     [
-        {},
+        ({}, ""),
         # every B cell fails: pins the order of the per-level failure records
-        {"family": "no-such-family"},
+        ({"family": "no-such-family"}, "BBBB"),
         # every A cell fails: its failure is copied to every level
-        {"split": SplitSpec(mode="oos", shock_fraction=0.995, mc_runs=4, seed=5)},
+        ({"split": A_FAILS}, "AAAA"),
+        # A fails in some runs only: their records sit between the B runs
+        ({"split": A_FAILS_0_2}, "A-A-"),
+        ({"split": A_FAILS_0_2, "family": "no-such-family"}, "ABAB"),
+        # a missing or categorical label fails the A task and must fail the
+        # B task too, with an error the B task catches
+        ({"label": "no_such_column"}, "AAAA"),
+        ({"label": "sector"}, "AAAA"),
     ],
-    ids=["ok", "levels-failed", "a-failed"],
+    ids=["ok", "levels-failed", "a-failed", "a-failed-some", "a-and-b-failed",
+         "missing-label", "categorical-label"],
 )
-def test_serial_and_parallel_reports_byte_identical(small_csv, overrides, monkeypatch):
+def test_serial_and_parallel_reports_byte_identical(small_csv, overrides, failures, monkeypatch):
+    # failures: per run, "A" for an A-model failure copied to every level,
+    # "B" for a failed B cell and "-" for a B pair
     config = _config(small_csv, runs=4, **overrides)
-    monkeypatch.setattr(pipeline, "_worker_count", lambda runs: 1)
-    serial = run_pipeline(config)
-    monkeypatch.setattr(pipeline, "_worker_count", lambda runs: 2)
-    parallel = run_pipeline(config)
-    assert serial.to_json(strip_timestamp=True) == parallel.to_json(strip_timestamp=True)
-    if overrides:
-        assert serial.partial
-        for lvl in serial.levels:
-            assert [f["run"] for f in lvl.failures] == [0, 1, 2, 3]
-    else:
-        assert not serial.partial
+    reports = []
+    for workers in (1, 2, 3):
+        asked = []
+        monkeypatch.setattr(
+            pipeline, "_worker_count", lambda tasks, w=workers: asked.append(tasks) or w
+        )
+        reports.append(run_pipeline(config))
+        assert asked == [8]  # one A task and one B task per run
+    serial = reports[0].to_json(strip_timestamp=True)
+    for parallel in reports[1:]:
+        assert parallel.to_json(strip_timestamp=True) == serial
+    report = reports[0]
+    assert report.partial == bool(failures)
+    if not failures:
+        return
+    a_failed = [run for run, kind in enumerate(failures) if kind == "A"]
+    assert [f["run"] for f in report.a_failures] == a_failed
+    for lvl in report.levels:
+        assert [f["run"] for f in lvl.failures] == [
+            run for run, kind in enumerate(failures) if kind != "-"
+        ]
+        assert "".join(
+            "A" if f["error"].startswith("a-model failed: ") else "B"
+            for f in lvl.failures
+        ) == failures.replace("-", "")
+        assert [p.run_index for p in lvl.b_runs] == [
+            run for run, kind in enumerate(failures) if kind == "-"
+        ]
+
+
+def test_task_list_queues_b_tasks_first(small_csv):
+    a, b = pipeline._run_a, pipeline._run_b
+    assert pipeline._task_list(3, _config(small_csv, runs=3)) == [
+        (b, 0), (b, 1), (b, 2), (a, 0), (a, 1), (a, 2)
+    ]
+    # every level reuses the A pair, so there is no B task
+    identity = _config(small_csv, runs=3, real_fraction=1.0)
+    assert pipeline._task_list(3, identity) == [(a, 0), (a, 1), (a, 2)]
 
 
 # SHA-256 of report.json (timestamp stripped), auc_runs.csv and uplift.csv
@@ -223,7 +266,7 @@ def test_pipeline_frames_carry_no_raw_text(small_csv, monkeypatch):
     monkeypatch.setattr(pipeline, "monte_carlo", record_splits)
     for name in ("distribution_shift", "fit", "train_baseline"):
         recording(name)
-    monkeypatch.setattr(pipeline, "_worker_count", lambda runs: 1)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
     report = run_pipeline(_config(small_csv, runs=2))
     assert not report.partial
     assert {name for name, _ in seen} == {
@@ -267,7 +310,9 @@ def test_worker_count_leaves_cores_to_blas(monkeypatch):
     assert pipeline._worker_count(10) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
     assert pipeline._worker_count(10) == 4
+    # at most one worker per task
     assert pipeline._worker_count(3) == 3
+    assert pipeline._worker_count(2) == 2
     # the largest pinned count counts; unparseable values are ignored
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     monkeypatch.setenv("MKL_NUM_THREADS", "many")
