@@ -35,7 +35,7 @@ from .stability import (
     stabilization_score,
     stabilization_uplift,
 )
-from .synthesis import OutlierSpec, fit, generate, postprocess
+from .synthesis import FAMILIES, OutlierSpec, fit, generate, postprocess
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -158,10 +158,11 @@ def _cmd_su_grid(args) -> int:
 def _cmd_split(args) -> int:
     spec = _split_spec(args)  # a config error stops before the CSV is read
     frame = load_csv(args.file)
+    splits = monte_carlo(frame, spec)  # a bad date column stops before any file
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for split in monte_carlo(frame, spec):
+    for split in splits:
         tag = f"{split.run_index:03d}"
         for name, part in (
             ("train", split.train),
@@ -394,11 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--outliers-pct", dest="outliers_pct", type=float, default=0.0)
-    p.add_argument(
-        "--family",
-        choices=("normal", "laplace", "gumbel", "weibull", "levy"),
-        default="normal",
-    )
+    p.add_argument("--family", choices=FAMILIES, default="normal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail-sigma", dest="tail_sigma", type=float, default=3.0)
     p.add_argument("--nonneg", help="comma-separated nonnegative columns")

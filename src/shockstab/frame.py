@@ -16,7 +16,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import (
     CsvFormatError,
@@ -341,6 +340,9 @@ def _finite_or_none(x) -> float | None:
 
 
 def _numerical_summary(name, values, missing_count) -> ColumnSummary:
+    # imported here, not with the module: only the schema profile needs it
+    from scipy import stats as sps
+
     values = np.sort(values)  # moments become exactly row-order invariant
     n = values.size
     q25, med, q75 = np.percentile(values, [25.0, 50.0, 75.0])

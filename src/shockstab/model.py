@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import (
     DataError,
@@ -27,6 +26,22 @@ from .splitting import ShockSplit
 from .stability import normalize_level
 
 MISSING_CATEGORY = "__missing__"
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of `values`, each tie group given its mean rank.
+
+    A group spanning sorted positions start .. end - 1 holds ranks
+    start + 1 .. end, whose mean (start + 1 + end) / 2 is a half-integer,
+    so every rank is exact in float64.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
 
 
 def auc(scores, labels) -> float:
@@ -49,7 +64,7 @@ def auc(scores, labels) -> float:
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError("both classes must be present")
-    ranks = sps.rankdata(scores)  # average ranks for ties
+    ranks = _average_ranks(scores)
     # exact integer arithmetic (ranks are halves), quantized to the 2^-53
     # lattice, which is symmetric about 1/2: auc(-s) == 1 - auc(s) exactly
     num2 = int(round(float(ranks[positive].sum()) * 2)) - n_pos * (n_pos + 1)
@@ -300,7 +315,10 @@ def import_auc_table(path) -> ImportedAucTable:
     models = payload["models"]
     if not models:
         raise EmptyInputError(f"{path}: empty model list")
-    ds = float(payload.get("ds", 0.0))
+    try:
+        ds = float(payload.get("ds", 0.0))
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: ds must be a number, got {payload['ds']!r}") from None
     table = ImportedAucTable(ds=ds)
     for m in models:
         name = str(m.get("name", ""))

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
 import sys
 import zlib
@@ -109,6 +110,16 @@ class PipelineConfig:
             if label != WITHOUT_LEVEL and float(label) > 100.0:
                 raise ConfigError(f"outlier level {label}% exceeds 100%")
         self.levels = labels
+        try:
+            int(self.seed)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
+        if (
+            isinstance(self.tail_sigma, bool)
+            or not isinstance(self.tail_sigma, numbers.Real)
+            or not self.tail_sigma > 0
+        ):
+            raise ConfigError(f"tail_sigma must be a number > 0, got {self.tail_sigma!r}")
         if not (0.0 < self.real_fraction <= 1.0):
             raise ConfigError(
                 f"real_fraction must lie in (0, 1], got {self.real_fraction!r}"
@@ -495,6 +506,14 @@ def _map_runs(splits: list, feature_drop: set, config: PipelineConfig) -> list:
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+
+        if any(fn is _run_b for fn, _ in tasks) and any(
+            label != WITHOUT_LEVEL and float(label) > 0 for label in config.levels
+        ):
+            # B tasks draw tails through scipy.stats. Forked workers inherit
+            # the parent's modules, so one import here spares every worker
+            # its own (most of a second) at its first tail draw.
+            import scipy.stats  # noqa: F401
 
         with ProcessPoolExecutor(
             workers,

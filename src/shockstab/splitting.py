@@ -92,6 +92,10 @@ class SplitSpec:
             )
         if self.mc_runs < 1:
             raise ConfigError(f"mc_runs must be >= 1, got {self.mc_runs!r}")
+        try:
+            int(self.seed)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"split seed must be an integer, got {self.seed!r}") from None
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,8 @@ def oot_partition(frame: TabularFrame, spec: SplitSpec):
     column and shock date. Every row needs a parseable date; a missing one
     raises DateParseError.
     """
+    if spec.date_column not in frame:
+        raise ConfigError(f"date column {spec.date_column!r} is not in the data")
     key = (spec.date_column, spec.shock_date)
     known = _PARTITIONS.setdefault(frame, {})
     if key not in known:

@@ -189,13 +189,12 @@ WITHOUT_LEVEL = "without"
 
 def normalize_level(level) -> str:
     """Canonical row label: 'without' or the numeric percentage as text."""
-    if isinstance(level, str):
-        text = level.strip()
-        if text.lower() == WITHOUT_LEVEL:
-            return WITHOUT_LEVEL
-        value = float(text)
-    else:
+    if isinstance(level, str) and level.strip().lower() == WITHOUT_LEVEL:
+        return WITHOUT_LEVEL
+    try:
         value = float(level)
+    except (TypeError, ValueError):
+        raise ConfigError(f"invalid outlier level {level!r}") from None
     if not math.isfinite(value) or value < 0:
         raise ConfigError(f"invalid outlier level {level!r}")
     return str(int(value)) if value == int(value) else repr(value)

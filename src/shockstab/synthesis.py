@@ -14,9 +14,9 @@ reachable, and Levy places outliers on its heavy side only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import (
     ConfigError,
@@ -29,13 +29,7 @@ from .errors import (
 from .frame import Column, ColumnKind, TabularFrame, concat_frames
 from .splitting import child_rng
 
-FAMILIES = {
-    "normal": sps.norm,
-    "laplace": sps.laplace,
-    "gumbel": sps.gumbel_r,
-    "weibull": sps.weibull_min(1.0),
-    "levy": sps.levy,
-}
+FAMILIES = ("normal", "laplace", "gumbel", "weibull", "levy")
 
 #: Families whose tail side follows the sign of the correlated base draw.
 _SYMMETRIC = frozenset({"normal", "laplace"})
@@ -219,9 +213,27 @@ def upsample(train: TabularFrame, target_rows: int, seed: int = 0) -> TabularFra
     return train.take(np.concatenate([np.arange(n), extras]))
 
 
+@cache
+def _distribution(family: str):
+    """The scipy.stats distribution of a tail family.
+
+    scipy.stats takes most of a second to import, so it is loaded on the
+    first tail draw rather than with this module.
+    """
+    from scipy import stats
+
+    return {
+        "normal": stats.norm,
+        "laplace": stats.laplace,
+        "gumbel": stats.gumbel_r,
+        "weibull": stats.weibull_min(1.0),
+        "levy": stats.levy,
+    }[family]
+
+
 def _tail_magnitudes(family: str, rng, size: int) -> np.ndarray:
     """Standardized draws s >= 1 from the family conditioned on its tail."""
-    dist = FAMILIES[family]
+    dist = _distribution(family)
     # u bounded away from 0 so heavy-tailed inverse survival stays finite
     u = rng.uniform(1e-12, 1.0, size=size)
     return dist.isf(u * dist.sf(1.0))

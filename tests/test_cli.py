@@ -334,3 +334,58 @@ def test_report_radial_rejects_grid_json(tmp_path, capsys):
     path.write_text(json.dumps(grid))
     code, _ = _run(capsys, "report", "radial", path)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"levels": ["abc"]}, "invalid outlier level 'abc'"),
+        ({"seed": "x"}, "seed must be an integer, got 'x'"),
+        ({"tail_sigma": "x"}, "tail_sigma must be a number > 0, got 'x'"),
+        ({"split": {"date_column": "no_such_date"}}, "date column 'no_such_date'"),
+    ],
+    ids=["level", "seed", "tail-sigma", "date-column"],
+)
+def test_pipeline_bad_config_value_is_config_error(fixture_csv, tmp_path, capsys, override, message):
+    split = {"mode": "oot", "date_column": "date", "shock_date": "2018-03-22", "mc_runs": 2}
+    config = {
+        "input": str(fixture_csv),
+        "label": "is_bad",
+        "levels": ["without", 10],
+        "output_dir": str(tmp_path / "out"),
+        **override,
+        "split": {**split, **override.get("split", {})},
+    }
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["pipeline", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""  # stopped before any run
+    assert not (tmp_path / "out").exists()
+
+
+def test_split_missing_date_column_is_config_error(fixture_csv, tmp_path, capsys):
+    out = tmp_path / "s"
+    code = main([
+        "split", str(fixture_csv), "--mode", "oot", "--date-col", "no_such_date",
+        "--shock-date", "2018-03-22", "--runs", "2", "--out", str(out),
+    ])
+    assert code == 2
+    assert "date column 'no_such_date'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_su_grid_non_numeric_ds_is_data_error(tmp_path, capsys):
+    table = {
+        "ds": "abc",
+        "models": [{"name": "gbm", "levels": [{"outliers_pct": 5, "runs": [
+            {"auc_base_a": 0.8, "auc_shock_a": 0.7,
+             "auc_base_b": 0.81, "auc_shock_b": 0.76}]}]}],
+    }
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code = main(["su-grid", str(path)])
+    assert code == 3
+    assert "ds must be a number, got 'abc'" in capsys.readouterr().err
