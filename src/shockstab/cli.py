@@ -28,7 +28,7 @@ from .pipeline import (
     emit_radial_data,
     run_pipeline,
 )
-from .splitting import ShockSplit, SplitSpec, aggregate, monte_carlo
+from .splitting import SplitSpec, aggregate, monte_carlo
 from .stability import (
     UpliftCoefficients,
     batch_uplift,
@@ -48,6 +48,13 @@ def _emit(payload: dict, path: str | None = None) -> None:
     if path:
         Path(path).write_text(text + "\n", encoding="utf-8")
     print(text)
+
+
+def _load_json(path) -> object:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
+        raise ConfigError(f"cannot load {path}: {exc}") from exc
 
 
 def _split_list(text: str) -> list[str]:
@@ -79,10 +86,7 @@ def _split_spec(args) -> SplitSpec:
 
 def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
     """Load either the flat su-grid record list or the nested AUC table."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load {path}: {exc}") from exc
+    payload = _load_json(path)
     if isinstance(payload, list):
         if ds_flag is None:
             raise ConfigError("--ds is required with a flat record list")
@@ -217,10 +221,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    try:
-        payload = json.loads(Path(args.anchors).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load {args.anchors}: {exc}") from exc
+    payload = _load_json(args.anchors)
     try:
         anchors = [AnchorPoint(**a) for a in payload]
     except TypeError as exc:
@@ -249,28 +250,18 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train_eval(args) -> int:
-    spec = _split_spec(args)  # a config error stops before the CSV is read
-    frame = load_csv(args.file)
+    # a config error stops before the CSV is read
+    spec = _split_spec(args)
     config = TrainConfig(
         learning_rate=args.learning_rate, epochs=args.epochs, l2=args.l2
     )
+    frame = load_csv(args.file)
     drop = {spec.date_column} if spec.mode == "oot" else set()
     pairs = []
     for split in monte_carlo(frame, spec):
-        train = split.train.drop_columns(drop)
-        model = train_baseline(train, args.label, config)
-        pairs.append(
-            evaluate_pair(
-                model,
-                ShockSplit(
-                    train,
-                    split.test.drop_columns(drop),
-                    split.shocked_test.drop_columns(drop),
-                    split.run_index,
-                ),
-                args.label,
-            )
-        )
+        split = split.drop_columns(drop)
+        model = train_baseline(split.train, args.label, config)
+        pairs.append(evaluate_pair(model, split, args.label))
     base = aggregate([p.auc_base for p in pairs])
     shock = aggregate([p.auc_shock for p in pairs])
     _emit(
@@ -285,18 +276,18 @@ def _cmd_train_eval(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    try:
-        payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load {args.config}: {exc}") from exc
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.runs is not None:
-        payload.setdefault("split", {})["mc_runs"] = args.runs
-    if args.levels is not None:
-        payload["levels"] = _split_list(args.levels)
-    if args.output_dir is not None:
-        payload["output_dir"] = args.output_dir
+    payload = _load_json(args.config)
+    # the overrides join the payload, so from_dict checks them with the rest;
+    # a payload or split that is not an object is left for it to reject
+    if isinstance(payload, dict):
+        overrides = {
+            "seed": args.seed,
+            "levels": None if args.levels is None else _split_list(args.levels),
+            "output_dir": args.output_dir,
+        }
+        payload.update((k, v) for k, v in overrides.items() if v is not None)
+        if args.runs is not None and isinstance(payload.get("split"), dict):
+            payload["split"]["mc_runs"] = args.runs
     config = PipelineConfig.from_dict(payload)
     report = run_pipeline(config)
     print(report.to_json())
@@ -304,12 +295,7 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    try:
-        payloads = [
-            json.loads(Path(p).read_text(encoding="utf-8")) for p in args.files
-        ]
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load report: {exc}") from exc
+    payloads = [_load_json(p) for p in args.files]
     if args.kind == "radial":
         _emit(emit_radial_data(payloads[0], nonzero=args.nonzero), args.json)
     else:

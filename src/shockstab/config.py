@@ -1,0 +1,123 @@
+"""Declared config fields: each config object states each field once.
+
+A config dataclass derives from `Config` and declares every field with
+`setting`: its default, its JSON key, its kind and its bound. `Config`
+checks every field when an object is built, whether by keywords or through
+`from_dict`, so a bad value stops a run before any data is read; and it
+derives `from_dict` and `to_dict` from the same declarations. A check never
+converts a value, except that a list of strings is stored as a tuple.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import sys
+from datetime import datetime
+
+from .errors import ConfigError
+
+# What each kind of value accepts, keyed by the phrase messages use for it.
+# A bool is never a number. A number must be a finite float or an int within
+# float range: reports hold no infinity or NaN (they are written with
+# allow_nan=False), and the metrics compute in floats. A string is not a
+# list of levels: "10" would read as the levels "1" and "0".
+_KINDS = {
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a number": lambda v: isinstance(v, (int, float))
+    and not isinstance(v, bool)
+    and abs(v) <= sys.float_info.max,
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: isinstance(v, (list, tuple))
+    and all(isinstance(s, str) for s in v),
+    "a date": lambda v: isinstance(v, (str, datetime)),
+    "a list of outlier levels": lambda v: isinstance(v, (list, tuple)),
+}
+
+
+def setting(default=dataclasses.MISSING, kind=None, bound=None, *,
+            key=None, null=False, kw_only=False):
+    """A config field.
+
+    `kind` is a key of _KINDS or a nested Config class; `bound` is written
+    "> 0", ">= 1" or as an interval "in (0, 1]"; `key` is the JSON key when
+    it differs from the attribute name; `null` lets the value be None.
+    """
+    metadata = {"kind": kind, "bound": bound, "key": key, "null": null}
+    return dataclasses.field(default=default, kw_only=kw_only, metadata=metadata)
+
+
+def _key(f: dataclasses.Field) -> str:
+    return f.metadata["key"] or f.name
+
+
+def _within(value, bound: str) -> bool:
+    if bound.startswith("in "):
+        low, high = (float(x) for x in bound[4:-1].split(","))
+        return (low < value if bound[3] == "(" else low <= value) and (
+            value < high if bound[-1] == ")" else value <= high
+        )
+    op, limit = bound.split()
+    return value > float(limit) if op == ">" else value >= float(limit)
+
+
+def _plain(value):
+    """`value` as to_dict writes it."""
+    if isinstance(value, Config):
+        return value.to_dict()
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    if isinstance(value, datetime):
+        return value.isoformat()
+    return value
+
+
+class Config:
+    """Base of the config dataclasses whose fields are declared by `setting`."""
+
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            kind, bound, null = f.metadata["kind"], f.metadata["bound"], f.metadata["null"]
+            if value is None and null:
+                continue
+            nested = isinstance(kind, type)
+            ok = isinstance(value, kind) if nested else _KINDS[kind](value)
+            if not ok or (bound and not _within(value, bound)):
+                what = f"a {kind.__name__}" if nested else kind
+                raise ConfigError(
+                    f"{_key(f)} must be {what}{' ' + bound if bound else ''}"
+                    f"{' or null' if null else ''}, got {value!r}"
+                )
+            if kind == "a list of strings":
+                object.__setattr__(self, f.name, tuple(value))
+
+    @classmethod
+    def from_dict(cls, payload):
+        """Build from a JSON object keyed as `to_dict` writes it.
+
+        A field's attribute name is accepted in place of its JSON key. A
+        nested object is built by its own class, and its errors are prefixed
+        with "bad <key> config".
+        """
+        if not isinstance(payload, dict):
+            raise ConfigError(f"a config must be an object, got {payload!r}")
+        fields = dataclasses.fields(cls)
+        by_key = {f.name: f for f in fields} | {_key(f): f for f in fields}
+        kwargs = {}
+        for key, value in payload.items():
+            if key not in by_key:
+                raise ConfigError(f"unknown config field {key!r}")
+            f = by_key[key]
+            if isinstance(f.metadata["kind"], type):
+                try:
+                    value = f.metadata["kind"].from_dict(value)
+                except ConfigError as exc:
+                    raise ConfigError(f"bad {key} config: {exc}") from None
+            kwargs[f.name] = value
+        for f in fields:
+            if f.name not in kwargs and f.default is dataclasses.MISSING:
+                raise ConfigError(f"missing config field {_key(f)!r}")
+        return cls(**kwargs)
+
+    def to_dict(self) -> dict:
+        return {_key(f): _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}

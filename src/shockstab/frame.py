@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import gc
 import itertools
 import math
 import operator
@@ -224,14 +225,24 @@ def load_csv(
         if len(set(header)) != len(header):
             dup = next(h for h in header if header.count(h) > 1)
             raise CsvFormatError(f"{path}: duplicate header column {dup!r}")
-        rows = list(reader)
-    width = len(header)
-    if any(map(width.__ne__, map(len, rows))):
-        i = next(i for i, row in enumerate(rows) if len(row) != width)
-        raise RaggedRowError(i + 1, width, len(rows[i]))
+        # csv.reader's row lists are tracked containers, so each collection
+        # while they pile up would walk them all again: pause the collector
+        # while they are read and transposed
+        gc_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            rows = list(reader)
+            width = len(header)
+            if any(map(width.__ne__, map(len, rows))):
+                i = next(i for i, row in enumerate(rows) if len(row) != width)
+                raise RaggedRowError(i + 1, width, len(rows[i]))
+            by_column = list(zip(*rows)) or [()] * width
+        finally:
+            if gc_enabled:
+                gc.enable()
 
     columns = []
-    for name, cells in zip(header, list(zip(*rows)) or [()] * width):
+    for name, cells in zip(header, by_column):
         missing = np.fromiter(
             map(missing_tokens.__contains__, cells), dtype=bool, count=len(cells)
         )

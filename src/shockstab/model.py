@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .config import Config, setting
 from .errors import (
+    ConfigError,
     DataError,
     DegenerateLabelsError,
     DomainError,
@@ -82,19 +84,15 @@ class AucPair:
     run_index: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "auc_base": self.auc_base,
-            "auc_shock": self.auc_shock,
-            "run_index": self.run_index,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.5
-    epochs: int = 400
-    l2: float = 1e-4
-    seed: int = 0
+class TrainConfig(Config):
+    learning_rate: float = setting(0.5, "a number", "> 0")
+    epochs: int = setting(400, "an integer", ">= 0")
+    l2: float = setting(1e-4, "a number", ">= 0")
+    seed: int = setting(0, "an integer")
 
 
 @dataclass
@@ -296,6 +294,13 @@ def _check_auc_value(value, where: str) -> float:
     return v
 
 
+def _objects(value, where: str) -> list:
+    """`value` if it is a list of JSON objects, else DataError."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise DataError(f"{where} must be a list of objects, got {value!r}")
+    return value
+
+
 def import_auc_table(path) -> ImportedAucTable:
     """Load {"ds": ..., "models": [{"name", "levels": [{"outliers_pct",
     "runs": [{auc_base_a, auc_shock_a, auc_base_b, auc_shock_b}, ...]}]}]}.
@@ -308,7 +313,7 @@ def import_auc_table(path) -> ImportedAucTable:
             payload = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or not UTF-8
         raise DataError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(payload, dict) or "models" not in payload:
         raise DataError(f"{path}: expected an object with a 'models' list")
@@ -320,16 +325,20 @@ def import_auc_table(path) -> ImportedAucTable:
     except (TypeError, ValueError):
         raise DataError(f"{path}: ds must be a number, got {payload['ds']!r}") from None
     table = ImportedAucTable(ds=ds)
-    for m in models:
+    for m in _objects(models, f"{path}: models"):
         name = str(m.get("name", ""))
         if not name:
             raise DataError(f"{path}: model entry without a name")
-        for lvl in m.get("levels", []):
+        for lvl in _objects(m.get("levels", []), f"{path}: {name}: levels"):
             if "outliers_pct" not in lvl:
                 raise DataError(f"{path}: {name}: level without outliers_pct")
-            label = normalize_level(lvl["outliers_pct"])
+            try:
+                label = normalize_level(lvl["outliers_pct"])
+            except ConfigError as exc:
+                raise DataError(f"{path}: {name}: {exc}") from None
             runs = []
-            for k, run in enumerate(lvl.get("runs", [])):
+            level_runs = _objects(lvl.get("runs", []), f"{path}: {name}/level {label}: runs")
+            for k, run in enumerate(level_runs):
                 where = f"{name}/level {label}/run {k}"
                 try:
                     runs.append(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import numbers
 import os
 import sys
 import zlib
@@ -26,6 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .config import Config, setting
 from .drift import DEFAULT_TAU, DriftReport, distribution_shift
 from .errors import (
     ConfigError,
@@ -73,33 +73,33 @@ def level_seed(base_seed: int, run_index: int, label: str) -> int:
 
 
 @dataclass
-class PipelineConfig:
-    input_path: str
-    label: str
-    split: SplitSpec
-    levels: list
-    family: str = "normal"
-    tail_sigma: float = 3.0
-    nonneg_columns: tuple = ()
-    real_fraction: float = 0.5
-    upsample_target: int = 10000
-    coeffs: UpliftCoefficients = DEFAULT_COEFFICIENTS
-    epsilon: float = DEFAULT_EPSILON
-    tau: float = DEFAULT_TAU
-    exclude_from_ds: tuple = ()
-    output_dir: str | None = None
-    seed: int = 0
-    train: TrainConfig = field(default_factory=TrainConfig)
-    missing_tokens: tuple = ("", "NA", "null")
-    categorical_override: int = 0
-    dataset_name: str | None = None
+class PipelineConfig(Config):
+    input_path: str = setting(kind="a string", key="input")
+    # declared here for its place in to_dict; keyword-only, so the
+    # positional order of the fields after it is unchanged
+    dataset_name: str | None = setting(None, "a string", null=True, kw_only=True)
+    label: str = setting(kind="a string")
+    split: SplitSpec = setting(kind=SplitSpec)
+    levels: list = setting(kind="a list of outlier levels")
+    family: str = setting("normal", "a string")
+    tail_sigma: float = setting(3.0, "a number", "> 0")
+    nonneg_columns: tuple = setting((), "a list of strings")
+    real_fraction: float = setting(0.5, "a number", "in (0, 1]")
+    upsample_target: int = setting(10000, "an integer", ">= 0")
+    coeffs: UpliftCoefficients = setting(
+        DEFAULT_COEFFICIENTS, UpliftCoefficients, key="coefficients"
+    )
+    epsilon: float = setting(DEFAULT_EPSILON, "a number", "> 0")
+    tau: float = setting(DEFAULT_TAU, "a number", ">= 0")
+    exclude_from_ds: tuple = setting((), "a list of strings")
+    output_dir: str | None = setting(None, "a string", null=True)
+    seed: int = setting(0, "an integer")
+    train: TrainConfig = setting(TrainConfig(), TrainConfig)
+    missing_tokens: tuple = setting(("", "NA", "null"), "a list of strings")
+    categorical_override: int = setting(0, "an integer", ">= 0")
 
     def __post_init__(self):
-        if not isinstance(self.levels, (list, tuple)):
-            # a string would otherwise read as one level per character
-            raise ConfigError(
-                f"levels must be a list of outlier levels, got {self.levels!r}"
-            )
+        super().__post_init__()
         labels = [normalize_level(v) for v in self.levels]
         if len(set(labels)) != len(labels):
             dup = next(l for l in labels if labels.count(l) > 1)
@@ -110,112 +110,20 @@ class PipelineConfig:
             if label != WITHOUT_LEVEL and float(label) > 100.0:
                 raise ConfigError(f"outlier level {label}% exceeds 100%")
         self.levels = labels
-        try:
-            int(self.seed)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
-        if (
-            isinstance(self.tail_sigma, bool)
-            or not isinstance(self.tail_sigma, numbers.Real)
-            or not self.tail_sigma > 0
-        ):
-            raise ConfigError(f"tail_sigma must be a number > 0, got {self.tail_sigma!r}")
-        if not (0.0 < self.real_fraction <= 1.0):
-            raise ConfigError(
-                f"real_fraction must lie in (0, 1], got {self.real_fraction!r}"
-            )
-        self.nonneg_columns = tuple(self.nonneg_columns)
-        self.exclude_from_ds = tuple(self.exclude_from_ds)
         if self.dataset_name is None:
             self.dataset_name = Path(self.input_path).stem
 
     @classmethod
-    def from_dict(cls, d: dict) -> "PipelineConfig":
-        d = dict(d)
-        version = d.pop("schema_version", SCHEMA_VERSION)
-        if version != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported config schema_version {version!r}")
-        if "split" not in d or not isinstance(d["split"], dict):
-            raise ConfigError("config needs a 'split' object")
-        try:
-            split = SplitSpec(**d.pop("split"))
-        except TypeError as exc:
-            raise ConfigError(f"bad split spec: {exc}") from None
-        try:
-            coeffs = UpliftCoefficients(**d.pop("coefficients", {}))
-        except TypeError as exc:
-            raise ConfigError(f"bad coefficients: {exc}") from None
-        try:
-            train = TrainConfig(**d.pop("train", {}))
-        except TypeError as exc:
-            raise ConfigError(f"bad train config: {exc}") from None
-        known = {
-            "input": "input_path",
-            "input_path": "input_path",
-            "label": "label",
-            "levels": "levels",
-            "family": "family",
-            "tail_sigma": "tail_sigma",
-            "nonneg_columns": "nonneg_columns",
-            "real_fraction": "real_fraction",
-            "upsample_target": "upsample_target",
-            "epsilon": "epsilon",
-            "tau": "tau",
-            "exclude_from_ds": "exclude_from_ds",
-            "output_dir": "output_dir",
-            "seed": "seed",
-            "missing_tokens": "missing_tokens",
-            "categorical_override": "categorical_override",
-            "dataset_name": "dataset_name",
-        }
-        kwargs = {}
-        for key, value in d.items():
-            if key not in known:
-                raise ConfigError(f"unknown config field {key!r}")
-            kwargs[known[key]] = value
-        return cls(split=split, coeffs=coeffs, train=train, **kwargs)
+    def from_dict(cls, d) -> "PipelineConfig":
+        if isinstance(d, dict):
+            d = dict(d)
+            version = d.pop("schema_version", SCHEMA_VERSION)
+            if version != SCHEMA_VERSION:
+                raise ConfigError(f"unsupported config schema_version {version!r}")
+        return super().from_dict(d)
 
     def to_dict(self) -> dict:
-        split = {
-            "mode": self.split.mode,
-            "date_column": self.split.date_column,
-            "shock_date": (
-                self.split.shock_date.isoformat()
-                if self.split.mode == OOT
-                else None
-            ),
-            "shock_fraction": self.split.shock_fraction,
-            "train_fraction": self.split.train_fraction,
-            "mc_runs": self.split.mc_runs,
-            "seed": self.split.seed,
-        }
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "input": self.input_path,
-            "dataset_name": self.dataset_name,
-            "label": self.label,
-            "split": split,
-            "levels": list(self.levels),
-            "family": self.family,
-            "tail_sigma": self.tail_sigma,
-            "nonneg_columns": list(self.nonneg_columns),
-            "real_fraction": self.real_fraction,
-            "upsample_target": self.upsample_target,
-            "coefficients": self.coeffs.to_dict(),
-            "epsilon": self.epsilon,
-            "tau": self.tau,
-            "exclude_from_ds": list(self.exclude_from_ds),
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "train": {
-                "learning_rate": self.train.learning_rate,
-                "epochs": self.train.epochs,
-                "l2": self.train.l2,
-                "seed": self.train.seed,
-            },
-            "missing_tokens": list(self.missing_tokens),
-            "categorical_override": self.categorical_override,
-        }
+        return {"schema_version": SCHEMA_VERSION, **super().to_dict()}
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -368,22 +276,13 @@ def _drift_frames(frame, config, splits) -> tuple[TabularFrame, TabularFrame]:
     return concat_frames(first.train, first.test), first.shocked_test
 
 
-def _without_features(split: ShockSplit, feature_drop: set) -> ShockSplit:
-    return ShockSplit(
-        train=split.train.drop_columns(feature_drop),
-        test=split.test.drop_columns(feature_drop),
-        shocked_test=split.shocked_test.drop_columns(feature_drop),
-        run_index=split.run_index,
-    )
-
-
 def _run_a(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> tuple:
     """A task: train and evaluate one run's A-model on the real rows.
 
     Returns (pair, None), or (None, error) when the model cannot be trained
     or evaluated.
     """
-    split = _without_features(split, feature_drop)
+    split = split.drop_columns(feature_drop)
     try:
         a_model = train_baseline(split.train, config.label, config.train)
         return evaluate_pair(a_model, split, config.label), None
@@ -400,7 +299,7 @@ def _run_b(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> list
     applies the cell to every level. A failure aborts only its cell.
     """
     run = split.run_index
-    split = _without_features(split, feature_drop)
+    split = split.drop_columns(feature_drop)
     train_frame = split.train
     n_real = train_frame.row_count
     n_synth = int(

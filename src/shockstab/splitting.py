@@ -17,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import Config, setting
 from .errors import (
     ConfigError,
     DateParseError,
@@ -51,23 +52,27 @@ def parse_timestamp(value, row_index: int | None = None) -> datetime:
         except ValueError:
             raise DateParseError(row_index, value) from None
     if dt.tzinfo is not None:
-        dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+        try:
+            dt = dt.astimezone(timezone.utc).replace(tzinfo=None)
+        except OverflowError:  # an offset that moves the date past year 1 or 9999
+            raise DateParseError(row_index, value) from None
     return dt
 
 
 @dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(Config):
     """How to carve a dataset into train / test / shocked_test segments."""
 
-    mode: str
-    date_column: str | None = None
-    shock_date: object = None
-    shock_fraction: float | None = None
-    train_fraction: float = 0.8
-    mc_runs: int = 51
-    seed: int = 0
+    mode: str = setting(kind="a string")
+    date_column: str | None = setting(None, "a string", null=True)
+    shock_date: object = setting(None, "a date", null=True)
+    shock_fraction: float | None = setting(None, "a number", "in (0, 1)", null=True)
+    train_fraction: float = setting(0.8, "a number", "in (0, 1)")
+    mc_runs: int = setting(51, "an integer", ">= 1")
+    seed: int = setting(0, "an integer")
 
     def __post_init__(self):
+        super().__post_init__()
         if self.mode not in (OOT, OOS):
             raise ConfigError(f"mode must be '{OOT}' or '{OOS}', got {self.mode!r}")
         if self.mode == OOT:
@@ -81,21 +86,10 @@ class SplitSpec:
                 ) from None
             object.__setattr__(self, "shock_date", shock_date)
         else:
-            f = self.shock_fraction
-            if f is None or not (0.0 < f < 1.0):
-                raise ConfigError(
-                    f"OOS mode requires shock_fraction in (0, 1), got {f!r}"
-                )
-        if not (0.0 < self.train_fraction < 1.0):
-            raise ConfigError(
-                f"train_fraction must lie in (0, 1), got {self.train_fraction!r}"
-            )
-        if self.mc_runs < 1:
-            raise ConfigError(f"mc_runs must be >= 1, got {self.mc_runs!r}")
-        try:
-            int(self.seed)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"split seed must be an integer, got {self.seed!r}") from None
+            if self.shock_fraction is None:
+                raise ConfigError("OOS mode requires shock_fraction in (0, 1), got None")
+            # an OOS split has no shock date, so none is kept or reported
+            object.__setattr__(self, "shock_date", None)
 
 
 @dataclass(frozen=True)
@@ -104,6 +98,15 @@ class ShockSplit:
     test: TabularFrame
     shocked_test: TabularFrame
     run_index: int
+
+    def drop_columns(self, names) -> "ShockSplit":
+        """The same split without the columns `names` in any segment."""
+        return ShockSplit(
+            self.train.drop_columns(names),
+            self.test.drop_columns(names),
+            self.shocked_test.drop_columns(names),
+            self.run_index,
+        )
 
 
 # Partitions computed so far, per frame and (date column, shock date). A

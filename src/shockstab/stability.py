@@ -12,8 +12,9 @@ that steep slopes cannot overflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+from .config import Config, setting
 from .errors import ConfigError, DomainError, DuplicateKeyError
 
 DEFAULT_EPSILON = 1e-5
@@ -54,13 +55,7 @@ class StabilityRecord:
     ss: float
 
     def to_dict(self) -> dict:
-        return {
-            "auc_base": self.auc_base,
-            "auc_shock": self.auc_shock,
-            "ds": self.ds,
-            "epsilon": self.epsilon,
-            "ss": self.ss,
-        }
+        return asdict(self)
 
 
 def stabilization_score(
@@ -88,21 +83,12 @@ def stabilization_score(
 
 
 @dataclass(frozen=True)
-class UpliftCoefficients:
+class UpliftCoefficients(Config):
     """Logistic slopes: k1 stability, k2 shocked superiority, k3 combined."""
 
-    k1: float = 100.0
-    k2: float = 1000.0
-    k3: float = 1000.0
-
-    def __post_init__(self):
-        for name in ("k1", "k2", "k3"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ConfigError(f"{name} must be a finite positive real, got {v!r}")
-
-    def to_dict(self) -> dict:
-        return {"k1": self.k1, "k2": self.k2, "k3": self.k3}
+    k1: float = setting(100.0, "a number", "> 0")
+    k2: float = setting(1000.0, "a number", "> 0")
+    k3: float = setting(1000.0, "a number", "> 0")
 
 
 DEFAULT_COEFFICIENTS = UpliftCoefficients()
@@ -128,18 +114,7 @@ class UpliftBreakdown:
         return max(self.su, 0.0)
 
     def to_dict(self) -> dict:
-        return {
-            "w_a": self.w_a,
-            "w_b": self.w_b,
-            "w": self.w,
-            "w_sup": self.w_sup,
-            "w_a_adj": self.w_a_adj,
-            "w_b_adj": self.w_b_adj,
-            "ss_a": self.ss_a,
-            "ss_b": self.ss_b,
-            "su": self.su,
-            "su_display": self.su_display,
-        }
+        return {**asdict(self), "su_display": self.su_display}
 
 
 def stabilization_uplift(
@@ -193,9 +168,9 @@ def normalize_level(level) -> str:
         return WITHOUT_LEVEL
     try:
         value = float(level)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"invalid outlier level {level!r}") from None
-    if not math.isfinite(value) or value < 0:
+    if isinstance(level, bool) or not math.isfinite(value) or value < 0:
         raise ConfigError(f"invalid outlier level {level!r}")
     return str(int(value)) if value == int(value) else repr(value)
 

@@ -18,6 +18,7 @@ from functools import cache
 
 import numpy as np
 
+from .config import Config, setting
 from .errors import (
     ConfigError,
     DegenerateMarginalsError,
@@ -38,30 +39,22 @@ _REFLECTED = frozenset({"gumbel", "weibull"})
 
 
 @dataclass(frozen=True)
-class OutlierSpec:
+class OutlierSpec(Config):
     """Sampling request: family, outlier share, tail rule and row budget."""
 
-    family: str
-    outlier_fraction: float
-    total_rows: int
-    seed: int = 0
-    tail_sigma: float = 3.0
-    nonneg_columns: tuple = ()
+    family: str = setting(kind="a string")
+    outlier_fraction: float = setting(kind="a number", bound="in [0, 1]")
+    total_rows: int = setting(kind="an integer", bound=">= 1")
+    seed: int = setting(0, "an integer")
+    tail_sigma: float = setting(3.0, "a number", "> 0")
+    nonneg_columns: tuple = setting((), "a list of strings")
 
     def __post_init__(self):
+        super().__post_init__()
         if self.family not in FAMILIES:
             raise ConfigError(
                 f"unknown family {self.family!r}; choose from {sorted(FAMILIES)}"
             )
-        if not (0.0 <= self.outlier_fraction <= 1.0):
-            raise ConfigError(
-                f"outlier_fraction must lie in [0, 1], got {self.outlier_fraction!r}"
-            )
-        if self.total_rows < 1:
-            raise ConfigError(f"total_rows must be positive, got {self.total_rows!r}")
-        if not (self.tail_sigma > 0):
-            raise ConfigError(f"tail_sigma must be > 0, got {self.tail_sigma!r}")
-        object.__setattr__(self, "nonneg_columns", tuple(self.nonneg_columns))
 
     @property
     def outlier_count(self) -> int:

@@ -389,3 +389,141 @@ def test_su_grid_non_numeric_ds_is_data_error(tmp_path, capsys):
     code = main(["su-grid", str(path)])
     assert code == 3
     assert "ds must be a number, got 'abc'" in capsys.readouterr().err
+
+
+def _set(config, path, value):
+    """`config` with the key at dotted `path` set to `value`."""
+    head, _, rest = path.partition(".")
+    if rest:
+        return {**config, head: _set(config[head], rest, value)}
+    return {**config, head: value}
+
+
+@pytest.mark.parametrize(
+    "path, value, extra",
+    [
+        ("real_fraction", "x", ()),
+        ("tau", "x", ()),
+        ("epsilon", "x", ()),
+        ("upsample_target", "x", ()),
+        ("categorical_override", "x", ()),
+        ("input", 5, ()),
+        ("output_dir", 5, ()),
+        ("nonneg_columns", 5, ()),
+        ("exclude_from_ds", 5, ()),
+        ("missing_tokens", 5, ()),
+        ("train.epochs", "x", ()),
+        ("train.epochs", 2.5, ()),
+        ("split.mc_runs", 2.0, ()),
+        (None, ["not", "an", "object"], ()),
+        ("split", "x", ("--runs", "2")),
+        ("epsilon", 0, ()),
+        ("dataset_name", 5, ()),
+        ("coefficients.k1", True, ()),
+        ("real_fraction", True, ()),
+    ],
+    ids=[
+        "real-fraction-str", "tau-str", "epsilon-str", "upsample-target-str",
+        "categorical-override-str", "input-int", "output-dir-int",
+        "nonneg-columns-int", "exclude-from-ds-int", "missing-tokens-int",
+        "epochs-str", "epochs-float", "mc-runs-float", "config-list",
+        "split-str-with-runs", "epsilon-zero", "dataset-name-int",
+        "k1-bool", "real-fraction-bool",
+    ],
+)
+def test_pipeline_config_fault_stops_before_training(
+    fixture_csv, tmp_path, capsys, monkeypatch, path, value, extra
+):
+    from shockstab import pipeline
+
+    trained = []
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    monkeypatch.setattr(pipeline, "train_baseline", lambda *a: trained.append(a))
+    out = tmp_path / "out"
+    config = {
+        "input": str(fixture_csv),
+        "label": "is_bad",
+        "split": {"mode": "oot", "date_column": "date", "shock_date": "2018-03-22",
+                  "mc_runs": 2, "seed": 1},
+        "levels": ["without", 5],
+        "output_dir": str(out),
+        "coefficients": {"k1": 100.0},
+        "train": {"epochs": 5},
+    }
+    config = value if path is None else _set(config, path, value)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["pipeline", str(cfg), *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert trained == []
+
+
+def test_pipeline_override_flags_are_checked(fixture_csv, tmp_path, capsys):
+    config = {
+        "input": str(fixture_csv),
+        "label": "is_bad",
+        "split": {"mode": "oos", "shock_fraction": 0.2},
+        "levels": ["without"],
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["pipeline", str(cfg), "--runs", "0"])
+    assert code == 2
+    assert "mc_runs must be an integer >= 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--epochs", "-2"), "epochs must be an integer >= 0, got -2"),
+        (("--learning-rate", "0"), "learning_rate must be a number > 0, got 0.0"),
+    ],
+    ids=["epochs", "learning-rate"],
+)
+def test_train_eval_bad_train_flag_is_config_error(tmp_path, capsys, monkeypatch, flags, message):
+    from shockstab import cli
+
+    monkeypatch.setattr(cli, "train_baseline", lambda *a: pytest.fail("trained"))
+    # the file does not exist: the flags are checked before it is read
+    code = main([
+        "train-eval", str(tmp_path / "missing.csv"), "--label", "is_bad",
+        "--mode", "oos", "--shock-fraction", "0.2", "--runs", "2", *flags,
+    ])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def _auc_table(**level_overrides):
+    run = {"auc_base_a": 0.8, "auc_shock_a": 0.7, "auc_base_b": 0.81, "auc_shock_b": 0.76}
+    level = {"outliers_pct": 5, "runs": [run], **level_overrides}
+    return {"ds": 0.1, "models": [{"name": "gbm", "levels": [level]}]}
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"ds": 0.1, "models": [1]}, "models must be a list of objects, got [1]"),
+        ({"ds": 0.1, "models": 5}, "models must be a list of objects, got 5"),
+        ({"ds": 0.1, "models": [{"name": "gbm", "levels": [[5]]}]},
+         "gbm: levels must be a list of objects"),
+        (_auc_table(runs=[[0.8]]), "gbm/level 5: runs must be a list of objects"),
+        (_auc_table(outliers_pct="abc"), "gbm: invalid outlier level 'abc'"),
+        (_auc_table(outliers_pct=True), "gbm: invalid outlier level True"),
+    ],
+    ids=["model-int", "models-int", "level-list", "run-list", "level-str", "level-bool"],
+)
+def test_su_grid_malformed_table_is_data_error(tmp_path, capsys, table, message):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    code = main(["su-grid", str(path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert message in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import csv
+import gc
 import math
 
 import numpy as np
@@ -23,6 +24,22 @@ def test_load_csv_infers_kinds(write_csv):
     assert frame.kind_of("age") is ColumnKind.NUMERICAL
     assert frame.kind_of("sector") is ColumnKind.CATEGORICAL
     assert frame.column("age").values.tolist() == [31.0, 45.0, 52.0]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_load_csv_restores_gc_state(write_csv, enabled):
+    good = write_csv("good.csv", "a,b\n1,x\n2,y\n")
+    ragged = write_csv("ragged_gc.csv", "a,b\n1,x\n2\n")
+    was_enabled = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert load_csv(good).row_count == 2
+        assert gc.isenabled() is enabled
+        with pytest.raises(RaggedRowError):
+            load_csv(ragged)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_load_csv_ragged_row_names_index(write_csv):
