@@ -21,7 +21,7 @@ from .calibration import AnchorPoint, calibrate, sensitivity_sweep
 from .drift import DEFAULT_TAU, distribution_shift
 from .errors import ConfigError, ShockStabError
 from .frame import detect_schema, load_csv
-from .model import evaluate_pair, import_auc_table, train_baseline, TrainConfig
+from .model import auc_table_from_payload, evaluate_pair, train_baseline, TrainConfig
 from .pipeline import (
     PipelineConfig,
     emit_digest,
@@ -106,7 +106,7 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{path}: record {i}: {exc!r}") from None
         return records, ds_flag
-    table = import_auc_table(path)
+    table = auc_table_from_payload(payload, path)
     ds = table.ds if ds_flag is None else ds_flag
     records = table.per_run_records() if per_run else table.median_records()
     return records, ds

@@ -92,9 +92,14 @@ class Column:
         """Values with missing cells dropped."""
         return self.values[~self.missing_mask]
 
-    def text(self, missing_token: str = "") -> list:
-        """Every cell as text, preferring the retained raw string."""
+    def text(self, missing_token: str = "") -> tuple | list:
+        """Every cell as text, preferring the retained raw string.
+
+        A column whose raw text has no missing cell returns that tuple itself.
+        """
         if self.raw is not None:
+            if None not in self.raw:
+                return self.raw
             return [missing_token if r is None else r for r in self.raw]
         if self.kind is ColumnKind.NUMERICAL:
             return [
@@ -107,8 +112,16 @@ class Column:
         indices = np.asarray(indices, dtype=np.intp)
         raw = None
         if self.raw is not None:
-            raw = tuple(map(self.raw.__getitem__, indices.tolist()))
+            raw = _gather(self.raw, indices.tolist())
         return Column(self.name, self.kind, self.values[indices], raw)
+
+
+def _gather(items: tuple, positions: list) -> tuple:
+    """tuple(items[i] for i in positions), gathered in one C-level call."""
+    if len(positions) > 1:
+        return operator.itemgetter(*positions)(items)
+    # itemgetter needs an index, and returns a bare item for just one
+    return tuple(map(items.__getitem__, positions))
 
 
 class TabularFrame:
@@ -157,12 +170,43 @@ class TabularFrame:
         )
 
     def to_csv(self, path, delimiter: str = ",", missing_token: str = "") -> None:
-        """Write the frame as RFC-4180 CSV with a header row."""
+        """Write the frame as RFC-4180 CSV with a header row.
+
+        Quoting follows csv's QUOTE_MINIMAL and CRLF line ends. Rows go
+        out in chunks of `_CSV_CHUNK_ROWS`; a chunk of two or more columns
+        with no cell that csv would quote is joined and written directly,
+        which gives the bytes csv.writer would write, at C speed.
+        """
         texts = [c.text(missing_token) for c in self.columns]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, delimiter=delimiter)
             writer.writerow(self.column_names)
-            writer.writerows(zip(*texts))
+            for start in range(0, self.row_count, _CSV_CHUNK_ROWS):
+                chunk = [t[start : start + _CSV_CHUNK_ROWS] for t in texts]
+                if _writes_verbatim(chunk, delimiter):
+                    fh.write("\r\n".join(map(delimiter.join, zip(*chunk))))
+                    fh.write("\r\n")
+                else:
+                    writer.writerows(zip(*chunk))
+
+
+# Rows per write in TabularFrame.to_csv: enough that the per-chunk overhead
+# vanishes, few enough that a chunk's text adds nothing to the peak memory
+# (8,192 rows raised a 50k-row split's peak RSS by about 2 MB).
+_CSV_CHUNK_ROWS = 1024
+
+
+def _writes_verbatim(texts, delimiter: str) -> bool:
+    """Whether csv's QUOTE_MINIMAL writer leaves every cell of the columns
+    `texts` as is, so that joining the rows gives its bytes.
+
+    It quotes a cell holding the delimiter, the quote character or a line
+    break, and the single empty cell of a one-column row.
+    """
+    if len(texts) < 2:
+        return False
+    cells = "".join(itertools.chain.from_iterable(texts))
+    return not any(map(cells.__contains__, (delimiter, '"', "\r", "\n")))
 
 
 def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
@@ -213,33 +257,38 @@ def load_csv(
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
-    with fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyHeaderError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        if not header or all(h == "" for h in header):
-            raise EmptyHeaderError(f"{path}: header row is empty")
-        if len(set(header)) != len(header):
-            dup = next(h for h in header if header.count(h) > 1)
-            raise CsvFormatError(f"{path}: duplicate header column {dup!r}")
-        # csv.reader's row lists are tracked containers, so each collection
-        # while they pile up would walk them all again: pause the collector
-        # while they are read and transposed
-        gc_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            rows = list(reader)
-            width = len(header)
-            if any(map(width.__ne__, map(len, rows))):
-                i = next(i for i, row in enumerate(rows) if len(row) != width)
-                raise RaggedRowError(i + 1, width, len(rows[i]))
-            by_column = list(zip(*rows)) or [()] * width
-        finally:
-            if gc_enabled:
-                gc.enable()
+    try:
+        with fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise EmptyHeaderError(f"{path}: file is empty") from None
+            header = [h.strip() for h in header]
+            if not header or all(h == "" for h in header):
+                raise EmptyHeaderError(f"{path}: header row is empty")
+            if len(set(header)) != len(header):
+                dup = next(h for h in header if header.count(h) > 1)
+                raise CsvFormatError(f"{path}: duplicate header column {dup!r}")
+            # csv.reader's row lists are tracked containers, so each collection
+            # while they pile up would walk them all again: pause the collector
+            # while they are read and transposed
+            gc_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                rows = list(reader)
+                width = len(header)
+                if any(map(width.__ne__, map(len, rows))):
+                    i = next(i for i, row in enumerate(rows) if len(row) != width)
+                    raise RaggedRowError(i + 1, width, len(rows[i]))
+                by_column = list(zip(*rows)) or [()] * width
+            finally:
+                if gc_enabled:
+                    gc.enable()
+    except UnicodeDecodeError as exc:
+        raise CsvFormatError(
+            f"cannot read {path}: not UTF-8 text ({exc.reason})"
+        ) from None
 
     columns = []
     for name, cells in zip(header, by_column):

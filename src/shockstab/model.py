@@ -315,6 +315,14 @@ def import_auc_table(path) -> ImportedAucTable:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # bad JSON or not UTF-8
         raise DataError(f"{path}: malformed JSON: {exc}") from exc
+    return auc_table_from_payload(payload, path)
+
+
+def auc_table_from_payload(payload, path) -> ImportedAucTable:
+    """The table of an already parsed `import_auc_table` document.
+
+    `path` names the document's source in error messages.
+    """
     if not isinstance(payload, dict) or "models" not in payload:
         raise DataError(f"{path}: expected an object with a 'models' list")
     models = payload["models"]

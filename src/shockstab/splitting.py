@@ -129,12 +129,18 @@ def oot_partition(frame: TabularFrame, spec: SplitSpec):
     known = _PARTITIONS.setdefault(frame, {})
     if key not in known:
         texts = frame.column(spec.date_column).text()
-        shocked = np.empty(frame.row_count, dtype=bool)
-        for i, value in enumerate(texts):
+        n = len(texts)
+        # each distinct text is parsed once, at its first row and in row
+        # order, so the first bad or missing date raises with its own row
+        first_rows = dict(zip(reversed(texts), range(n - 1, -1, -1)))
+        verdicts = {}
+        for i in sorted(first_rows.values()):
+            value = texts[i]
             if value == "":
                 raise DateParseError(i, None)
             # the boundary row belongs to the shocked regime
-            shocked[i] = parse_timestamp(value, i) >= spec.shock_date
+            verdicts[value] = parse_timestamp(value, i) >= spec.shock_date
+        shocked = np.fromiter(map(verdicts.__getitem__, texts), dtype=bool, count=n)
         parts = (np.flatnonzero(~shocked), np.flatnonzero(shocked))
         for part in parts:
             part.setflags(write=False)

@@ -1,4 +1,7 @@
+import builtins
+import io
 import json
+import os
 
 import pytest
 
@@ -527,3 +530,64 @@ def test_su_grid_malformed_table_is_data_error(tmp_path, capsys, table, message)
     assert code == 3
     assert message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["su-grid", "sweep"])
+def test_nested_auc_table_is_read_once(tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(_auc_table()))
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    # pathlib opens through io.open, plain open() through builtins.open
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code, out = _run(capsys, command, path)
+    monkeypatch.undo()
+    assert code == 0
+    assert out
+    assert len(opened) == 1
+
+
+def _write_latin1(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes("date,x,is_bad\n2018-01-01,caf\xe9,0\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("schema", "{csv}"),
+        ("ds", "{csv}", "{csv}"),
+        ("split", "{csv}", "--mode", "oos", "--shock-fraction", "0.2", "--out", "{tmp}/s"),
+        ("synth", "{csv}", "--rows", "5", "--out", "{tmp}/syn.csv"),
+        ("train-eval", "{csv}", "--label", "is_bad", "--mode", "oos",
+         "--shock-fraction", "0.2"),
+        ("pipeline", "{config}"),
+    ],
+    ids=["schema", "ds", "split", "synth", "train-eval", "pipeline"],
+)
+def test_csv_that_is_not_utf8_is_data_error(tmp_path, capsys, argv):
+    csv_path = _write_latin1(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "input": str(csv_path),
+        "label": "is_bad",
+        "split": {"mode": "oos", "shock_fraction": 0.2},
+        "levels": ["without"],
+        "output_dir": str(tmp_path / "out"),
+    }))
+    fields = {"csv": csv_path, "config": config, "tmp": tmp_path}
+    code = main([a.format(**fields) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == (
+        f"error: cannot read {csv_path}: not UTF-8 text (invalid continuation byte)\n"
+    )
+    assert captured.out == ""

@@ -290,3 +290,11 @@ def test_take_accepts_list_range_and_array(write_csv):
     assert loaded.take(range(1, 4)).column("a").raw == (None, "3.00", "4.5")
     assert loaded.take(np.array([], dtype=int)).row_count == 0
     assert all(c.raw is None for c in plain.take(range(2)).columns)
+    # zero, one and repeated indices all gather the raw text as a tuple
+    assert [c.raw for c in loaded.take([]).columns] == [(), (), ()]
+    assert [c.raw for c in loaded.take([2]).columns] == [("3.00",), ("z",), ("9",)]
+    assert [c.raw for c in loaded.take(np.array([3, 1, 3])).columns] == [
+        ("4.5", None, "4.5"),
+        ("w", None, "w"),
+        (None, "8", None),
+    ]

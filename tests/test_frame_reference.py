@@ -1,15 +1,17 @@
-"""load_csv's whole-column kind inference against the per-cell reference."""
+"""load_csv's kind inference and to_csv's writer against per-cell references."""
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shockstab import frame as frame_module
 from shockstab.errors import CsvFormatError
-from shockstab.frame import ColumnKind, load_csv
+from shockstab.frame import Column, ColumnKind, TabularFrame, load_csv
 
 
 # The per-cell kind inference that load_csv replaced with whole-column
@@ -134,3 +136,83 @@ def test_load_csv_matches_per_cell_reference(
     else:
         assert col.values.tolist() == values.tolist()
         assert all(type(a) is type(b) for a, b in zip(col.values, values))
+
+
+# to_csv's body when every row went through csv.writer; to_csv must write
+# the same bytes, whichever of its paths a chunk of rows takes.
+
+def _reference_text(column, missing_token):
+    if column.raw is not None:
+        return [missing_token if r is None else r for r in column.raw]
+    if column.kind is ColumnKind.NUMERICAL:
+        return [
+            missing_token if math.isnan(v) else repr(v)
+            for v in column.values.tolist()
+        ]
+    return [missing_token if v is None else str(v) for v in column.values]
+
+
+def _reference_to_csv(frame, path, delimiter, missing_token):
+    texts = [_reference_text(c, missing_token) for c in frame.columns]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow(frame.column_names)
+        writer.writerows(zip(*texts))
+
+
+# half the cells hold only characters csv never quotes, so that whole
+# chunks of rows take the joined path
+_csv_text = st.one_of(
+    st.text(st.sampled_from([" ", "a", "é", "1"]), max_size=4),
+    st.text(st.sampled_from([",", ";", "\t", '"', "\r", "\n", " ", "a"]), max_size=4),
+)
+
+
+@st.composite
+def _frames(draw):
+    rows = draw(st.integers(0, 9))
+    names = draw(st.lists(_csv_text, min_size=1, max_size=4, unique=True))
+    columns = []
+    for name in names:
+        missing = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+        raw = tuple(None if gone else draw(_csv_text) for gone in missing)
+        if draw(st.booleans()):
+            values = np.array(raw, dtype=object)
+            kind = ColumnKind.CATEGORICAL
+        else:
+            floats = st.floats(allow_nan=False, allow_infinity=False)
+            values = np.array([np.nan if gone else draw(floats) for gone in missing])
+            kind = ColumnKind.NUMERICAL
+        columns.append(Column(name, kind, values, raw if draw(st.booleans()) else None))
+    return TabularFrame(columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    frame=_frames(),
+    delimiter=st.sampled_from([",", "\t", ";"]),
+    missing_token=st.sampled_from(["", "NA", "N;A", '"']),
+    chunk_rows=st.sampled_from([1, 2, 3, 8192]),
+)
+def test_to_csv_matches_csv_writer_reference(
+    tmp_path_factory, frame, delimiter, missing_token, chunk_rows
+):
+    base = tmp_path_factory.getbasetemp()
+    _reference_to_csv(frame, base / "expected.csv", delimiter, missing_token)
+    with mock.patch.object(frame_module, "_CSV_CHUNK_ROWS", chunk_rows):
+        frame.to_csv(base / "got.csv", delimiter=delimiter, missing_token=missing_token)
+    assert (base / "got.csv").read_bytes() == (base / "expected.csv").read_bytes()
+
+
+def _text_column(name, cells, raw=None):
+    return Column(name, ColumnKind.CATEGORICAL, np.array(cells, dtype=object), raw)
+
+
+@pytest.mark.parametrize("raw", [("", "x"), None], ids=["raw", "no-raw"])
+def test_to_csv_quotes_a_lone_empty_cell(tmp_path, raw):
+    frame = TabularFrame([_text_column("a", ["", "x"], raw)])
+    frame.to_csv(tmp_path / "one.csv")
+    assert (tmp_path / "one.csv").read_bytes() == b'a\r\n""\r\nx\r\n'
+    two = TabularFrame([*frame.columns, _text_column("b", ["", "y"])])
+    two.to_csv(tmp_path / "two.csv")
+    assert (tmp_path / "two.csv").read_bytes() == b"a,b\r\n,\r\nx,y\r\n"

@@ -153,6 +153,23 @@ def test_unparseable_date_names_row():
     assert err.value.row_index == 1
 
 
+@pytest.mark.parametrize(
+    "dates, row, value",
+    [
+        (["2018-01-01", "bad", "2018-01-01", None, "bad", None], 1, "bad"),
+        (["2018-01-01", None, "bad", None, "bad", "2018-05-01"], 1, None),
+        (["2018-01-01", "2018-01-01", None, "bad", None, "bad"], 2, None),
+    ],
+    ids=["bad-first", "missing-first", "repeated-good-first"],
+)
+def test_repeated_bad_dates_name_the_first_row(dates, row, value):
+    frame = make_frame(when=dates, x=[float(i) for i in range(len(dates))])
+    spec = SplitSpec(mode="oot", date_column="when", shock_date="2018-03-01")
+    with pytest.raises(DateParseError) as err:
+        split_once(frame, spec, 0)
+    assert (err.value.row_index, err.value.value) == (row, value)
+
+
 def test_parse_timestamp_formats():
     assert parse_timestamp("2018-03-22").year == 2018
     assert parse_timestamp("2018-03-22T10:30:00").hour == 10
@@ -207,7 +224,10 @@ def test_monte_carlo_parses_each_date_once(monkeypatch):
     monkeypatch.setattr(splitting, "parse_timestamp", counting)
     splits = monte_carlo(frame, spec)
     assert len(splits) == 5
-    assert len(calls) == frame.row_count
+    # one parse per distinct date text (28 + 12 of the 42 rows), at its first row
+    texts = frame.column("when").text()
+    assert calls == [texts.index(t) for t in dict.fromkeys(texts)]
+    assert len(calls) == 40
     # later calls on the same frame reuse the partition
     assert split_once(frame, spec, 7).shocked_test.row_count == 12
-    assert len(calls) == frame.row_count
+    assert len(calls) == 40
