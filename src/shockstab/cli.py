@@ -20,7 +20,7 @@ from . import __version__
 from .calibration import AnchorPoint, calibrate, sensitivity_sweep
 from .drift import DEFAULT_TAU, distribution_shift
 from .errors import ConfigError, ShockStabError
-from .frame import detect_schema, load_csv
+from .frame import DEFAULT_MISSING_TOKENS, detect_schema, load_csv
 from .model import auc_table_from_payload, evaluate_pair, train_baseline, TrainConfig
 from .pipeline import (
     PipelineConfig,
@@ -28,8 +28,10 @@ from .pipeline import (
     emit_radial_data,
     run_pipeline,
 )
-from .splitting import SplitSpec, aggregate, monte_carlo
+from .splitting import SplitSpec, aggregate, monte_carlo, split_once
 from .stability import (
+    DEFAULT_COEFFICIENTS,
+    DEFAULT_EPSILON,
     UpliftCoefficients,
     batch_uplift,
     stabilization_score,
@@ -61,11 +63,19 @@ def _split_list(text: str) -> list[str]:
     return [t.strip() for t in text.split(",") if t.strip()]
 
 
+def _numbers(text: str, what: str) -> list[float]:
+    """The comma-separated numbers of `text`; `what` names it in errors."""
+    try:
+        return [float(t) for t in _split_list(text)]
+    except ValueError:
+        raise ConfigError(f"{what} must be comma-separated numbers, got {text!r}") from None
+
+
 def _auc_pair(text: str) -> tuple[float, float]:
-    parts = _split_list(text)
+    parts = _numbers(text, "BASE,SHOCK")
     if len(parts) != 2:
         raise ConfigError(f"expected BASE,SHOCK got {text!r}")
-    return float(parts[0]), float(parts[1])
+    return parts[0], parts[1]
 
 
 def _coeffs(args) -> UpliftCoefficients:
@@ -159,23 +169,31 @@ def _cmd_su_grid(args) -> int:
     return EXIT_OK
 
 
+def _write_split(split, out: Path) -> list[str]:
+    """Write one run's train, test and shock CSVs; returns their paths."""
+    written = []
+    for name, part in (
+        ("train", split.train),
+        ("test", split.test),
+        ("shock", split.shocked_test),
+    ):
+        path = out / f"{name}_{split.run_index:03d}.csv"
+        part.to_csv(path)
+        written.append(str(path))
+    return written
+
+
 def _cmd_split(args) -> int:
     spec = _split_spec(args)  # a config error stops before the CSV is read
     frame = load_csv(args.file)
-    splits = monte_carlo(frame, spec)  # a bad date column stops before any file
+    first = split_once(frame, spec, 0)  # a bad date column stops before any file
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for split in splits:
-        tag = f"{split.run_index:03d}"
-        for name, part in (
-            ("train", split.train),
-            ("test", split.test),
-            ("shock", split.shocked_test),
-        ):
-            path = out / f"{name}_{tag}.csv"
-            part.to_csv(path)
-            written.append(str(path))
+    # one run is held at a time: each is written before the next is split
+    written = _write_split(first, out)
+    del first
+    for run in range(1, spec.mc_runs):
+        written += _write_split(split_once(frame, spec, run), out)
     _emit(
         {
             "runs": spec.mc_runs,
@@ -236,7 +254,7 @@ def _cmd_calibrate(args) -> int:
                 key, _, values = clause.partition("=")
                 if key.strip() not in ("k1", "k2", "k3") or not values:
                     raise ConfigError(f"bad --grid clause {clause!r}")
-                grid[key.strip()] = [float(v) for v in _split_list(values)]
+                grid[key.strip()] = _numbers(values, f"--grid {key.strip()}")
     result = calibrate(anchors, grid=grid)
     _emit(result.to_dict(), args.json)
     return EXIT_OK
@@ -267,8 +285,8 @@ def _cmd_train_eval(args) -> int:
     _emit(
         {
             "runs": [p.to_dict() for p in pairs],
-            "auc_base": {"median": base.median, "min": base.min, "max": base.max},
-            "auc_shock": {"median": shock.median, "min": shock.min, "max": shock.max},
+            "auc_base": base._asdict(),
+            "auc_shock": shock._asdict(),
         },
         args.json,
     )
@@ -308,9 +326,9 @@ def _cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_coeff_flags(p):
-    p.add_argument("--k1", type=float, default=100.0)
-    p.add_argument("--k2", type=float, default=1000.0)
-    p.add_argument("--k3", type=float, default=1000.0)
+    p.add_argument("--k1", type=float, default=DEFAULT_COEFFICIENTS.k1)
+    p.add_argument("--k2", type=float, default=DEFAULT_COEFFICIENTS.k2)
+    p.add_argument("--k3", type=float, default=DEFAULT_COEFFICIENTS.k3)
 
 
 def _add_split_flags(p):
@@ -318,9 +336,11 @@ def _add_split_flags(p):
     p.add_argument("--date-col", dest="date_col")
     p.add_argument("--shock-date", dest="shock_date")
     p.add_argument("--shock-fraction", dest="shock_fraction", type=float)
-    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=0.8)
-    p.add_argument("--runs", type=int, default=51)
-    p.add_argument("--seed", type=int, default=0)
+    # a dataclass field's default is its class attribute
+    p.add_argument("--train-fraction", dest="train_fraction", type=float,
+                   default=SplitSpec.train_fraction)
+    p.add_argument("--runs", type=int, default=SplitSpec.mc_runs)
+    p.add_argument("--seed", type=int, default=SplitSpec.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -333,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schema", help="column kinds and summary statistics")
     p.add_argument("file")
-    p.add_argument("--missing-tokens", nargs="*", default=["", "NA", "null"])
+    p.add_argument("--missing-tokens", nargs="*", default=list(DEFAULT_MISSING_TOKENS))
     p.add_argument("--categorical-override", type=int, default=0)
     p.add_argument("--json", help="also write the report to this path")
     p.set_defaults(func=_cmd_schema)
@@ -350,14 +370,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--auc-base", dest="auc_base", type=float, required=True)
     p.add_argument("--auc-shock", dest="auc_shock", type=float, required=True)
     p.add_argument("--ds", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-5)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p.set_defaults(func=_cmd_ss)
 
     p = sub.add_parser("su", help="stabilization uplift for one A/B pair")
     p.add_argument("--a", required=True, metavar="BASE,SHOCK")
     p.add_argument("--b", required=True, metavar="BASE,SHOCK")
     p.add_argument("--ds", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-5)
+    p.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     _add_coeff_flags(p)
     p.set_defaults(func=_cmd_su)
 
@@ -383,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outliers-pct", dest="outliers_pct", type=float, default=0.0)
     p.add_argument("--family", choices=FAMILIES, default="normal")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail-sigma", dest="tail_sigma", type=float, default=3.0)
+    p.add_argument("--tail-sigma", dest="tail_sigma", type=float,
+                   default=OutlierSpec.tail_sigma)
     p.add_argument("--nonneg", help="comma-separated nonnegative columns")
     p.add_argument("--out", required=True)
     p.add_argument("--mask-out", dest="mask_out")
@@ -406,9 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--label", required=True)
     _add_split_flags(p)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=400)
-    p.add_argument("--l2", type=float, default=1e-4)
+    p.add_argument("--learning-rate", dest="learning_rate", type=float,
+                   default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--l2", type=float, default=TrainConfig.l2)
     p.add_argument("--json", help="also write the result to this path")
     p.set_defaults(func=_cmd_train_eval)
 

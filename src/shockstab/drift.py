@@ -10,12 +10,13 @@ DS reaches a domain-informed threshold tau.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyColumnError, SchemaMismatchError
+from .errors import DomainError, EmptyColumnError
 from .frame import ColumnKind, TabularFrame
 
 #: Default shock threshold. Observed no-shock splits sit at DS <= 0.005 and
@@ -110,32 +111,24 @@ def distribution_shift(
 ) -> DriftReport:
     """Mean per-column distance between two frames plus the shock verdict.
 
-    Every column present in `base` (minus `excluded`) must exist in `shock`
-    with the same kind. Categorical columns contribute a TV distance,
-    numerical ones a KS statistic; ds is their arithmetic mean, 0.0 when no
-    columns remain. `is_shock` is ds >= tau.
+    Both frames must hold the same columns (minus `excluded`) with the same
+    kinds. Categorical columns contribute a TV distance, numerical ones a KS
+    statistic; ds is their arithmetic mean, 0.0 when no columns remain.
+    `is_shock` is ds >= tau, for a finite tau >= 0.
     """
+    if not (math.isfinite(tau) and tau >= 0):
+        raise DomainError(f"tau must be a finite number >= 0, got {tau!r}")
     excluded = set(excluded)
+    base.require_same_columns(shock, excluded)
     shifts = []
-    for name in sorted(base.column_names):
-        if name in excluded:
-            continue
+    for name in sorted(set(base.column_names) - excluded):
         col = base.column(name)
-        if name not in shock:
-            raise SchemaMismatchError(name, "missing from shock frame")
         other = shock.column(name)
-        if other.kind != col.kind:
-            raise SchemaMismatchError(
-                name, f"kind {col.kind.value} vs {other.kind.value}"
-            )
         if col.kind is ColumnKind.CATEGORICAL:
             d = tv_distance(col.values, other.values, column=name)
         else:
             d = ks_statistic(col.values, other.values, column=name)
         shifts.append(ColumnShift(name, col.kind, d))
-    for name in shock.column_names:
-        if name not in excluded and name not in base:
-            raise SchemaMismatchError(name, "missing from base frame")
     ds = float(np.mean([s.distance for s in shifts])) if shifts else 0.0
     return DriftReport(
         per_column=tuple(shifts), ds=ds, tau=tau, is_shock=bool(ds >= tau)

@@ -164,10 +164,21 @@ class TabularFrame:
         names = set(names)
         return TabularFrame([c for c in self.columns if c.name not in names])
 
-    def same_schema(self, other: "TabularFrame") -> bool:
-        return self.column_names == other.column_names and all(
-            a.kind == b.kind for a, b in zip(self.columns, other.columns)
-        )
+    def require_same_columns(self, other: "TabularFrame", excluded=()) -> None:
+        """Raise SchemaMismatchError unless both frames hold the same column
+        names, outside `excluded`, with the same kinds; order may differ."""
+        for col in self.columns:
+            if col.name in excluded:
+                continue
+            if col.name not in other:
+                raise SchemaMismatchError(col.name, "missing from second frame")
+            if other.kind_of(col.name) != col.kind:
+                raise SchemaMismatchError(
+                    col.name, f"kind {col.kind.value} vs {other.kind_of(col.name).value}"
+                )
+        for name in other.column_names:
+            if name not in excluded and name not in self:
+                raise SchemaMismatchError(name, "missing from first frame")
 
     def to_csv(self, path, delimiter: str = ",", missing_token: str = "") -> None:
         """Write the frame as RFC-4180 CSV with a header row.
@@ -210,16 +221,9 @@ def _writes_verbatim(texts, delimiter: str) -> bool:
 
 
 def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
-    """Stack two frames with identical schemas, first on top."""
-    if not first.same_schema(second):
-        for name in first.column_names:
-            if name not in second:
-                raise SchemaMismatchError(name, "missing from second frame")
-            if second.kind_of(name) != first.kind_of(name):
-                raise SchemaMismatchError(name, "kind conflict")
-        for name in second.column_names:
-            if name not in first:
-                raise SchemaMismatchError(name, "missing from first frame")
+    """Stack two frames with the same columns, first on top, in the first
+    frame's column order."""
+    first.require_same_columns(second)
     columns = []
     for a in first.columns:
         b = second.column(a.name)

@@ -102,15 +102,6 @@ class FeatureEncoding:
     label: str
     numerical: dict  # name -> (impute mean, center, scale)
     categorical: dict  # name -> tuple of category labels (+ missing bucket)
-    feature_names: tuple = ()
-
-    def __post_init__(self):
-        names = []
-        for name in self.numerical:
-            names.append(name)
-        for name, cats in self.categorical.items():
-            names.extend(f"{name}={c}" for c in cats)
-        self.feature_names = tuple(names)
 
     def design_matrix(self, frame: TabularFrame) -> np.ndarray:
         blocks = []

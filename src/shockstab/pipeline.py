@@ -130,12 +130,6 @@ class PipelineConfig(Config):
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _agg_dict(agg: Aggregate | None) -> dict | None:
-    if agg is None:
-        return None
-    return {"median": agg.median, "min": agg.min, "max": agg.max}
-
-
 @dataclass
 class LevelResult:
     label: str
@@ -156,8 +150,8 @@ class LevelResult:
             "status": "failed" if self.failed else "ok",
             "b_model": {
                 "runs": [p.to_dict() for p in self.b_runs],
-                "auc_base": _agg_dict(self.b_base),
-                "auc_shock": _agg_dict(self.b_shock),
+                "auc_base": None if self.b_base is None else self.b_base._asdict(),
+                "auc_shock": None if self.b_shock is None else self.b_shock._asdict(),
                 "stability": None if self.stability is None else self.stability.to_dict(),
             },
             "uplift": None if self.uplift is None else self.uplift.to_dict(),
@@ -191,8 +185,8 @@ class PipelineReport:
             "drift": self.drift.to_dict(),
             "a_model": {
                 "runs": [p.to_dict() for p in self.a_runs],
-                "auc_base": _agg_dict(self.a_base),
-                "auc_shock": _agg_dict(self.a_shock),
+                "auc_base": None if self.a_base is None else self.a_base._asdict(),
+                "auc_shock": None if self.a_shock is None else self.a_shock._asdict(),
                 "stability": None
                 if self.a_stability is None
                 else self.a_stability.to_dict(),
@@ -276,13 +270,12 @@ def _drift_frames(frame, config, splits) -> tuple[TabularFrame, TabularFrame]:
     return concat_frames(first.train, first.test), first.shocked_test
 
 
-def _run_a(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> tuple:
+def _run_a(split: ShockSplit, config: PipelineConfig) -> tuple:
     """A task: train and evaluate one run's A-model on the real rows.
 
     Returns (pair, None), or (None, error) when the model cannot be trained
     or evaluated.
     """
-    split = split.drop_columns(feature_drop)
     try:
         a_model = train_baseline(split.train, config.label, config.train)
         return evaluate_pair(a_model, split, config.label), None
@@ -290,7 +283,7 @@ def _run_a(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> tupl
         return None, str(exc)
 
 
-def _run_b(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> list:
+def _run_b(split: ShockSplit, config: PipelineConfig) -> list:
     """B task: one run's B-model at every outlier level.
 
     The generator is fitted once per run; each level then generates, mixes
@@ -299,7 +292,6 @@ def _run_b(split: ShockSplit, feature_drop: set, config: PipelineConfig) -> list
     applies the cell to every level. A failure aborts only its cell.
     """
     run = split.run_index
-    split = split.drop_columns(feature_drop)
     train_frame = split.train
     n_real = train_frame.row_count
     n_synth = int(
@@ -348,22 +340,21 @@ def _task_list(runs: int, config: PipelineConfig) -> list:
     return b_tasks + [(_run_a, r) for r in range(runs)]
 
 
-# (splits, feature_drop, config) in a forked worker. It is set by the
-# worker's initializer, whose arguments a fork hands over without pickling,
-# so frames never travel through pickle and the parent's module state is
-# untouched.
+# (splits, config) in a forked worker. It is set by the worker's
+# initializer, whose arguments a fork hands over without pickling, so frames
+# never travel through pickle and the parent's module state is untouched.
 _WORKER_RUNS = None
 
 
-def _init_worker(splits: list, feature_drop: set, config: PipelineConfig) -> None:
+def _init_worker(splits: list, config: PipelineConfig) -> None:
     global _WORKER_RUNS
-    _WORKER_RUNS = (splits, feature_drop, config)
+    _WORKER_RUNS = (splits, config)
 
 
 def _run_in_worker(task: tuple):
     fn, index = task
-    splits, feature_drop, config = _WORKER_RUNS
-    return fn(splits[index], feature_drop, config)
+    splits, config = _WORKER_RUNS
+    return fn(splits[index], config)
 
 
 # Variables a BLAS library reads its thread count from at start-up.
@@ -388,20 +379,18 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(cpus // blas_threads, tasks))
 
 
-def _map_runs(splits: list, feature_drop: set, config: PipelineConfig) -> list:
-    """Every run's (a_pair, a_failure, cells), in run order.
+def _map_runs(splits: list, config: PipelineConfig) -> dict:
+    """Every task's result, keyed by its (function, run index) task.
 
-    Exactly one of a_pair and a_failure is None; cells are as `_run_b`
-    returns them. The tasks of `_task_list` go to `_worker_count` forked
-    worker processes when that is more than one and the platform can fork;
-    otherwise they run serially in this process. Workers keep the parent's
-    BLAS settings, so both ways give the same bits. A run whose A-model
-    fails records that failure at every level, and its B cells are dropped.
+    The tasks of `_task_list` go to `_worker_count` forked worker processes
+    when that is more than one and the platform can fork; otherwise they run
+    serially in this process. Workers keep the parent's BLAS settings, so
+    both ways give the same bits.
     """
     tasks = _task_list(len(splits), config)
     workers = _worker_count(len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
-        results = [fn(splits[index], feature_drop, config) for fn, index in tasks]
+        results = [fn(splits[index], config) for fn, index in tasks]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -418,23 +407,10 @@ def _map_runs(splits: list, feature_drop: set, config: PipelineConfig) -> list:
             workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=(splits, feature_drop, config),
+            initargs=(splits, config),
         ) as pool:
             results = list(pool.map(_run_in_worker, tasks))
-    done = dict(zip(tasks, results))
-
-    runs = []
-    for index, split in enumerate(splits):
-        run = split.run_index
-        a_pair, a_error = done[(_run_a, index)]
-        if a_pair is None:
-            failure = {"run": run, "error": f"a-model failed: {a_error}"}
-            runs.append((None, {"run": run, "error": a_error}, [(None, None, failure)]))
-        else:
-            # without a B task every level reuses the A pair
-            cells = done.get((_run_b, index), [(None, a_pair, None)])
-            runs.append((a_pair, None, cells))
-    return runs
+    return dict(zip(tasks, results))
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -463,16 +439,15 @@ def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> Pipeli
     )
     splits = monte_carlo(frame, config.split)
 
-    # features never include the label or (in OOT mode) the raw date column
-    drop = {config.label} if config.split.mode != OOT else {
-        config.label,
-        config.split.date_column,
-    }
-    feature_drop = drop - {config.label}
-
-    ds_excluded = set(config.exclude_from_ds) | drop
+    # DS skips the label and, in OOT mode, the date column, which is then
+    # dropped from the splits once: no task's model or generator sees it
+    # (unless it is the label, which the models need)
+    date = {config.split.date_column} - {config.label} if config.split.mode == OOT else set()
+    ds_excluded = {config.label, *date, *config.exclude_from_ds}
     pre_frame, post_frame = _drift_frames(frame, config, splits)
     drift = distribution_shift(pre_frame, post_frame, config.tau, ds_excluded)
+    if date:
+        splits = [split.drop_columns(date) for split in splits]
 
     report = PipelineReport(
         config=config,
@@ -482,11 +457,18 @@ def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> Pipeli
     levels = {label: LevelResult(label=label) for label in config.levels}
     report.levels = [levels[label] for label in config.levels]
 
-    for a_pair, a_failure, cells in _map_runs(splits, feature_drop, config):
-        if a_failure is None:
-            report.a_runs.append(a_pair)
+    done = _map_runs(splits, config)
+    for index, split in enumerate(splits):
+        run = split.run_index
+        a_pair, a_error = done[(_run_a, index)]
+        if a_pair is None:
+            # the A failure is recorded at every level; B cells are dropped
+            report.a_failures.append({"run": run, "error": a_error})
+            cells = [(None, None, {"run": run, "error": f"a-model failed: {a_error}"})]
         else:
-            report.a_failures.append(a_failure)
+            report.a_runs.append(a_pair)
+            # without a B task every level reuses the A pair
+            cells = done.get((_run_b, index), [(None, a_pair, None)])
         for label, pair, failure in cells:
             for result in report.levels if label is None else (levels[label],):
                 if failure is None:

@@ -34,6 +34,13 @@ def flip_auc(a: float) -> float:
     return a if a >= 0.5 else 1.0 - a
 
 
+def _check_ds(ds: float) -> float:
+    ds = float(ds)
+    if not (math.isfinite(ds) and ds >= 0):
+        raise DomainError(f"ds must be a finite number >= 0, got {ds!r}")
+    return ds
+
+
 def _sigmoid(z: float) -> float:
     """1 - 1/(1 + exp(z)), clamped to {0, 1} beyond +-SATURATION_EXPONENT."""
     if z > SATURATION_EXPONENT:
@@ -68,15 +75,14 @@ def stabilization_score(
 
     ss = 1 - |flip(auc_base) - flip(auc_shock)| / (1 + ln(1 + ds + epsilon)).
     Flipping confines the degradation to [0, 0.5], hence ss in [0.5, 1].
+    ds must be finite and >= 0, epsilon finite and > 0.
     """
     auc_base = _check_auc(auc_base, "auc_base")
     auc_shock = _check_auc(auc_shock, "auc_shock")
-    ds = float(ds)
-    if ds < 0 or math.isnan(ds):
-        raise DomainError(f"ds must be >= 0, got {ds!r}")
+    ds = _check_ds(ds)
     epsilon = float(epsilon)
-    if epsilon <= 0:
-        raise DomainError(f"epsilon must be > 0, got {epsilon!r}")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise DomainError(f"epsilon must be a finite number > 0, got {epsilon!r}")
     delta = abs(flip_auc(auc_base) - flip_auc(auc_shock))
     ss = 1.0 - delta / (1.0 + math.log1p(ds + epsilon))
     return StabilityRecord(auc_base, auc_shock, ds, epsilon, ss)
@@ -236,6 +242,7 @@ def batch_uplift(
     'without' first, columns keep the models' first-appearance order. A
     repeated (model, level) pair raises DuplicateKeyError.
     """
+    ds = _check_ds(ds)
     models: list[str] = []
     levels: list[str] = []
     cells: dict = {}
@@ -252,4 +259,4 @@ def batch_uplift(
             levels.append(label)
         cells[key] = stabilization_uplift((ba, sa), (bb, sb), ds, coeffs, epsilon)
     levels.sort(key=level_sort_key)
-    return UpliftGrid(ds=float(ds), coeffs=coeffs, levels=levels, models=models, cells=cells)
+    return UpliftGrid(ds=ds, coeffs=coeffs, levels=levels, models=models, cells=cells)

@@ -25,7 +25,6 @@ from .errors import (
     EmptyInputError,
     InsufficientDataError,
     InsufficientSyntheticError,
-    SchemaMismatchError,
 )
 from .frame import Column, ColumnKind, TabularFrame, concat_frames
 from .splitting import child_rng
@@ -364,23 +363,12 @@ def mix(
             f"real_fraction must lie in (0, 1), got {real_fraction!r}"
         )
     synth_frame = synthetic.frame
-    for name in real.column_names:
-        if name not in synth_frame:
-            raise SchemaMismatchError(name, "missing from synthetic frame")
-        if synth_frame.kind_of(name) != real.kind_of(name):
-            raise SchemaMismatchError(name, "kind conflict")
-    for name in synth_frame.column_names:
-        if name not in real:
-            raise SchemaMismatchError(name, "missing from real frame")
-
     n_real = real.row_count
     needed = int(round(n_real * (1.0 - real_fraction) / real_fraction))
     if synth_frame.row_count < needed:
         raise InsufficientSyntheticError(needed, synth_frame.row_count)
 
-    chosen = synth_frame.take(np.arange(needed))
-    # align synthetic columns to the real frame's order
-    chosen = TabularFrame([chosen.column(n) for n in real.column_names])
-    combined = concat_frames(real, chosen)
+    # concat_frames checks the columns and keeps the real frame's order
+    combined = concat_frames(real, synth_frame.take(np.arange(needed)))
     rng = child_rng(seed, n_real, needed)
     return combined.take(rng.permutation(combined.row_count))

@@ -1,10 +1,14 @@
 import builtins
+import contextlib
 import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shockstab import cli
 from shockstab.cli import main
 from shockstab.fixtures import make_shocked_fixture
 
@@ -138,6 +142,32 @@ def test_split_command_writes_files(fixture_csv, tmp_path, capsys):
     assert len(out["files"]) == 6
     assert (out_dir / "train_000.csv").exists()
     assert (out_dir / "shock_001.csv").exists()
+
+
+def test_split_writes_each_run_before_the_next(fixture_csv, tmp_path, capsys, monkeypatch):
+    out_dir = tmp_path / "splits"
+    seen = []
+    real = cli.split_once
+
+    def record(frame, spec, run):
+        seen.append((run, sorted(p.name for p in out_dir.glob("*.csv"))))
+        return real(frame, spec, run)
+
+    monkeypatch.setattr(cli, "split_once", record)
+    code, out = _run(
+        capsys,
+        "split", fixture_csv,
+        "--mode", "oot", "--date-col", "date", "--shock-date", "2018-03-22",
+        "--runs", "3", "--seed", "3", "--out", out_dir,
+    )
+    assert code == 0
+    assert len(out["files"]) == 9
+    # when run k is split, exactly the files of runs 0 .. k-1 exist
+    assert seen == [
+        (run, sorted(f"{name}_{k:03d}.csv" for k in range(run)
+                     for name in ("train", "test", "shock")))
+        for run in range(3)
+    ]
 
 
 def test_synth_command(fixture_csv, tmp_path, capsys):
@@ -591,3 +621,87 @@ def test_csv_that_is_not_utf8_is_data_error(tmp_path, capsys, argv):
         f"error: cannot read {csv_path}: not UTF-8 text (invalid continuation byte)\n"
     )
     assert captured.out == ""
+
+
+@pytest.fixture(scope="module")
+def number_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("numbers")
+    record = {
+        "model": "m", "outliers_pct": 5,
+        "auc_base_a": 0.8, "auc_shock_a": 0.7,
+        "auc_base_b": 0.82, "auc_shock_b": 0.78,
+    }
+    anchor = {
+        "a_base": 0.8, "a_shock": 0.7, "b_base": 0.8, "b_shock": 0.7,
+        "ds": 0.2, "target_su": 0.0,
+    }
+    files = {
+        "flat.json": json.dumps([record]),
+        "empty.json": "[]",
+        "anchors.json": json.dumps([anchor]),
+        "base.csv": "x,s\n1,a\n2,b\n",
+        "shock.csv": "x,s\n3,a\n1,c\n",
+    }
+    for name, text in files.items():
+        (root / name).write_text(text, encoding="utf-8")
+    return root
+
+
+NUMBERS = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -1e308, 0.0, -1.0]),
+)
+
+
+def _flag(name, value):
+    # the = form keeps a negative number from reading as a flag
+    return f"--{name}={value!r}" if isinstance(value, float) else f"--{name}={value}"
+
+
+def _command(root):
+    pair = st.one_of(
+        st.text(max_size=12),
+        st.builds(lambda x, y: f"{x!r},{y!r}", NUMBERS, NUMBERS),
+    )
+    grid = st.one_of(
+        st.text(max_size=12),
+        st.builds(lambda k, v: f"{k}={v!r}", st.sampled_from(["k1", "k2", "k3"]), NUMBERS),
+        st.builds(lambda a, b, c: f"k1={a!r};k2={b!r};k3={c!r}", NUMBERS, NUMBERS, NUMBERS),
+    )
+    return st.one_of(
+        st.builds(
+            lambda b, s, ds, eps: ["ss", _flag("auc-base", b), _flag("auc-shock", s),
+                                   _flag("ds", ds), _flag("epsilon", eps)],
+            NUMBERS, NUMBERS, NUMBERS, NUMBERS,
+        ),
+        st.builds(
+            lambda a, b, ds, eps: ["su", _flag("a", a), _flag("b", b),
+                                   _flag("ds", ds), _flag("epsilon", eps)],
+            pair, pair, NUMBERS, NUMBERS,
+        ),
+        st.builds(
+            lambda name, ds: ["su-grid", str(root / name), _flag("ds", ds)],
+            st.sampled_from(["flat.json", "empty.json"]), NUMBERS,
+        ),
+        st.builds(
+            lambda tau: ["ds", str(root / "base.csv"), str(root / "shock.csv"),
+                         _flag("tau", tau)],
+            NUMBERS,
+        ),
+        st.builds(
+            lambda g: ["calibrate", str(root / "anchors.json"), _flag("grid", g)],
+            grid,
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_numeric_flags_exit_with_a_documented_code(number_inputs, data):
+    argv = data.draw(_command(number_inputs))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flag
+            code = exc.code
+    assert code in (0, 2, 3), argv

@@ -10,9 +10,10 @@ from shockstab.errors import (
     EmptyHeaderError,
     EmptyInputError,
     RaggedRowError,
+    SchemaMismatchError,
     UndeterminableColumnError,
 )
-from shockstab.frame import ColumnKind, TabularFrame, detect_schema, load_csv
+from shockstab.frame import ColumnKind, TabularFrame, concat_frames, detect_schema, load_csv
 
 from conftest import make_frame, num_col
 
@@ -298,3 +299,26 @@ def test_take_accepts_list_range_and_array(write_csv):
         ("w", None, "w"),
         (None, "8", None),
     ]
+
+
+def test_concat_frames_keeps_the_first_frames_column_order():
+    first = make_frame(x=[1.0, 2.0], s=["a", "b"])
+    out = concat_frames(first, make_frame(s=["c"], x=[3.0]))
+    assert out.column_names == ["x", "s"]
+    assert out.column("x").values.tolist() == [1.0, 2.0, 3.0]
+    assert out.column("s").values.tolist() == ["a", "b", "c"]
+
+
+@pytest.mark.parametrize(
+    "first, second, column",
+    [
+        (make_frame(x=[1.0], s=["a"]), make_frame(x=[3.0]), "s"),
+        (make_frame(x=[1.0]), make_frame(x=[3.0], s=["c"]), "s"),
+        (make_frame(x=[1.0], s=["a"]), make_frame(s=["c"], x=["3"]), "x"),
+    ],
+    ids=["missing-from-second", "missing-from-first", "kind-conflict"],
+)
+def test_concat_frames_schema_mismatch(first, second, column):
+    with pytest.raises(SchemaMismatchError) as err:
+        concat_frames(first, second)
+    assert err.value.column == column

@@ -1,9 +1,12 @@
-"""Which commands load scipy.stats, each checked in a fresh interpreter.
+"""What the package's modules import.
 
 scipy.stats takes most of a second to import, so `import shockstab` leaves
-it out: only the schema profile and the tail draws use it.
+it out: only the schema profile and the tail draws use it. Each command is
+checked in a fresh interpreter. And no module reaches for another's private
+helpers.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -79,3 +82,73 @@ def test_pipeline_loads_scipy_stats_before_forking_workers(tmp_path):
         tmp_path,
     )
     assert out == {"before": False, "at_pool_start": [True], "partial": False}
+
+
+def _private_uses(source: str, siblings: set) -> list[str]:
+    """Private names `source` takes from the sibling modules `siblings`:
+    `from .x import _name` and `x._name`; dunders are public."""
+
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    def sibling(module, level):
+        if level:  # relative: .x, or the package itself
+            return not module or module.split(".")[0] in siblings
+        return module == "shockstab" or module.startswith("shockstab.")
+
+    tree = ast.parse(source)
+    aliases, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and sibling(node.module or "", node.level):
+            for a in node.names:
+                if private(a.name):
+                    found.append(f"from {'.' * node.level}{node.module or ''} import {a.name}")
+                elif (node.module or "") in ("", "shockstab") and a.name in siblings:
+                    aliases.add(a.asname or a.name)  # from . import x
+        elif isinstance(node, ast.Import):
+            aliases.update(
+                a.asname for a in node.names if a.asname and a.name.startswith("shockstab.")
+            )
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            owner = ast.unparse(node.value)
+            parts = owner.split(".")
+            if owner in aliases or (
+                len(parts) == 2 and parts[0] == "shockstab" and parts[1] in siblings
+            ):
+                found.append(f"{owner}.{node.attr}")
+    return found
+
+
+def test_no_module_imports_a_siblings_private_helpers():
+    root = Path(shockstab.__file__).parent
+    siblings = {p.stem for p in root.glob("*.py")}
+    found = {
+        p.name: uses
+        for p in sorted(root.glob("*.py"))
+        if (uses := _private_uses(p.read_text(encoding="utf-8"), siblings))
+    }
+    assert found == {}
+
+
+def test_private_import_check_finds_each_form():
+    siblings = {"frame", "pipeline"}
+    source = (
+        "from . import __version__, pipeline\n"
+        "from .frame import _gather, load_csv\n"
+        "from shockstab.pipeline import _run_a\n"
+        "import shockstab.frame\n"
+        "import shockstab.pipeline as pl\n"
+        "def f():\n"
+        "    from . import frame as fr\n"
+        "    return (pipeline._map_runs, fr._CSV_CHUNK_ROWS, pl._task_list,\n"
+        "            shockstab.frame._gather, pipeline.__doc__, load_csv._x)\n"
+    )
+    assert sorted(_private_uses(source, siblings)) == sorted([
+        "from .frame import _gather",
+        "from shockstab.pipeline import _run_a",
+        "pipeline._map_runs",
+        "fr._CSV_CHUNK_ROWS",
+        "pl._task_list",
+        "shockstab.frame._gather",
+    ])

@@ -276,6 +276,25 @@ def test_pipeline_frames_carry_no_raw_text(small_csv, monkeypatch):
         assert all(c.raw is None for c in frame.columns), name
 
 
+def test_models_never_see_the_date_column(small_csv, monkeypatch):
+    seen = []
+    for name in ("fit", "train_baseline"):
+        real = getattr(pipeline, name)
+
+        def record(frame, *args, _name=name, _real=real, **kwargs):
+            seen.append((_name, frame.column_names))
+            return _real(frame, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, record)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    report = run_pipeline(_config(small_csv, runs=2))
+    assert not report.partial
+    assert {name for name, _ in seen} == {"fit", "train_baseline"}
+    for name, columns in seen:
+        assert "date" not in columns, name
+        assert "is_bad" in columns, name
+
+
 def test_numerical_dates_split_on_their_text(tmp_path):
     # 20180322 loads as the number 20180322.0; the OOT partition must still
     # parse the cell text, as when the dates are ISO strings

@@ -264,6 +264,22 @@ def test_mix_insufficient_synthetic():
         mix(real, batch, real_fraction=0.5)
 
 
+def test_mix_keeps_the_real_frames_column_order():
+    real = make_frame(x=[0.0, 1.0, 2.0, 3.0], s=["a", "b", "a", "b"])
+    gen = fit(make_frame(s=["c", "d", "c", "d", "c"], x=[10.0, 11.0, 12.0, 13.0, 14.0]))
+    batch = generate(gen, OutlierSpec("normal", 0.0, total_rows=10, seed=1))
+    assert batch.frame.column_names == ["s", "x"]
+    mixed = mix(real, batch, real_fraction=0.5, seed=3)
+    assert mixed.column_names == ["x", "s"]
+    chosen = batch.frame.take(np.arange(4))
+
+    def rows(frame):
+        return sorted(zip(*(frame.column(n).values.tolist() for n in ("x", "s"))))
+
+    assert rows(mixed) == sorted(rows(real) + rows(chosen))
+    assert {v for _, v in rows(chosen)} <= {"c", "d"}
+
+
 def test_mix_schema_mismatch():
     real = make_frame(x=[0.0, 1.0], s=["a", "b"])
     gen = fit(make_frame(x=[0.0, 1.0, 2.0]))
