@@ -5,8 +5,9 @@ stabilization score/uplift, uplift grids, shock splitting, outlier
 synthesis, slope calibration and sweeps, the built-in train/evaluate loop,
 the full pipeline and report re-emission. All commands print JSON.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 partial
-pipeline (some cells failed).
+Exit codes: 0 success, 2 configuration error, 3 data error (or an input
+that needs more memory than there is), 4 partial pipeline (some cells
+failed).
 """
 
 from __future__ import annotations
@@ -462,6 +463,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ShockStabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:
+        # the input asks for arrays larger than this machine can hold
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -9,15 +9,13 @@ DS reaches a domain-informed threshold tau.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, EmptyColumnError
-from .frame import ColumnKind, TabularFrame
+from .frame import Column, ColumnKind, TabularFrame, union_codes
 
 #: Default shock threshold. Observed no-shock splits sit at DS <= 0.005 and
 #: shocked splits at DS >= 0.12, so 0.05 separates the two regimes.
@@ -54,12 +52,6 @@ class DriftReport:
         }
 
 
-def _drop_missing_categorical(sample) -> np.ndarray:
-    arr = np.asarray(sample, dtype=object)
-    present = map(operator.is_not, arr, itertools.repeat(None))
-    return arr[np.fromiter(present, dtype=bool, count=len(arr))]
-
-
 def _drop_missing_numerical(sample) -> np.ndarray:
     arr = np.asarray(sample, dtype=np.float64)
     return arr[~np.isnan(arr)]
@@ -69,22 +61,26 @@ def tv_distance(p, q, column: str | None = None) -> float:
     """Total variation distance between two empirical categorical samples.
 
     Computes (1/2) * sum_c |p_hat(c) - q_hat(c)| over the union of observed
-    categories; categories absent from one sample get frequency zero.
-    Missing cells (None) are dropped first.
+    categories, in str order; categories absent from one sample get
+    frequency zero. Missing cells (None, or code -1 of a categorical
+    Column, which either sample may be) are dropped first.
     """
-    p = _drop_missing_categorical(p)
-    q = _drop_missing_categorical(q)
-    if p.size == 0 or q.size == 0:
+    p, q = (
+        s if isinstance(s, Column) else Column(column, ColumnKind.CATEGORICAL, s)
+        for s in (p, q)
+    )
+    categories, p_codes, q_codes = union_codes(p, q)
+    p_counts, q_counts = (
+        np.bincount(codes + 1, minlength=len(categories) + 1)[1:]
+        for codes in (p_codes, q_codes)
+    )
+    p_size, q_size = int(p_counts.sum()), int(q_counts.sum())
+    if p_size == 0 or q_size == 0:
         raise EmptyColumnError(column)
-    cats = sorted(set(p.tolist()) | set(q.tolist()), key=str)
-    index = {c: i for i, c in enumerate(cats)}
-
-    def frequencies(sample):
-        codes = np.fromiter(map(index.__getitem__, sample), dtype=np.intp, count=sample.size)
-        # exact integer counts, so the frequencies match adding 1.0 per cell
-        return np.bincount(codes, minlength=len(cats)) / sample.size
-
-    return float(0.5 * np.abs(frequencies(p) - frequencies(q)).sum())
+    observed = (p_counts + q_counts) > 0
+    # exact integer counts, so the frequencies match adding 1.0 per cell
+    shift = p_counts[observed] / p_size - q_counts[observed] / q_size
+    return float(0.5 * np.abs(shift).sum())
 
 
 def ks_statistic(x, y, column: str | None = None) -> float:
@@ -125,7 +121,7 @@ def distribution_shift(
         col = base.column(name)
         other = shock.column(name)
         if col.kind is ColumnKind.CATEGORICAL:
-            d = tv_distance(col.values, other.values, column=name)
+            d = tv_distance(col, other, column=name)
         else:
             d = ks_statistic(col.values, other.values, column=name)
         shifts.append(ColumnShift(name, col.kind, d))

@@ -1,9 +1,17 @@
 """Typed columnar frames, CSV ingestion and column-kind detection.
 
-A TabularFrame holds one numpy array per column: float64 with NaN as the
-missing marker for numerical columns, object arrays of str with None for
-categorical ones. Frames loaded from CSV additionally retain the original
-cell text so that exporting reproduces every non-missing cell byte-equal.
+A TabularFrame holds one typed array per column. A numerical column holds
+float64 values, NaN marking a missing cell. A categorical column holds
+int32 codes into one tuple of its distinct values, its categories, sorted
+by str, with -1 marking a missing cell; `Column.values` decodes them into
+an object array with None for missing cells. Missingness is always read
+from these arrays: the NaN mask or code -1.
+
+A frame loaded from CSV keeps its cell text, so that exporting reproduces
+every non-missing cell byte-equal. A numerical column keeps a tuple of its
+cell strings; a categorical column's categories are its cell strings, so
+each cell's text is held once. `Column.raw` gives the text back per cell,
+or None for a column that keeps none (one built from an array of values).
 """
 
 from __future__ import annotations
@@ -50,70 +58,175 @@ def _parse_floats(cells) -> np.ndarray | None:
     return values
 
 
-@dataclass(frozen=True)
 class Column:
-    """One named column: typed values plus (optionally) the raw CSV text."""
+    """One named column: typed values plus, for a loaded column, its CSV text.
 
-    name: str
-    kind: ColumnKind
-    values: np.ndarray
-    raw: tuple | None = None  # original cell strings, None marks missing
+    A numerical column holds float64 values, NaN marking a missing cell. A
+    categorical column holds int32 `codes` into `categories`, its distinct
+    values sorted by str, with -1 marking a missing cell; `values` decodes
+    them into an object array with None for missing cells.
 
-    def __post_init__(self):
-        if self.kind is ColumnKind.NUMERICAL:
-            if self.values.dtype != np.float64:
-                object.__setattr__(self, "values", self.values.astype(np.float64))
-            finite_or_nan = np.isfinite(self.values) | np.isnan(self.values)
-            if not finite_or_nan.all():
-                raise ValueError(f"column {self.name!r} contains non-finite values")
-        else:
-            if self.values.dtype != object:
-                object.__setattr__(
-                    self, "values", np.asarray(self.values, dtype=object)
-                )
-        self.values.setflags(write=False)
-        if self.raw is not None and len(self.raw) != len(self.values):
-            raise ValueError(f"column {self.name!r}: raw/value length mismatch")
+    `Column(name, kind, values, raw=None)` builds a column from an array of
+    values, encoding a categorical one there, once. `raw` is the cells'
+    text, None marking a missing cell. A categorical cell's text is str() of
+    its category, so a `raw` given for a categorical column must equal that
+    text, and only marks it as kept. Columns are not modified once built.
+    """
+
+    __slots__ = ("name", "kind", "codes", "categories", "_floats", "_raw")
+
+    def __init__(self, name: str, kind: ColumnKind, values, raw: tuple | None = None):
+        self.name = name
+        self.kind = kind
+        if kind is ColumnKind.NUMERICAL:
+            values = np.asarray(values, dtype=np.float64)
+            if not (np.isfinite(values) | np.isnan(values)).all():
+                raise ValueError(f"column {name!r} contains non-finite values")
+            values.setflags(write=False)
+            if raw is not None and len(raw) != len(values):
+                raise ValueError(f"column {name!r}: raw/value length mismatch")
+            self.codes = self.categories = None
+            self._floats, self._raw = values, raw
+            return
+        codes, self.categories = _encode(np.asarray(values, dtype=object).tolist())
+        codes.setflags(write=False)
+        self.codes, self._floats, self._raw = codes, None, raw is not None
+        if raw is not None and tuple(raw) != self.raw:
+            raise ValueError(f"column {name!r}: raw text differs from the values")
+
+    @classmethod
+    def from_codes(
+        cls, name: str, codes, categories: tuple, keeps_text: bool = False
+    ) -> "Column":
+        """A categorical column of int32 `codes` into `categories`, which must
+        be distinct and sorted by str; -1 marks a missing cell.
+
+        With `keeps_text`, the categories are the cells' CSV text and `raw`
+        gives it back.
+        """
+        codes = np.asarray(codes, dtype=np.int32)
+        if codes.size and not (-1 <= codes.min() and codes.max() < len(categories)):
+            raise ValueError(f"column {name!r}: a code lies outside its categories")
+        codes.setflags(write=False)
+        column = cls.__new__(cls)
+        column.name, column.kind = name, ColumnKind.CATEGORICAL
+        column.codes, column.categories = codes, tuple(categories)
+        column._floats, column._raw = None, keeps_text
+        return column
 
     def __len__(self):
-        return len(self.values)
+        return len(self._floats if self.codes is None else self.codes)
+
+    @property
+    def values(self) -> np.ndarray:
+        """float64 values, or for a categorical column each cell's category
+        (None if missing) in a new object array."""
+        if self.kind is ColumnKind.NUMERICAL:
+            return self._floats
+        table = np.fromiter(
+            itertools.chain(self.categories, (None,)),
+            dtype=object,
+            count=len(self.categories) + 1,
+        )
+        values = table[self.codes]
+        values.setflags(write=False)
+        return values
+
+    @property
+    def raw(self) -> tuple | None:
+        """The cells' CSV text, None marking a missing cell; None when the
+        column keeps no text."""
+        if self.kind is ColumnKind.NUMERICAL:
+            return self._raw
+        if not self._raw:
+            return None
+        return _gather((*map(str, self.categories), None), self.codes.tolist())
 
     @property
     def missing_mask(self) -> np.ndarray:
         if self.kind is ColumnKind.NUMERICAL:
-            return np.isnan(self.values)
-        return np.fromiter(
-            map(operator.is_, self.values, itertools.repeat(None)),
-            dtype=bool,
-            count=len(self.values),
-        )
+            return np.isnan(self._floats)
+        return self.codes < 0
 
     def non_missing(self) -> np.ndarray:
         """Values with missing cells dropped."""
         return self.values[~self.missing_mask]
 
-    def text(self, missing_token: str = "") -> tuple | list:
-        """Every cell as text, preferring the retained raw string.
+    def counts(self) -> np.ndarray:
+        """How many cells hold each category, in category order."""
+        return np.bincount(self.codes + 1, minlength=len(self.categories) + 1)[1:]
 
-        A column whose raw text has no missing cell returns that tuple itself.
+    def recode(self, table, missing: int = -1) -> np.ndarray:
+        """The codes mapped through `table`, one new code per category, with
+        `missing` for a missing cell."""
+        return np.append(np.asarray(table, dtype=np.int32), np.int32(missing))[self.codes]
+
+    def label_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """np.unique(np.asarray(values, dtype=str), return_counts=True) over
+        the cells present, with each category converted once, not each cell."""
+        labels = np.array(list(map(str, self.categories)), dtype=str)
+        labels, slots = np.unique(labels, return_inverse=True)
+        totals = np.zeros(labels.size, dtype=np.int64)
+        np.add.at(totals, slots, self.counts())
+        held = totals > 0
+        return labels[held], totals[held]
+
+    def text(self, missing_token: str = "") -> tuple | list:
+        """Every cell as text: the retained raw string, the repr() of a
+        number or the str() of a category, and `missing_token` for a
+        missing cell, read from the NaN mask or code -1.
+
+        A numerical column whose raw text has no missing cell returns that
+        tuple itself.
         """
-        if self.raw is not None:
-            if None not in self.raw:
-                return self.raw
-            return [missing_token if r is None else r for r in self.raw]
-        if self.kind is ColumnKind.NUMERICAL:
-            return [
-                missing_token if math.isnan(v) else repr(v)
-                for v in self.values.tolist()
-            ]
-        return [missing_token if v is None else str(v) for v in self.values]
+        if self.kind is ColumnKind.CATEGORICAL:
+            table = (*map(str, self.categories), missing_token)
+            return _gather(table, self.codes.tolist())
+        missing = np.flatnonzero(np.isnan(self._floats)).tolist()
+        if self._raw is not None and not missing:
+            return self._raw
+        cells = list(self._raw or map(repr, self._floats.tolist()))
+        for i in missing:
+            cells[i] = missing_token
+        return cells
 
     def take(self, indices) -> "Column":
         indices = np.asarray(indices, dtype=np.intp)
-        raw = None
-        if self.raw is not None:
-            raw = _gather(self.raw, indices.tolist())
-        return Column(self.name, self.kind, self.values[indices], raw)
+        if self.kind is ColumnKind.CATEGORICAL:
+            return Column.from_codes(
+                self.name, self.codes[indices], self.categories, self._raw
+            )
+        raw = None if self._raw is None else _gather(self._raw, indices.tolist())
+        return Column(self.name, self.kind, self._floats[indices], raw)
+
+    def without_text(self) -> "Column":
+        """The same column, keeping no CSV text."""
+        if self.kind is ColumnKind.CATEGORICAL:
+            return Column.from_codes(self.name, self.codes, self.categories)
+        return Column(self.name, self.kind, self._floats)
+
+
+def _encode(cells: list) -> tuple[np.ndarray, tuple]:
+    """int32 codes of `cells` into their distinct values sorted by str, and
+    those values; None is a missing cell, code -1."""
+    distinct = dict.fromkeys(cells)
+    distinct.pop(None, None)
+    categories = tuple(sorted(distinct, key=str))
+    lookup = dict(zip(categories, range(len(categories))))
+    lookup[None] = -1
+    codes = np.fromiter(map(lookup.__getitem__, cells), dtype=np.int32, count=len(cells))
+    return codes, categories
+
+
+def union_codes(first: Column, second: Column) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The categories of two categorical columns merged and sorted by str,
+    and each column's codes into them."""
+    categories = tuple(sorted(dict.fromkeys(first.categories + second.categories), key=str))
+    lookup = dict(zip(categories, range(len(categories))))
+    first_codes, second_codes = (
+        c.recode(list(map(lookup.__getitem__, c.categories))) for c in (first, second)
+    )
+    return categories, first_codes, second_codes
 
 
 def _gather(items: tuple, positions: list) -> tuple:
@@ -227,11 +340,16 @@ def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
     columns = []
     for a in first.columns:
         b = second.column(a.name)
-        values = np.concatenate([a.values, b.values])
+        if a.kind is ColumnKind.CATEGORICAL:
+            categories, a_codes, b_codes = union_codes(a, b)
+            codes = np.concatenate([a_codes, b_codes])
+            keeps_text = a._raw and b._raw
+            columns.append(Column.from_codes(a.name, codes, categories, keeps_text))
+            continue
         raw = None
         if a.raw is not None and b.raw is not None:
             raw = a.raw + b.raw
-        columns.append(Column(a.name, a.kind, values, raw))
+        columns.append(Column(a.name, a.kind, np.concatenate([a.values, b.values]), raw))
     return TabularFrame(columns)
 
 
@@ -286,6 +404,7 @@ def load_csv(
                     i = next(i for i, row in enumerate(rows) if len(row) != width)
                     raise RaggedRowError(i + 1, width, len(rows[i]))
                 by_column = list(zip(*rows)) or [()] * width
+                del rows
             finally:
                 if gc_enabled:
                     gc.enable()
@@ -295,7 +414,10 @@ def load_csv(
         ) from None
 
     columns = []
-    for name, cells in zip(header, by_column):
+    for i, name in enumerate(header):
+        # let go of each column's cells once it is built: a categorical
+        # column keeps one string per category, not one per cell
+        cells, by_column[i] = by_column[i], None
         missing = np.fromiter(
             map(missing_tokens.__contains__, cells), dtype=bool, count=len(cells)
         )
@@ -319,9 +441,10 @@ def load_csv(
         if kind is ColumnKind.NUMERICAL:
             values = np.full(len(cells), np.nan)
             values[~missing] = numbers
+            columns.append(Column(name, kind, values, tuple(text.tolist())))
         else:
-            values = text
-        columns.append(Column(name, kind, values, tuple(text.tolist())))
+            codes, categories = _encode(text.tolist())
+            columns.append(Column.from_codes(name, codes, categories, keeps_text=True))
     return TabularFrame(columns)
 
 
@@ -437,8 +560,7 @@ def _numerical_summary(name, values, missing_count) -> ColumnSummary:
     )
 
 
-def _categorical_summary(name, values, missing_count) -> ColumnSummary:
-    labels, counts = np.unique(np.asarray(values, dtype=str), return_counts=True)
+def _categorical_summary(name, labels, counts, missing_count) -> ColumnSummary:
     # ties on frequency resolve to the lexicographically smallest label
     order = np.lexsort((labels, -counts))
     top_i = order[0]
@@ -468,21 +590,19 @@ def detect_schema(frame: TabularFrame, categorical_override: int = 0) -> SchemaR
     report = SchemaReport(row_count=frame.row_count)
     for col in frame.columns:
         missing = int(col.missing_mask.sum())
-        present = col.non_missing()
-        if present.size == 0:
+        if missing == len(col):
             raise UndeterminableColumnError(col.name)
-        kind = col.kind
-        if (
-            kind is ColumnKind.NUMERICAL
-            and categorical_override > 0
-            and np.unique(present).size <= categorical_override
-        ):
-            kind = ColumnKind.CATEGORICAL
-        if kind is ColumnKind.NUMERICAL:
-            report.columns.append(_numerical_summary(col.name, present, missing))
-        else:
-            if col.kind is ColumnKind.NUMERICAL:
-                # numeric values reported as categories under the override
-                present = np.array([repr(float(v)) for v in present], dtype=object)
-            report.columns.append(_categorical_summary(col.name, present, missing))
+        if col.kind is ColumnKind.NUMERICAL:
+            present = col.non_missing()
+            as_categories = (
+                categorical_override > 0
+                and np.unique(present).size <= categorical_override
+            )
+            if not as_categories:
+                report.columns.append(_numerical_summary(col.name, present, missing))
+                continue
+            # under the override, numbers are reported as categories, by repr
+            col = Column(col.name, ColumnKind.CATEGORICAL, list(map(repr, present.tolist())))
+        labels, counts = col.label_counts()
+        report.columns.append(_categorical_summary(col.name, labels, counts, missing))
     return report

@@ -121,10 +121,11 @@ class FeatureEncoding:
             if col.kind is not ColumnKind.CATEGORICAL:
                 raise SchemaMismatchError(name, "expected categorical")
             index = {c: k for k, c in enumerate(cats)}
+            # a category's slot is keyed on its text, so 1 and "1" share one;
             # unseen categories map to -1 and encode as all-zero
-            codes = np.array(
-                [index.get(MISSING_CATEGORY if v is None else str(v), -1) for v in col.values],
-                dtype=np.intp,
+            codes = col.recode(
+                [index.get(str(c), -1) for c in col.categories],
+                missing=index.get(MISSING_CATEGORY, -1),
             )
             rows = np.flatnonzero(codes >= 0)
             block = np.zeros((frame.row_count, len(cats)))
@@ -172,7 +173,9 @@ def build_encoding(train: TabularFrame, label: str) -> FeatureEncoding:
             std = float(np.std(present)) if present.size else 0.0
             numerical[col.name] = (mean, mean, std if std > 0 else 1.0)
         else:
-            cats = sorted({str(v) for v in col.non_missing()})
+            # the categories the rows hold: a taken column may list more
+            held = col.counts() > 0
+            cats = sorted({str(c) for c, h in zip(col.categories, held) if h})
             if col.missing_mask.any():
                 cats.append(MISSING_CATEGORY)
             categorical[col.name] = tuple(cats)

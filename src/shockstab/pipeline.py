@@ -29,6 +29,7 @@ from .config import Config, setting
 from .drift import DEFAULT_TAU, DriftReport, distribution_shift
 from .errors import (
     ConfigError,
+    DataError,
     DegenerateLabelsError,
     SchemaMismatchError,
     ShockStabError,
@@ -234,7 +235,7 @@ def _snap_labels(batch: SyntheticBatch, label: str, rng) -> SyntheticBatch:
     p = np.clip(col.values, 0.0, 1.0)
     snapped = (rng.random(len(p)) < p).astype(np.float64)
     columns = [
-        Column(c.name, c.kind, snapped if c.name == label else c.values)
+        Column(c.name, c.kind, snapped) if c.name == label else c
         for c in batch.frame.columns
     ]
     return SyntheticBatch(
@@ -248,16 +249,18 @@ def _snap_labels(batch: SyntheticBatch, label: str, rng) -> SyntheticBatch:
 def _without_raw(frame: TabularFrame, date_column: str | None) -> TabularFrame:
     """`frame` without the CSV text its columns keep; the pipeline writes no CSV.
 
-    The OOT date column instead becomes its text, which is what the
-    partition parses (a numerical 20180322 would read back as 20180322.0).
-    It is neither a feature nor a DS column, so its kind does not matter.
+    A numerical OOT date column instead becomes a categorical column of its
+    text, which is what the partition parses (a numerical 20180322 would
+    read back as 20180322.0); a categorical one already holds its text as
+    its categories. The date column is neither a feature nor a DS column,
+    so its kind does not matter.
     """
-    return TabularFrame([
-        Column(c.name, ColumnKind.CATEGORICAL, np.array(c.raw, dtype=object))
-        if c.name == date_column and c.raw is not None
-        else Column(c.name, c.kind, c.values)
-        for c in frame.columns
-    ])
+    columns = []
+    for c in frame.columns:
+        if c.name == date_column and c.kind is ColumnKind.NUMERICAL and c.raw is not None:
+            c = Column(c.name, ColumnKind.CATEGORICAL, np.array(c.raw, dtype=object))
+        columns.append(c.without_text())
+    return TabularFrame(columns)
 
 
 def _drift_frames(frame, config, splits) -> tuple[TabularFrame, TabularFrame]:
@@ -548,6 +551,46 @@ def write_report(report: PipelineReport, out_dir) -> dict:
     return {k: str(v) for k, v in paths.items()}
 
 
+def _json_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise DataError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _field(obj, where: str, *keys):
+    """obj[keys[0]][keys[1]]... of a report read from JSON, named `where`.
+
+    Raises DataError at the first step that is not a JSON object holding
+    the next key.
+    """
+    for key in keys:
+        if key not in _json_object(obj, where):
+            raise DataError(f"{where} has no {key!r} field")
+        obj, where = obj[key], f"{where}.{key}"
+    return obj
+
+
+def _rows(obj, where: str, key: str) -> list:
+    """The list obj[key], each of its items a JSON object."""
+    items = _field(obj, where, key)
+    if not isinstance(items, list):
+        raise DataError(f"{where}.{key} must be a list, got {type(items).__name__}")
+    return [_json_object(item, f"{where}.{key}[{i}]") for i, item in enumerate(items)]
+
+
+def _digest_cell(model, row: dict, where: str, cell: dict) -> tuple:
+    """(model, outlier level, SU) of one report or grid cell."""
+    level = _field(row, where, "outliers_pct")
+    su = _field(cell, where, "su_display")
+    try:
+        level_sort_key(level)
+    except (TypeError, ValueError):
+        raise DataError(f"{where}.outliers_pct is not an outlier level: {level!r}") from None
+    if isinstance(su, bool) or not isinstance(su, (int, float)):
+        raise DataError(f"{where}: su_display must be a number, got {su!r}")
+    return model, level, su
+
+
 def emit_radial_data(report, nonzero: bool = False) -> dict:
     """Plot-ready tuples per level: (model, AUC_base, AUC_shock, SU).
 
@@ -556,58 +599,62 @@ def emit_radial_data(report, nonzero: bool = False) -> dict:
     that empty out are flagged in `warnings`.
     """
     d = report.to_dict() if isinstance(report, PipelineReport) else report
-    if "a_model" not in d or "levels" not in d:
+    if not isinstance(d, dict) or "a_model" not in d or "levels" not in d:
         raise ConfigError("radial emission needs a pipeline report")
-    a = d["a_model"]
+    a_base = _field(d, "report", "a_model", "auc_base")
     out = {"dataset": d.get("dataset"), "levels": [], "warnings": []}
-    for lvl in d["levels"]:
+    for i, lvl in enumerate(_rows(d, "report", "levels")):
+        where = f"report.levels[{i}]"
         series = []
-        if a["auc_base"] is not None:
+        if a_base is not None:
             series.append(
                 {
                     "model": "A",
-                    "auc_base": a["auc_base"]["median"],
-                    "auc_shock": a["auc_shock"]["median"],
+                    "auc_base": _field(a_base, "report.a_model.auc_base", "median"),
+                    "auc_shock": _field(d, "report", "a_model", "auc_shock", "median"),
                     "su": None,
                 }
             )
-        b = lvl["b_model"]
-        if b["auc_base"] is not None and lvl["uplift"] is not None:
+        b_base = _field(lvl, where, "b_model", "auc_base")
+        uplift = _field(lvl, where, "uplift")
+        if b_base is not None and uplift is not None:
             series.append(
                 {
                     "model": "B",
-                    "auc_base": b["auc_base"]["median"],
-                    "auc_shock": b["auc_shock"]["median"],
-                    "su": lvl["uplift"]["su_display"],
+                    "auc_base": _field(b_base, f"{where}.b_model.auc_base", "median"),
+                    "auc_shock": _field(lvl, where, "b_model", "auc_shock", "median"),
+                    "su": _field(uplift, f"{where}.uplift", "su_display"),
                 }
             )
+        level = _field(lvl, where, "outliers_pct")
         if nonzero:
             series = [s for s in series if s["su"]]
             if not series:
-                out["warnings"].append(
-                    f"level {lvl['outliers_pct']}: all SU values are zero"
-                )
-        out["levels"].append({"outliers_pct": lvl["outliers_pct"], "series": series})
+                out["warnings"].append(f"level {level}: all SU values are zero")
+        out["levels"].append({"outliers_pct": level, "series": series})
     return out
 
 
 def _digest_cells(obj) -> tuple[str, float, list]:
     """Normalize a pipeline report or an uplift grid into digest cells."""
     d = obj.to_dict() if isinstance(obj, PipelineReport) else obj
-    if "levels" in d and "a_model" in d:  # pipeline report
-        cells = [
-            ("B", lvl["outliers_pct"], lvl["uplift"]["su_display"])
-            for lvl in d["levels"]
-            if lvl.get("uplift")
-        ]
-        return d.get("dataset", "dataset"), d["drift"]["ds"], cells
-    if "rows" in d:  # uplift grid (su-grid output)
+    if isinstance(d, dict) and "levels" in d and "a_model" in d:  # pipeline report
         cells = []
-        for row in d["rows"]:
-            for model, cell in row["cells"].items():
+        for i, lvl in enumerate(_rows(d, "report", "levels")):
+            where = f"report.levels[{i}]"
+            if lvl.get("uplift"):
+                uplift = _json_object(lvl["uplift"], f"{where}.uplift")
+                cells.append(_digest_cell("B", lvl, where, uplift))
+        return d.get("dataset", "dataset"), _field(d, "report", "drift", "ds"), cells
+    if isinstance(d, dict) and "rows" in d:  # uplift grid (su-grid output)
+        cells = []
+        for i, row in enumerate(_rows(d, "grid", "rows")):
+            where = f"grid.rows[{i}]"
+            for model, cell in _json_object(_field(row, where, "cells"), f"{where}.cells").items():
                 if cell is not None:
-                    cells.append((model, row["outliers_pct"], cell["su_display"]))
-        return d.get("dataset", "dataset"), d["ds"], cells
+                    cell = _json_object(cell, f"{where}.cells.{model}")
+                    cells.append(_digest_cell(model, row, where, cell))
+        return d.get("dataset", "dataset"), _field(d, "grid", "ds"), cells
     raise ConfigError("unrecognized report layout for digest")
 
 

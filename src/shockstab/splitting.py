@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     EmptyInputError,
 )
-from .frame import TabularFrame
+from .frame import Column, ColumnKind, TabularFrame
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -128,19 +128,23 @@ def oot_partition(frame: TabularFrame, spec: SplitSpec):
     key = (spec.date_column, spec.shock_date)
     known = _PARTITIONS.setdefault(frame, {})
     if key not in known:
-        texts = frame.column(spec.date_column).text()
-        n = len(texts)
-        # each distinct text is parsed once, at its first row and in row
-        # order, so the first bad or missing date raises with its own row
-        first_rows = dict(zip(reversed(texts), range(n - 1, -1, -1)))
-        verdicts = {}
-        for i in sorted(first_rows.values()):
-            value = texts[i]
-            if value == "":
+        dates = frame.column(spec.date_column)
+        if dates.kind is ColumnKind.NUMERICAL:
+            # a date such as 20180322 loads as a number: parse its cell text
+            text = np.array(dates.text(), dtype=object)
+            dates = Column(dates.name, ColumnKind.CATEGORICAL, text)
+        codes = dates.codes
+        shocked = np.zeros(len(dates.categories), dtype=bool)
+        # each category the rows hold is parsed once, at its first row and in
+        # row order, so the first bad or missing date raises with its own row
+        first_rows = np.sort(np.unique(codes, return_index=True)[1])
+        for i, k in zip(first_rows.tolist(), codes[first_rows].tolist()):
+            text = str(dates.categories[k]) if k >= 0 else ""
+            if text == "":
                 raise DateParseError(i, None)
             # the boundary row belongs to the shocked regime
-            verdicts[value] = parse_timestamp(value, i) >= spec.shock_date
-        shocked = np.fromiter(map(verdicts.__getitem__, texts), dtype=bool, count=n)
+            shocked[k] = parse_timestamp(text, i) >= spec.shock_date
+        shocked = shocked[codes]
         parts = (np.flatnonzero(~shocked), np.flatnonzero(shocked))
         for part in parts:
             part.setflags(write=False)

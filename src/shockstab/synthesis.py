@@ -171,12 +171,11 @@ def fit(train: TabularFrame, regularization: float | None = None) -> FittedGener
 
     frequencies = {}
     for col in cat_cols:
-        present = col.non_missing()
-        if present.size == 0:
+        labels, counts = col.label_counts()
+        if labels.size == 0:
             raise InsufficientDataError(
                 f"categorical column {col.name!r} is entirely missing"
             )
-        labels, counts = np.unique(np.asarray(present, dtype=str), return_counts=True)
         frequencies[col.name] = (labels, counts / counts.sum())
 
     return FittedGenerator(
@@ -251,6 +250,11 @@ def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:
             "tail injection needs at least one numerical column with spread"
         )
 
+    # a row count no array can address raises MemoryError here, as a merely
+    # too large one does in numpy, rather than numpy's ValueError
+    if spec.total_rows > np.iinfo(np.intp).max // (8 * max(d, 1)):
+        raise MemoryError(f"cannot hold {spec.total_rows} synthetic rows")
+
     rng = child_rng(spec.seed)
     factor = gen.cholesky_factor() if d else np.zeros((0, 0))
 
@@ -280,8 +284,9 @@ def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:
         )
 
     numeric = np.vstack([body, tails]) if d else np.zeros((spec.total_rows, 0))
+    # the label positions rng.choice(labels, ...) would draw, as codes
     categorical = {
-        name: rng.choice(labels, size=spec.total_rows, p=probs)
+        name: rng.choice(len(labels), size=spec.total_rows, p=probs)
         for name, (labels, probs) in (
             (n, gen.frequencies[n]) for n in gen.categorical_names
         )
@@ -300,9 +305,9 @@ def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:
         if kind is ColumnKind.NUMERICAL:
             columns.append(Column(name, kind, numeric[:, num_index[name]].copy()))
         else:
-            # .tolist() turns the numpy str_ draws into Python str
-            values = np.array(categorical[name].tolist(), dtype=object)
-            columns.append(Column(name, kind, values))
+            # the labels are sorted and distinct; .tolist() makes them Python str
+            labels = tuple(gen.frequencies[name][0].tolist())
+            columns.append(Column.from_codes(name, categorical[name], labels))
     return SyntheticBatch(
         frame=TabularFrame(columns),
         outlier_mask=mask,

@@ -3,12 +3,13 @@ import contextlib
 import io
 import json
 import os
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from shockstab import cli
+from shockstab import cli, pipeline
 from shockstab.cli import main
 from shockstab.fixtures import make_shocked_fixture
 
@@ -370,6 +371,39 @@ def test_report_radial_rejects_grid_json(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "kind, report, message",
+    [
+        ("radial", {"a_model": 1, "levels": [{}]}, "report.a_model must be a JSON object"),
+        (
+            "digest",
+            {"a_model": {}, "levels": [1], "drift": {"ds": 0.1}},
+            "report.levels[0] must be a JSON object",
+        ),
+        (
+            "radial",
+            {"a_model": {"auc_base": None}, "levels": {"0": {}}},
+            "report.levels must be a list",
+        ),
+        (
+            "digest",
+            {"a_model": {}, "levels": "5", "drift": {"ds": 0.1}},
+            "report.levels must be a list",
+        ),
+    ],
+    ids=["radial-int-a-model", "digest-int-level", "radial-levels-object", "digest-levels-text"],
+)
+def test_report_of_the_wrong_shape_is_data_error(tmp_path, capsys, kind, report, message):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report))
+    code = main(["report", kind, str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
     "override, message",
     [
         ({"levels": ["abc"]}, "invalid outlier level 'abc'"),
@@ -705,3 +739,90 @@ def test_numeric_flags_exit_with_a_documented_code(number_inputs, data):
         except SystemExit as exc:  # argparse rejects the flag
             code = exc.code
     assert code in (0, 2, 3), argv
+
+
+# A pipeline config with one key set to a drawn value must end in a
+# documented exit code (0 ok, 2 config, 3 data, 4 partial), never a
+# traceback. Integers stay small so that no drawn run count, epoch count or
+# row target makes a run long, and a real_fraction f, which asks for
+# (1 - f) / f synthetic rows per real row, is not drawn below 0.01 (the test
+# after this one takes the shares no memory can hold); output_dir stays
+# unset, so nothing is written.
+_PIPELINE_BASE = {
+    "input": "tiny.csv",
+    "label": "is_bad",
+    "split": {"mode": "oot", "date_column": "date", "shock_date": "2018-03-22",
+              "mc_runs": 1, "seed": 3},
+    "levels": ["without", 10],
+    "upsample_target": 0,
+    "train": {"epochs": 20},
+    "seed": 3,
+}
+_PIPELINE_PATHS = [
+    (key, sub)
+    for key, value in pipeline.PipelineConfig.from_dict(_PIPELINE_BASE).to_dict().items()
+    if key != "output_dir"
+    for sub in ([None] + list(value) if isinstance(value, dict) else [None])
+]
+_PIPELINE_SCALARS = st.one_of(
+    st.integers(-2, 3),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=8),
+    st.none(),
+    st.sampled_from(["without", "5", "oos", "oot", "2018-03-22", "date", "is_bad",
+                     "sector", "price", "0.25", "", "tiny.csv"]),
+)
+_PIPELINE_VALUES = st.one_of(
+    _PIPELINE_SCALARS,
+    st.lists(_PIPELINE_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=8), _PIPELINE_SCALARS, max_size=2),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pipeline-property")
+    make_shocked_fixture(rows=80, seed=5).to_csv(path / "tiny.csv")
+    return path
+
+
+def _pipeline_exit(directory, config) -> int:
+    (directory / "config.json").write_text(json.dumps(config))
+    sink = io.StringIO()
+    with contextlib.chdir(directory), contextlib.redirect_stdout(sink), \
+            contextlib.redirect_stderr(sink), \
+            mock.patch.object(pipeline, "_worker_count", lambda tasks: 1):
+        return main(["pipeline", "config.json"])
+
+
+def test_pipeline_property_base_config_runs(tiny_dir):
+    assert _pipeline_exit(tiny_dir, _PIPELINE_BASE) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(path=st.sampled_from(_PIPELINE_PATHS), value=_PIPELINE_VALUES)
+def test_pipeline_config_with_a_drawn_value_exits_with_a_documented_code(
+    tiny_dir, path, value
+):
+    key, sub = path
+    assume(not (key == "real_fraction" and isinstance(value, float) and 0 < value < 0.01))
+    config = dict(_PIPELINE_BASE)
+    if sub is None:
+        config[key] = value
+    else:
+        config[key] = {**config.get(key, {}), sub: value}
+    assert _pipeline_exit(tiny_dir, config) in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("real_fraction", [1.6331864357700506e-149, 1e-12])
+def test_pipeline_real_fraction_beyond_memory_exits_3(tiny_dir, real_fraction):
+    config = {**_PIPELINE_BASE, "real_fraction": real_fraction}
+    (tiny_dir / "config.json").write_text(json.dumps(config))
+    err = io.StringIO()
+    with contextlib.chdir(tiny_dir), contextlib.redirect_stderr(err), \
+            mock.patch.object(pipeline, "_worker_count", lambda tasks: 1):
+        code = main(["pipeline", "config.json"])
+    assert code == 3
+    assert err.getvalue().startswith("error: not enough memory: ")
+    assert err.getvalue().count("\n") == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockstab.errors import ConfigError, DomainError, DuplicateKeyError
 from shockstab.stability import (
@@ -263,3 +265,34 @@ def test_batch_level_ordering_and_top3():
     assert [r["outliers_pct"] for r in d["rows"]] == ["without", "5", "10"]
     assert d["rows"][1]["cells"]["n"]["su"] > 0
     assert d["rows"][0]["cells"]["n"] is None  # absent cell stays explicit
+
+
+# Property tests over the metric bounds: any finite AUCs in [0, 1], any
+# finite DS >= 0 and epsilon > 0, and any positive logistic slopes.
+_aucs = st.floats(0.0, 1.0)
+_pairs = st.tuples(_aucs, _aucs)
+_ds = st.floats(0.0, 1e6)
+_epsilons = st.floats(5e-324, 1e6)
+_coefficients = st.builds(
+    UpliftCoefficients, *(st.floats(1e-6, 1e6) for _ in range(3))
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(auc_base=_aucs, auc_shock=_aucs, ds=_ds, epsilon=_epsilons)
+def test_ss_lies_in_half_to_one(auc_base, auc_shock, ds, epsilon):
+    assert 0.5 <= stabilization_score(auc_base, auc_shock, ds, epsilon).ss <= 1.0
+
+
+@settings(max_examples=500, deadline=None)
+@given(a=_pairs, b=_pairs, ds=_ds, coeffs=_coefficients, epsilon=_epsilons)
+def test_su_magnitude_is_bounded_by_w(a, b, ds, coeffs, epsilon):
+    br = stabilization_uplift(a, b, ds, coeffs, epsilon)
+    assert math.isfinite(br.su)
+    assert abs(br.su) <= br.w
+
+
+@settings(max_examples=500, deadline=None)
+@given(pair=_pairs, ds=_ds, coeffs=_coefficients, epsilon=_epsilons)
+def test_su_is_zero_for_identical_pairs(pair, ds, coeffs, epsilon):
+    assert stabilization_uplift(pair, pair, ds, coeffs, epsilon).su == 0.0
