@@ -89,6 +89,8 @@ def _objective(coeffs: UpliftCoefficients, anchors, epsilon: float) -> float:
         ).su
         num += a.confidence * (su - a.target_su) ** 2
         den += a.confidence
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise DomainError(f"the anchors' confidence-weighted error overflows at {coeffs}")
     return num / den
 
 
@@ -102,7 +104,8 @@ def calibrate(
 
     Ties break toward the smallest (k1, then k2, then k3). Every evaluated
     point lands in the result's grid_trace. Candidates must lie inside the
-    per-coefficient bounds (0, K_i].
+    per-coefficient bounds (0, K_i]. Confidences so large that the weighted
+    error overflows raise DomainError.
     """
     anchors = list(anchors)
     if not anchors:
@@ -122,15 +125,12 @@ def calibrate(
                 )
         candidates.append(values)
 
-    best = None
-    best_obj = math.inf
-    trace = []
-    for k1, k2, k3 in itertools.product(*candidates):
-        coeffs = UpliftCoefficients(k1, k2, k3)
-        obj = _objective(coeffs, anchors, epsilon)
-        trace.append((coeffs, obj))
-        if obj < best_obj:  # strict: earlier (smaller) tuples win ties
-            best, best_obj = coeffs, obj
+    trace = [
+        (coeffs, _objective(coeffs, anchors, epsilon))
+        for coeffs in itertools.starmap(UpliftCoefficients, itertools.product(*candidates))
+    ]
+    # min keeps the first of equal objectives: earlier (smaller) tuples win ties
+    best, best_obj = min(trace, key=lambda entry: entry[1])
     return CalibrationResult(coeffs=best, objective=best_obj, grid_trace=trace)
 
 

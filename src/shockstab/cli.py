@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .pipeline import (
     emit_radial_data,
     run_pipeline,
 )
-from .splitting import SplitSpec, aggregate, monte_carlo, split_once
+from .splitting import SplitSpec, aggregate, model_splits, split_once
 from .stability import (
     DEFAULT_COEFFICIENTS,
     DEFAULT_EPSILON,
@@ -53,9 +54,18 @@ def _emit(payload: dict, path: str | None = None) -> None:
     print(text)
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number's value. NaN, Infinity and numbers beyond float's range
+    are refused: no shockstab output holds them."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def _load_json(path) -> object:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ConfigError(f"cannot load {path}: {exc}") from exc
 
@@ -275,10 +285,8 @@ def _cmd_train_eval(args) -> int:
         learning_rate=args.learning_rate, epochs=args.epochs, l2=args.l2
     )
     frame = load_csv(args.file)
-    drop = {spec.date_column} if spec.mode == "oot" else set()
     pairs = []
-    for split in monte_carlo(frame, spec):
-        split = split.drop_columns(drop)
+    for split in model_splits(frame, spec, args.label):
         model = train_baseline(split.train, args.label, config)
         pairs.append(evaluate_pair(model, split, args.label))
     base = aggregate([p.auc_base for p in pairs])

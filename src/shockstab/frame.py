@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CsvFormatError,
     EmptyHeaderError,
     EmptyInputError,
@@ -357,6 +358,11 @@ def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
 # Kind inference and CSV loading
 # ---------------------------------------------------------------------------
 
+def _check_override(value: int) -> None:
+    if value < 0:
+        raise ConfigError(f"categorical_override must be an integer >= 0, got {value!r}")
+
+
 def load_csv(
     path,
     delimiter: str = ",",
@@ -369,15 +375,16 @@ def load_csv(
     A column is numerical when it has a non-missing cell and every
     non-missing cell is numeric (see `_parse_floats`); otherwise it is
     categorical. `categorical_override`, when positive, additionally routes
-    numeric columns with at most that many distinct values to categorical.
-    `kind_overrides` forces specific columns. Missing cells are any cell
-    equal to one of `missing_tokens`.
+    numeric columns with at most that many distinct values to categorical;
+    a negative one is a ConfigError. `kind_overrides` forces specific
+    columns. Missing cells are any cell equal to one of `missing_tokens`.
     """
+    _check_override(categorical_override)
     missing_tokens = frozenset(missing_tokens)
     kind_overrides = kind_overrides or {}
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
     try:
         with fh:
@@ -585,6 +592,7 @@ def detect_schema(frame: TabularFrame, categorical_override: int = 0) -> SchemaR
     numerical columns with at most that many distinct values are reported as
     categorical.
     """
+    _check_override(categorical_override)
     if frame.row_count == 0:
         raise EmptyInputError("cannot detect schema of an empty frame")
     report = SchemaReport(row_count=frame.row_count)

@@ -100,12 +100,12 @@ class FeatureEncoding:
     """Train-only standardization and one-hot maps; no test leakage."""
 
     label: str
-    numerical: dict  # name -> (impute mean, center, scale)
+    numerical: dict  # name -> (mean, scale): impute with the mean, then standardize
     categorical: dict  # name -> tuple of category labels (+ missing bucket)
 
     def design_matrix(self, frame: TabularFrame) -> np.ndarray:
         blocks = []
-        for name, (mean, center, scale) in self.numerical.items():
+        for name, (mean, scale) in self.numerical.items():
             if name not in frame:
                 raise SchemaMismatchError(name, "missing at evaluation time")
             col = frame.column(name)
@@ -113,7 +113,7 @@ class FeatureEncoding:
                 raise SchemaMismatchError(name, "expected numerical")
             v = col.values.copy()
             v[np.isnan(v)] = mean
-            blocks.append(((v - center) / scale)[:, None])
+            blocks.append(((v - mean) / scale)[:, None])
         for name, cats in self.categorical.items():
             if name not in frame:
                 raise SchemaMismatchError(name, "missing at evaluation time")
@@ -171,7 +171,7 @@ def build_encoding(train: TabularFrame, label: str) -> FeatureEncoding:
             present = col.non_missing()
             mean = float(np.mean(present)) if present.size else 0.0
             std = float(np.std(present)) if present.size else 0.0
-            numerical[col.name] = (mean, mean, std if std > 0 else 1.0)
+            numerical[col.name] = (mean, std if std > 0 else 1.0)
         else:
             # the categories the rows hold: a taken column may list more
             held = col.counts() > 0

@@ -38,13 +38,11 @@ from .frame import Column, ColumnKind, TabularFrame, concat_frames, load_csv
 from .model import TrainConfig, evaluate_pair, train_baseline
 from .splitting import (
     Aggregate,
-    OOT,
     ShockSplit,
     SplitSpec,
     aggregate,
     child_rng,
-    monte_carlo,
-    oot_partition,
+    model_splits,
 )
 from .stability import (
     DEFAULT_COEFFICIENTS,
@@ -246,33 +244,6 @@ def _snap_labels(batch: SyntheticBatch, label: str, rng) -> SyntheticBatch:
     )
 
 
-def _without_raw(frame: TabularFrame, date_column: str | None) -> TabularFrame:
-    """`frame` without the CSV text its columns keep; the pipeline writes no CSV.
-
-    A numerical OOT date column instead becomes a categorical column of its
-    text, which is what the partition parses (a numerical 20180322 would
-    read back as 20180322.0); a categorical one already holds its text as
-    its categories. The date column is neither a feature nor a DS column,
-    so its kind does not matter.
-    """
-    columns = []
-    for c in frame.columns:
-        if c.name == date_column and c.kind is ColumnKind.NUMERICAL and c.raw is not None:
-            c = Column(c.name, ColumnKind.CATEGORICAL, np.array(c.raw, dtype=object))
-        columns.append(c.without_text())
-    return TabularFrame(columns)
-
-
-def _drift_frames(frame, config, splits) -> tuple[TabularFrame, TabularFrame]:
-    """Pre/post segments the dataset-level DS is computed on."""
-    if config.split.mode == OOT:
-        pre_idx, post_idx = oot_partition(frame, config.split)
-        return frame.take(pre_idx), frame.take(post_idx)
-    # OOS has no temporal boundary; use the run-0 pseudo-shock partition
-    first = splits[0]
-    return concat_frames(first.train, first.test), first.shocked_test
-
-
 def _run_a(split: ShockSplit, config: PipelineConfig) -> tuple:
     """A task: train and evaluate one run's A-model on the real rows.
 
@@ -437,20 +408,16 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
 def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> PipelineReport:
     """Same as run_pipeline but on an already-loaded frame."""
-    frame = _without_raw(
-        frame, config.split.date_column if config.split.mode == OOT else None
+    splits = model_splits(frame, config.split, config.label)
+    # DS compares run 0's pre-shock rows with its shocked rows: in OOT mode
+    # the partition's two segments, in OOS mode the run-0 pseudo-shock split
+    first = splits[0]
+    drift = distribution_shift(
+        concat_frames(first.train, first.test),
+        first.shocked_test,
+        config.tau,
+        {config.label, *config.exclude_from_ds},
     )
-    splits = monte_carlo(frame, config.split)
-
-    # DS skips the label and, in OOT mode, the date column, which is then
-    # dropped from the splits once: no task's model or generator sees it
-    # (unless it is the label, which the models need)
-    date = {config.split.date_column} - {config.label} if config.split.mode == OOT else set()
-    ds_excluded = {config.label, *date, *config.exclude_from_ds}
-    pre_frame, post_frame = _drift_frames(frame, config, splits)
-    drift = distribution_shift(pre_frame, post_frame, config.tau, ds_excluded)
-    if date:
-        splits = [split.drop_columns(date) for split in splits]
 
     report = PipelineReport(
         config=config,

@@ -99,14 +99,13 @@ class ShockSplit:
     shocked_test: TabularFrame
     run_index: int
 
-    def drop_columns(self, names) -> "ShockSplit":
-        """The same split without the columns `names` in any segment."""
-        return ShockSplit(
-            self.train.drop_columns(names),
-            self.test.drop_columns(names),
-            self.shocked_test.drop_columns(names),
-            self.run_index,
-        )
+
+def _date_text(dates: Column) -> Column:
+    """A date column as the text its dates parse from: a date such as
+    20180322 loads as a number, which would read back as 20180322.0."""
+    if dates.kind is ColumnKind.NUMERICAL:
+        return Column(dates.name, ColumnKind.CATEGORICAL, np.array(dates.text(), dtype=object))
+    return dates
 
 
 # Partitions computed so far, per frame and (date column, shock date). A
@@ -128,11 +127,7 @@ def oot_partition(frame: TabularFrame, spec: SplitSpec):
     key = (spec.date_column, spec.shock_date)
     known = _PARTITIONS.setdefault(frame, {})
     if key not in known:
-        dates = frame.column(spec.date_column)
-        if dates.kind is ColumnKind.NUMERICAL:
-            # a date such as 20180322 loads as a number: parse its cell text
-            text = np.array(dates.text(), dtype=object)
-            dates = Column(dates.name, ColumnKind.CATEGORICAL, text)
+        dates = _date_text(frame.column(spec.date_column))
         codes = dates.codes
         shocked = np.zeros(len(dates.categories), dtype=bool)
         # each category the rows hold is parsed once, at its first row and in
@@ -196,6 +191,24 @@ def monte_carlo(frame: TabularFrame, spec: SplitSpec) -> list[ShockSplit]:
     In OOT mode the dates are parsed once, on the first run.
     """
     return [split_once(frame, spec, r) for r in range(spec.mc_runs)]
+
+
+def model_splits(frame: TabularFrame, spec: SplitSpec, label: str) -> list[ShockSplit]:
+    """The Monte Carlo splits a model trains and is evaluated on.
+
+    No column keeps its CSV text. An OOT date column is parsed from its text
+    and is neither a feature nor a DS column, so it is dropped from every
+    split unless it is the label.
+    """
+    date = spec.date_column if spec.mode == OOT else None
+    frame = TabularFrame(
+        [(_date_text(c) if c.name == date else c).without_text() for c in frame.columns]
+    )
+    drop = {date} - {None, label}
+    return [
+        ShockSplit(*(f.drop_columns(drop) for f in (s.train, s.test, s.shocked_test)), s.run_index)
+        for s in monte_carlo(frame, spec)
+    ]
 
 
 class Aggregate(NamedTuple):

@@ -33,3 +33,11 @@ def write_csv(tmp_path):
         return path
 
     return _write
+
+
+def with_compact_dates(frame):
+    """`frame` with its ISO `date` column written as 20180322-style text,
+    which load_csv reads back as a numerical column."""
+    compact = [d.replace("-", "") for d in frame.column("date").values]
+    dates = cat_col("date", compact)
+    return TabularFrame([dates if c.name == "date" else c for c in frame.columns])

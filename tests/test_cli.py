@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 from shockstab import cli, pipeline
 from shockstab.cli import main
 from shockstab.fixtures import make_shocked_fixture
+from shockstab.model import TrainConfig
+from shockstab.splitting import SplitSpec
+
+from conftest import with_compact_dates
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +240,114 @@ def test_train_eval_command(fixture_csv, capsys):
     assert code == 0
     assert len(out["runs"]) == 3
     assert out["auc_shock"]["median"] < out["auc_base"]["median"]
+
+
+@pytest.mark.parametrize("dates", ["iso", "numerical"])
+def test_train_eval_runs_equal_the_pipeline_a_model_runs(tmp_path, capsys, monkeypatch, dates):
+    frame = make_shocked_fixture(rows=400, seed=9)
+    shock_date = "2018-03-22"
+    if dates == "numerical":
+        frame, shock_date = with_compact_dates(frame), "20180322"
+    path = tmp_path / "f.csv"
+    frame.to_csv(path)
+    code, out = _run(
+        capsys, "train-eval", path, "--label", "is_bad", "--mode", "oot", "--date-col", "date",
+        "--shock-date", shock_date, "--runs", "3", "--seed", "4", "--epochs", "60",
+    )
+    assert code == 0
+    config = pipeline.PipelineConfig(
+        input_path=str(path), label="is_bad", levels=["without"], real_fraction=1.0,
+        split=SplitSpec(mode="oot", date_column="date", shock_date=shock_date, mc_runs=3, seed=4),
+        train=TrainConfig(epochs=60),
+    )
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    assert out["runs"] == pipeline.run_pipeline(config).to_dict()["a_model"]["runs"]
+
+
+_REPORT = {
+    "dataset": "d",
+    "drift": {"ds": 0.2},
+    "a_model": {"auc_base": {"median": 0.8}, "auc_shock": {"median": 0.7}},
+    "levels": [
+        {
+            "outliers_pct": "5",
+            "b_model": {"auc_base": {"median": 0.82}, "auc_shock": {"median": 0.78}},
+            "uplift": {"su_display": 0.1},
+        }
+    ],
+}
+_ANCHOR = {
+    "a_base": 0.8, "a_shock": 0.7, "b_base": 0.8, "b_shock": 0.7,
+    "ds": 0.2, "target_su": 0.0,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, text, code, message",
+    [
+        (
+            ["report", "digest", "FILE"],
+            '{"dataset":"d","a_model":{"auc_base":null},"drift":{"ds":NaN},"levels":'
+            '[{"outliers_pct":"5","uplift":{"su_display":0.1},"b_model":{"auc_base":null}}]}',
+            2, "NaN is not a finite number",
+        ),
+        (
+            ["report", "digest", "FILE"],
+            '{"dataset":"d","a_model":{"auc_base":null},"drift":{"ds":0.1},"levels":'
+            '[{"outliers_pct":"5","uplift":{"su_display":Infinity},"b_model":{"auc_base":null}}]}',
+            2, "Infinity is not a finite number",
+        ),
+        (
+            ["report", "radial", "FILE"],
+            json.dumps(_REPORT).replace('{"median": 0.8}', '{"median": NaN}'),
+            2, "NaN is not a finite number",
+        ),
+        (
+            ["report", "radial", "FILE"],
+            json.dumps(_REPORT).replace("0.82", "1e400"),
+            2, "1e400 is not a finite number",
+        ),
+        (
+            ["su-grid", "FILE", "--ds", "0.2"],
+            '[{"model": "m", "outliers_pct": 5, "auc_base_a": NaN, "auc_shock_a": 0.7,'
+            ' "auc_base_b": 0.82, "auc_shock_b": 0.78}]',
+            2, "NaN is not a finite number",
+        ),
+        (
+            ["calibrate", "FILE"],
+            json.dumps([{**_ANCHOR, "confidence": float("inf")}]),
+            2, "Infinity is not a finite number",
+        ),
+        (
+            ["calibrate", "FILE"],
+            json.dumps([
+                {**_ANCHOR, "target_su": -1.0, "confidence": 1e308},
+                {**_ANCHOR, "target_su": 1.0, "confidence": 1e308},
+            ]),
+            3, "the anchors' confidence-weighted error overflows",
+        ),
+    ],
+    ids=["digest-nan-ds", "digest-infinite-su", "radial-nan-median", "radial-overflowing-median",
+         "su-grid-nan-auc", "calibrate-infinite-confidence", "calibrate-overflowing-error"],
+)
+def test_non_finite_json_input_exits_with_one_error_line(
+    tmp_path, capsys, argv, text, code, message
+):
+    path = tmp_path / "input.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([str(path) if a == "FILE" else a for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_schema_negative_categorical_override_is_config_error(write_csv, capsys):
+    path = write_csv("g.csv", "gender\n0\n1\n0\n")
+    assert main(["schema", str(path), "--categorical-override=-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: categorical_override must be an integer >= 0, got -1\n"
 
 
 def test_pipeline_command_and_report(fixture_csv, tmp_path, capsys):
@@ -687,6 +799,47 @@ NUMBERS = st.one_of(
 )
 
 
+def _drawn_json(root, name, payload_strategy):
+    """Paths of `name` in `root`, written with each drawn payload; NaN and
+    ±Infinity go out as the JSON tokens json.dumps writes for them."""
+
+    def write(payload):
+        (root / name).write_text(json.dumps(payload), encoding="utf-8")
+        return str(root / name)
+
+    return payload_strategy.map(write)
+
+
+def _drawn_fields(base):
+    """`base` with each numeric field kept or replaced by a drawn number."""
+    return st.fixed_dictionaries(
+        {key: st.one_of(st.just(value), NUMBERS) for key, value in base.items()}
+    )
+
+
+def _drawn_report():
+    cells = _drawn_fields(
+        {"a_base": 0.8, "a_shock": 0.7, "b_base": 0.82, "b_shock": 0.78, "ds": 0.2, "su": 0.1}
+    )
+    return cells.map(
+        lambda c: {
+            "dataset": "d",
+            "drift": {"ds": c["ds"]},
+            "a_model": {"auc_base": {"median": c["a_base"]}, "auc_shock": {"median": c["a_shock"]}},
+            "levels": [
+                {
+                    "outliers_pct": "5",
+                    "b_model": {
+                        "auc_base": {"median": c["b_base"]},
+                        "auc_shock": {"median": c["b_shock"]},
+                    },
+                    "uplift": {"su_display": c["su"]},
+                }
+            ],
+        }
+    )
+
+
 def _flag(name, value):
     # the = form keeps a negative number from reading as a flag
     return f"--{name}={value!r}" if isinstance(value, float) else f"--{name}={value}"
@@ -702,6 +855,7 @@ def _command(root):
         st.builds(lambda k, v: f"{k}={v!r}", st.sampled_from(["k1", "k2", "k3"]), NUMBERS),
         st.builds(lambda a, b, c: f"k1={a!r};k2={b!r};k3={c!r}", NUMBERS, NUMBERS, NUMBERS),
     )
+    anchors = st.lists(_drawn_fields({**_ANCHOR, "confidence": 1.0}), min_size=1, max_size=2)
     return st.one_of(
         st.builds(
             lambda b, s, ds, eps: ["ss", _flag("auc-base", b), _flag("auc-shock", s),
@@ -725,6 +879,13 @@ def _command(root):
         st.builds(
             lambda g: ["calibrate", str(root / "anchors.json"), _flag("grid", g)],
             grid,
+        ),
+        _drawn_json(root, "drawn_anchors.json", anchors).map(lambda path: ["calibrate", path]),
+        st.builds(
+            lambda kind, path, nonzero: ["report", kind, path] + (["--nonzero"] if nonzero else []),
+            st.sampled_from(["digest", "radial"]),
+            _drawn_json(root, "drawn_report.json", _drawn_report()),
+            st.booleans(),
         ),
     )
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from shockstab.errors import (
+    ConfigError,
     CsvFormatError,
     EmptyHeaderError,
     EmptyInputError,
@@ -322,3 +323,17 @@ def test_concat_frames_schema_mismatch(first, second, column):
     with pytest.raises(SchemaMismatchError) as err:
         concat_frames(first, second)
     assert err.value.column == column
+
+
+def test_negative_categorical_override_is_config_error(write_csv):
+    # as for PipelineConfig.categorical_override, -1 is not read as "off"
+    path = write_csv("g.csv", "gender\n0\n1\n0\n")
+    with pytest.raises(ConfigError, match="categorical_override must be an integer >= 0"):
+        load_csv(path, categorical_override=-1)
+    with pytest.raises(ConfigError, match="categorical_override must be an integer >= 0"):
+        detect_schema(load_csv(path), categorical_override=-1)
+
+
+def test_path_with_a_nul_byte_is_a_csv_error():
+    with pytest.raises(CsvFormatError, match="embedded null byte"):
+        load_csv("data\x00.csv")

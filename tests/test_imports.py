@@ -152,3 +152,47 @@ def test_private_import_check_finds_each_form():
         "pl._task_list",
         "shockstab.frame._gather",
     ])
+
+
+def _date_decisions(source: str) -> list[str]:
+    """Reads of a `.date_column` attribute and calls of `oot_partition` in
+    `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "date_column":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "oot_partition":
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_only_splitting_decides_what_the_oot_date_column_is():
+    # an OOT date is parsed from its text and is neither a feature nor a DS
+    # column: splitting.model_splits and oot_partition hold that decision
+    root = Path(shockstab.__file__).parent
+    found = {
+        p.name: uses
+        for p in sorted(root.glob("*.py"))
+        if p.name != "splitting.py"
+        if (uses := _date_decisions(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_date_decision_check_finds_each_form():
+    source = (
+        "from .splitting import SplitSpec, oot_partition\n"
+        "from . import splitting\n"
+        "def f(config, frame):\n"
+        "    SplitSpec(mode='oot', date_column='date')\n"
+        "    date = config.split.date_column\n"
+        "    return oot_partition(frame, config.split), splitting.oot_partition(frame, spec)\n"
+    )
+    assert _date_decisions(source) == [
+        "config.split.date_column",
+        "oot_partition(frame, config.split)",
+        "splitting.oot_partition(frame, spec)",
+    ]

@@ -340,3 +340,18 @@ def test_per_run_records(tmp_path):
     records = table.per_run_records()
     assert len(records) == 12
     assert records[0][0] == "model0#run0"
+
+
+def test_numerical_encoding_holds_the_mean_and_scale_once():
+    x = [1.0, 2.0, None, 4.0, 5.0]
+    frame = make_frame(x=x, c=[3.0] * 5, label=[0.0, 1.0, 0.0, 1.0, 1.0])
+    enc = build_encoding(frame, "label")
+    present = np.array([v for v in x if v is not None])
+    mean, std = float(np.mean(present)), float(np.std(present))
+    # a constant column keeps scale 1, so its standardized values are 0
+    assert enc.numerical == {"x": (mean, std), "c": (3.0, 1.0)}
+    values = frame.column("x").values
+    filled = np.where(np.isnan(values), mean, values)
+    design = enc.design_matrix(frame)
+    assert np.array_equal(design[:, 0], (filled - mean) / std)
+    assert np.array_equal(design[:, 1], np.zeros(5))

@@ -7,9 +7,11 @@ import pytest
 import scipy
 
 from shockstab import pipeline
+from shockstab.drift import distribution_shift
 from shockstab.errors import ConfigError
 from shockstab.fixtures import make_shocked_fixture
 from shockstab.frame import Column, ColumnKind, TabularFrame, load_csv
+from shockstab.model import TrainConfig
 from shockstab.pipeline import (
     PipelineConfig,
     emit_digest,
@@ -18,8 +20,10 @@ from shockstab.pipeline import (
     run_pipeline,
     write_report,
 )
-from shockstab.splitting import SplitSpec
+from shockstab.splitting import SplitSpec, oot_partition
 from shockstab.stability import stabilization_uplift
+
+from conftest import with_compact_dates
 
 
 @pytest.fixture(scope="module")
@@ -255,15 +259,15 @@ def test_pipeline_frames_carry_no_raw_text(small_csv, monkeypatch):
 
         monkeypatch.setattr(pipeline, name, record)
 
-    real_monte_carlo = pipeline.monte_carlo
+    real_model_splits = pipeline.model_splits
 
-    def record_splits(frame, spec):
-        splits = real_monte_carlo(frame, spec)
+    def record_splits(frame, spec, label):
+        splits = real_model_splits(frame, spec, label)
         for s in splits:
             seen.extend(("split", f) for f in (s.train, s.test, s.shocked_test))
         return splits
 
-    monkeypatch.setattr(pipeline, "monte_carlo", record_splits)
+    monkeypatch.setattr(pipeline, "model_splits", record_splits)
     for name in ("distribution_shift", "fit", "train_baseline"):
         recording(name)
     monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
@@ -319,6 +323,32 @@ def test_numerical_dates_split_on_their_text(tmp_path):
         reports.append(run_pipeline(config).to_dict())
     for key in ("drift", "a_model", "levels"):
         assert reports[0][key] == reports[1][key]
+
+
+@pytest.mark.parametrize("dates", ["iso", "numerical"])
+@pytest.mark.parametrize("seed", [1, 7, 23])
+def test_oot_ds_equals_the_partition_reference(tmp_path, monkeypatch, seed, dates):
+    # the pipeline takes DS from run 0's segments; the reference compares the
+    # partition's pre and post rows in row order, as the pipeline once did
+    frame = make_shocked_fixture(rows=400, seed=seed, missing_rate=0.1)
+    shock_date = "2018-03-22"
+    if dates == "numerical":
+        frame, shock_date = with_compact_dates(frame), "20180322"
+    frame.to_csv(tmp_path / "f.csv")
+    frame = load_csv(tmp_path / "f.csv")
+    for name in ("volume", "sector"):
+        assert frame.column(name).missing_mask.any()
+    spec = SplitSpec(mode="oot", date_column="date", shock_date=shock_date, seed=seed, mc_runs=1)
+    config = PipelineConfig(
+        input_path=str(tmp_path / "f.csv"), label="is_bad", split=spec, levels=["without"],
+        real_fraction=1.0, tau=0.2, train=TrainConfig(epochs=5),
+    )
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    report = pipeline.run_pipeline_on_frame(frame, config)
+
+    pre, post = oot_partition(frame, spec)
+    reference = distribution_shift(frame.take(pre), frame.take(post), 0.2, {"is_bad", "date"})
+    assert report.drift.to_dict() == reference.to_dict()
 
 
 def test_worker_count_leaves_cores_to_blas(monkeypatch):
