@@ -47,6 +47,7 @@ from .model import (
     evaluate_pair,
     import_auc_table,
     train_baseline,
+    train_baselines,
 )
 from .pipeline import (
     PipelineConfig,
@@ -149,6 +150,7 @@ __all__ = [
     "stabilization_score",
     "stabilization_uplift",
     "train_baseline",
+    "train_baselines",
     "tv_distance",
     "upsample",
     "write_report",

@@ -2,8 +2,11 @@
 
 The classifier is a deliberately small regularized logistic model trained
 by full-batch gradient descent: just enough to run the A-model/B-model
-pipeline end to end. Externally produced AUC tables (from whatever model
-zoo) are imported from JSON instead of re-training anything.
+pipeline end to end. `train_baselines` trains several models in one loop
+per group of equal-shape designs, and each model's weights are bitwise
+those `train_baseline` gives it alone; `train_baseline` says why.
+Externally produced AUC tables (from whatever model zoo) are imported from
+JSON instead of re-training anything.
 """
 
 from __future__ import annotations
@@ -182,6 +185,17 @@ def build_encoding(train: TabularFrame, label: str) -> FeatureEncoding:
     return FeatureEncoding(label=label, numerical=numerical, categorical=categorical)
 
 
+def _design(train: TabularFrame, label: str) -> tuple:
+    """(encoding, design matrix, labels) of a training frame."""
+    y = _extract_labels(train, label)
+    if y.size == 0:
+        raise EmptyInputError("empty training frame")
+    if not (0 < y.sum() < y.size):
+        raise DegenerateLabelsError("training labels contain a single class")
+    encoding = build_encoding(train, label)
+    return encoding, encoding.design_matrix(train), y
+
+
 def train_baseline(
     train: TabularFrame, label: str, config: TrainConfig = TrainConfig()
 ) -> BaselineModel:
@@ -189,51 +203,96 @@ def train_baseline(
 
     The encoding (imputation means, standardization, one-hot categories) is
     derived from `train` only. Training is deterministic: zero-initialized
-    weights, fixed epoch count.
-
-    Each epoch computes, in buffers allocated once,
+    weights, fixed epoch count. Each epoch computes
     err = 1 / (1 + exp(-clip(x @ w + b, -700, 700))) - y,
-    grad_w = x.T @ err / n + l2 * w and grad_b = mean(err), with the same
-    operations in the same order as the plain expressions, so the weights
-    are bitwise those of the expression form. Calling the ufuncs directly
-    skips the per-call Python wrappers of np.clip and ndarray.mean, which
-    dominate an epoch on a few thousand rows.
+    grad_w = x.T @ err / n + l2 * w and grad_b = mean(err).
+
+    This is `train_baselines([train], ...)[0]`. Its loop, which runs k
+    models of one design shape together, gives bitwise the weights and
+    bias of that expression form for each model:
+    - The two gemvs and the bias update run once per model. The gemvs call
+      np.dot, which makes the same BLAS call as np.matmul at less cost per
+      call; the bias stays a Python float.
+    - Every other pass is elementwise or per weight, so it runs once on the
+      (k, n) or (k, d) stack and gives each row the bits it would alone.
+    - The loop keeps the negated weights v = -w and bias c = -b, so
+      x @ v + c is -(x @ w + b) and exp takes it with no negation pass.
+      IEEE rounding is symmetric, so every nonzero value is the exact
+      negation of its counterpart. Only the sign of a zero can differ, and
+      no later value depends on it: exp(+-0) = 1, and a zero added to a
+      nonzero term leaves it. The expression form never makes a -0 weight
+      or bias (w - t is -0 only when w is), so 0.0 - v returns its bits.
+    - |x_i @ v + c| <= max_i ||x_i||_1 * max|v| + |c|, and rounding adds
+      far less than 1, so while that bound is below 699 the clip to +-700
+      is the identity and is skipped. A NaN or inf bound takes the clip.
     """
-    y = _extract_labels(train, label)
-    if y.size == 0:
-        raise EmptyInputError("empty training frame")
-    if not (0 < y.sum() < y.size):
-        raise DegenerateLabelsError("training labels contain a single class")
-    encoding = build_encoding(train, label)
-    x = encoding.design_matrix(train)
-    n, d = x.shape
-    w = np.zeros(d)
-    b = 0.0
+    return train_baselines([train], label, config)[0]
+
+
+def train_baselines(
+    frames, label: str, config: TrainConfig = TrainConfig()
+) -> list[BaselineModel]:
+    """`train_baseline` of every frame, bit for bit, in one loop per shape.
+
+    `frames` is any iterable, read once. Each frame's labels are checked
+    and its design built as it is read, before any model trains, so a bad
+    frame raises its error first, and a generator's frames need not be
+    held together. Designs of equal shape share one gradient-descent loop;
+    each other shape gets its own.
+    """
+    designs = [_design(frame, label) for frame in frames]
+    groups = {}
+    for i, (_, x, _) in enumerate(designs):
+        groups.setdefault(x.shape, []).append(i)
+    models = [None] * len(designs)
+    for members in groups.values():
+        encodings, xs, ys = zip(*(designs[i] for i in members))
+        fitted = _descend(xs, np.stack(ys), config)
+        for i, encoding, (w, b) in zip(members, encodings, fitted):
+            models[i] = BaselineModel(weights=w, bias=b, encoding=encoding)
+    return models
+
+
+def _descend(xs, y: np.ndarray, config: TrainConfig) -> list:
+    """(weights, bias) of each (n, d) design in `xs`, its labels the rows
+    of the (k, n) stack `y`; `train_baseline` states why the bits are
+    those of the expression form."""
+    k, n = y.shape
+    d = xs[0].shape[1]
     lr = config.learning_rate
     l2 = config.l2
-    xt = x.T
-    err = np.empty(n)
-    grad_w = np.empty(d)
-    scratch = np.empty(d)
+    x_norm = max(float(np.add.reduce(np.abs(x), axis=1).max()) for x in xs)
+    v = np.zeros((k, d))
+    c = [0.0] * k
+    c_column = np.zeros((k, 1))
+    u = np.empty((k, n))
+    grad = np.empty((k, d))
+    scratch = np.empty((k, d))
+    forward = list(zip(xs, v, u))
+    backward = list(zip(range(k), [x.T for x in xs], u, grad))
     for _ in range(config.epochs):
-        np.matmul(x, w, out=err)
-        err += b
-        np.maximum(err, -700, out=err)  # np.clip(err, -700, 700)
-        np.minimum(err, 700, out=err)
-        np.negative(err, out=err)
-        np.exp(err, out=err)
-        err += 1.0
-        np.divide(1.0, err, out=err)
-        err -= y
-        np.matmul(xt, err, out=grad_w)
-        grad_w /= n
-        np.multiply(w, l2, out=scratch)
-        grad_w += scratch
-        grad_b = float(np.add.reduce(err) / n)  # err.mean()
-        np.multiply(grad_w, lr, out=scratch)
-        w -= scratch
-        b -= lr * grad_b
-    return BaselineModel(weights=w, bias=b, encoding=encoding)
+        for x, v_i, u_i in forward:
+            np.dot(x, v_i, out=u_i)
+        u += c_column
+        np.absolute(v, out=scratch)
+        v_max = np.maximum.reduce(scratch, axis=None, initial=0.0)
+        if not x_norm * v_max + max(map(abs, c)) < 699.0:
+            np.maximum(u, -700, out=u)  # np.clip(u, -700, 700)
+            np.minimum(u, 700, out=u)
+        np.exp(u, out=u)
+        u += 1.0
+        np.divide(1.0, u, out=u)
+        u -= y
+        for i, xt, u_i, g_i in backward:
+            np.dot(xt, u_i, out=g_i)
+            c[i] += lr * float(np.add.reduce(u_i) / n)  # b -= lr * err.mean()
+            c_column[i, 0] = c[i]
+        grad /= n
+        np.multiply(v, l2, out=scratch)
+        grad -= scratch
+        grad *= lr
+        v += grad
+    return [(0.0 - v_i, 0.0 - c_i) for v_i, c_i in zip(v, c)]
 
 
 def evaluate_pair(model: BaselineModel, split: ShockSplit, label: str) -> AucPair:

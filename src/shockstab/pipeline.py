@@ -35,7 +35,7 @@ from .errors import (
     ShockStabError,
 )
 from .frame import Column, ColumnKind, TabularFrame, concat_frames, load_csv
-from .model import TrainConfig, evaluate_pair, train_baseline
+from .model import TrainConfig, evaluate_pair, train_baseline, train_baselines
 from .splitting import (
     Aggregate,
     ShockSplit,
@@ -109,6 +109,10 @@ class PipelineConfig(Config):
             if label != WITHOUT_LEVEL and float(label) > 100.0:
                 raise ConfigError(f"outlier level {label}% exceeds 100%")
         self.levels = labels
+        # no file system accepts a path with a NUL byte; caught here, it
+        # stops the run before any training rather than at write_report
+        if self.output_dir is not None and "\0" in self.output_dir:
+            raise ConfigError(f"output_dir must not contain a NUL byte, got {self.output_dir!r}")
         if self.dataset_name is None:
             self.dataset_name = Path(self.input_path).stem
 
@@ -260,10 +264,15 @@ def _run_a(split: ShockSplit, config: PipelineConfig) -> tuple:
 def _run_b(split: ShockSplit, config: PipelineConfig) -> list:
     """B task: one run's B-model at every outlier level.
 
-    The generator is fitted once per run; each level then generates, mixes
-    with the real rows, trains and evaluates. Returns cells (level, pair,
-    failure) with exactly one of pair and failure set; a level of None
-    applies the cell to every level. A failure aborts only its cell.
+    The generator is fitted once per run; each level then generates and
+    mixes with the real rows, every mixed level trains in one
+    `train_baselines` call, and each model is evaluated. Returns cells
+    (level, pair, failure) with exactly one of pair and failure set; a
+    level of None applies the cell to every level. A failure aborts only
+    its cell, except that a training error fails every level not failed
+    before: each mixed frame holds all the run's real rows and 0/1
+    synthetic labels, so training can only fail when the run's A task
+    fails on the same rows, and the report then drops the run's B cells.
     """
     run = split.run_index
     train_frame = split.train
@@ -279,33 +288,53 @@ def _run_b(split: ShockSplit, config: PipelineConfig) -> list:
     except ShockStabError as exc:
         return [(None, None, {"run": run, "error": f"fit failed: {exc}"})]
 
-    cells = []
-    for label in config.levels:
-        seed = level_seed(config.seed, run, label)
-        fraction = 0.0 if label == WITHOUT_LEVEL else float(label) / 100.0
+    def failure(label, exc) -> tuple:
+        return (label, None, {"run": run, "error": str(exc)})
+
+    cells = {}
+    trained = []  # the levels whose mixed rows went to training, in order
+
+    def mixed_frames():
+        # one level's rows at a time: train_baselines encodes each frame as
+        # it reads it, so no mixed frame outlives its design
+        for label in config.levels:
+            seed = level_seed(config.seed, run, label)
+            fraction = 0.0 if label == WITHOUT_LEVEL else float(label) / 100.0
+            try:
+                spec = OutlierSpec(
+                    family=config.family,
+                    outlier_fraction=fraction,
+                    total_rows=max(n_synth, 1),
+                    seed=seed,
+                    tail_sigma=config.tail_sigma,
+                    nonneg_columns=config.nonneg_columns,
+                )
+                batch = postprocess(generate(generator, spec), spec)
+                batch = _snap_labels(batch, config.label, child_rng(seed, 1))
+                frame = mix(train_frame, batch, config.real_fraction, seed=seed)
+            except ShockStabError as exc:
+                cells[label] = failure(label, exc)
+                continue
+            trained.append(label)
+            yield frame
+
+    try:
+        models = train_baselines(mixed_frames(), config.label, config.train)
+    except ShockStabError as exc:
+        cells.update((label, failure(label, exc)) for label in config.levels if label not in cells)
+        models = []
+    for label, model in zip(trained, models):
         try:
-            spec = OutlierSpec(
-                family=config.family,
-                outlier_fraction=fraction,
-                total_rows=max(n_synth, 1),
-                seed=seed,
-                tail_sigma=config.tail_sigma,
-                nonneg_columns=config.nonneg_columns,
-            )
-            batch = postprocess(generate(generator, spec), spec)
-            batch = _snap_labels(batch, config.label, child_rng(seed, 1))
-            mixed = mix(train_frame, batch, config.real_fraction, seed=seed)
-            b_model = train_baseline(mixed, config.label, config.train)
-            cells.append((label, evaluate_pair(b_model, split, config.label), None))
+            cells[label] = (label, evaluate_pair(model, split, config.label), None)
         except ShockStabError as exc:
-            cells.append((label, None, {"run": run, "error": str(exc)}))
-    return cells
+            cells[label] = failure(label, exc)
+    return [cells[label] for label in config.levels]
 
 
 def _task_list(runs: int, config: PipelineConfig) -> list:
     """Every (function, run) task of a pipeline, in the order workers take them.
 
-    B tasks come first: each trains one model per level on real plus
+    B tasks come first: each trains a model for every level on real plus
     synthetic rows, several times the work of an A task, so queueing the
     short A tasks last lets them fill the workers' idle tail. With
     real_fraction == 1.0 every level reuses the A pair and no B task runs.

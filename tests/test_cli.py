@@ -600,6 +600,7 @@ def _set(config, path, value):
         ("dataset_name", 5, ()),
         ("coefficients.k1", True, ()),
         ("real_fraction", True, ()),
+        ("output_dir", "o\u0000ut", ()),
     ],
     ids=[
         "real-fraction-str", "tau-str", "epsilon-str", "upsample-target-str",
@@ -607,7 +608,7 @@ def _set(config, path, value):
         "nonneg-columns-int", "exclude-from-ds-int", "missing-tokens-int",
         "epochs-str", "epochs-float", "mc-runs-float", "config-list",
         "split-str-with-runs", "epsilon-zero", "dataset-name-int",
-        "k1-bool", "real-fraction-bool",
+        "k1-bool", "real-fraction-bool", "output-dir-nul",
     ],
 )
 def test_pipeline_config_fault_stops_before_training(
@@ -618,6 +619,7 @@ def test_pipeline_config_fault_stops_before_training(
     trained = []
     monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
     monkeypatch.setattr(pipeline, "train_baseline", lambda *a: trained.append(a))
+    monkeypatch.setattr(pipeline, "train_baselines", lambda *a: trained.append(a))
     out = tmp_path / "out"
     config = {
         "input": str(fixture_csv),

@@ -21,6 +21,7 @@ from shockstab.model import (
     evaluate_pair,
     import_auc_table,
     train_baseline,
+    train_baselines,
 )
 from shockstab.splitting import ShockSplit
 
@@ -167,6 +168,71 @@ def test_train_baseline_bitwise_equals_reference_loop(rows):
     assert model.weights.tobytes() == w.tobytes()
     assert model.bias.hex() == b.hex()
 
+
+
+def _assert_reference_bits(frames, models, label, config):
+    for frame, model in zip(frames, models, strict=True):
+        x = model.encoding.design_matrix(frame)
+        w, b = _reference_gd(x, frame.column(label).values, config)
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias.hex() == b.hex()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("rows", [300, 2240])
+def test_train_baselines_bitwise_equals_reference_loop(rows, k):
+    frames = [
+        make_shocked_fixture(rows=rows, seed=seed).drop_columns({"date"})
+        for seed in range(k)
+    ]
+    config = TrainConfig()
+    models = train_baselines(frames, "is_bad", config)
+    # one loop: every design has the same shape
+    assert len({m.encoding.design_matrix(f).shape for f, m in zip(frames, models)}) == 1
+    _assert_reference_bits(frames, models, "is_bad", config)
+
+
+def test_train_baselines_groups_designs_by_shape():
+    shapes = [(300, 0), (240, 1), (300, 2), (240, 3), (300, 4)]
+    frames = [
+        make_shocked_fixture(rows=rows, seed=seed).drop_columns({"date"})
+        for rows, seed in shapes
+    ]
+    # a constant column keeps a zero weight, whose sign must be +0
+    constant = TabularFrame([*frames[0].columns, num_col("flat", [1.0] * 300)])
+    frames.append(constant)
+    config = TrainConfig(epochs=50)
+    models = train_baselines(frames, "is_bad", config)
+    assert [m.weights.size for m in models] == [9] * 5 + [10]
+    flat = list(models[-1].encoding.numerical).index("flat")
+    assert models[-1].weights[flat].hex() == "0x0.0p+0"
+    _assert_reference_bits(frames, models, "is_bad", config)
+    for frame, model in zip(frames, models):
+        alone = train_baseline(frame, "is_bad", config)
+        assert alone.weights.tobytes() == model.weights.tobytes()
+
+
+def test_train_baselines_clips_like_the_reference_loop():
+    frames = [_separable_frame(seed=s) for s in (11, 12)]
+    config = TrainConfig(learning_rate=1e3)
+    for frame in frames:
+        # one epoch takes |z| past 700, so the second one clips
+        x = build_encoding(frame, "label").design_matrix(frame)
+        one_epoch = TrainConfig(learning_rate=1e3, epochs=1)
+        w, b = _reference_gd(x, frame.column("label").values, one_epoch)
+        assert np.abs(x @ w + b).max() > 710
+    # exp overflows past 709.78: the clip keeps it from doing so
+    with np.errstate(over="raise"):
+        models = train_baselines(frames, "label", config)
+    _assert_reference_bits(frames, models, "label", config)
+
+
+def test_train_baselines_checks_every_frame_before_training():
+    good = _separable_frame(seed=13)
+    bad = make_frame(x=[0.0, 1.0, 2.0], label=[1.0, 1.0, 1.0])
+    with pytest.raises(DegenerateLabelsError):
+        train_baselines([good, bad], "label")
+    assert train_baselines([], "label") == []
 
 def test_one_hot_equals_per_row_reference():
     cases = [

@@ -8,7 +8,7 @@ import scipy
 
 from shockstab import pipeline
 from shockstab.drift import distribution_shift
-from shockstab.errors import ConfigError
+from shockstab.errors import ConfigError, DegenerateLabelsError
 from shockstab.fixtures import make_shocked_fixture
 from shockstab.frame import Column, ColumnKind, TabularFrame, load_csv
 from shockstab.model import TrainConfig
@@ -20,7 +20,7 @@ from shockstab.pipeline import (
     run_pipeline,
     write_report,
 )
-from shockstab.splitting import SplitSpec, oot_partition
+from shockstab.splitting import SplitSpec, model_splits, oot_partition
 from shockstab.stability import stabilization_uplift
 
 from conftest import with_compact_dates
@@ -270,11 +270,19 @@ def test_pipeline_frames_carry_no_raw_text(small_csv, monkeypatch):
     monkeypatch.setattr(pipeline, "model_splits", record_splits)
     for name in ("distribution_shift", "fit", "train_baseline"):
         recording(name)
+    real_train_baselines = pipeline.train_baselines
+
+    def record_batch(frames, *args, **kwargs):
+        frames = list(frames)
+        seen.extend(("train_baselines", f) for f in frames)
+        return real_train_baselines(frames, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_baselines", record_batch)
     monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
     report = run_pipeline(_config(small_csv, runs=2))
     assert not report.partial
     assert {name for name, _ in seen} == {
-        "split", "distribution_shift", "fit", "train_baseline"
+        "split", "distribution_shift", "fit", "train_baseline", "train_baselines"
     }
     for name, frame in seen:
         assert all(c.raw is None for c in frame.columns), name
@@ -290,13 +298,52 @@ def test_models_never_see_the_date_column(small_csv, monkeypatch):
             return _real(frame, *args, **kwargs)
 
         monkeypatch.setattr(pipeline, name, record)
+    real_train_baselines = pipeline.train_baselines
+
+    def record_batch(frames, *args, **kwargs):
+        frames = list(frames)
+        seen.extend(("train_baselines", f.column_names) for f in frames)
+        return real_train_baselines(frames, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_baselines", record_batch)
     monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
     report = run_pipeline(_config(small_csv, runs=2))
     assert not report.partial
-    assert {name for name, _ in seen} == {"fit", "train_baseline"}
+    assert {name for name, _ in seen} == {"fit", "train_baseline", "train_baselines"}
     for name, columns in seen:
         assert "date" not in columns, name
         assert "is_bad" in columns, name
+
+
+def test_each_b_task_trains_its_levels_in_one_call(small_csv, monkeypatch):
+    calls = []
+    real_train_baselines = pipeline.train_baselines
+
+    def record_batch(frames, *args, **kwargs):
+        frames = list(frames)
+        calls.append(len(frames))
+        return real_train_baselines(frames, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "train_baselines", record_batch)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    report = run_pipeline(_config(small_csv, runs=2, levels=("without", 5, 10)))
+    assert not report.partial
+    assert calls == [3, 3]
+    assert [len(level.b_runs) for level in report.levels] == [2, 2, 2]
+
+
+def test_a_b_training_error_fails_every_level_not_failed_before(small_csv, monkeypatch):
+    def failing(frames, *args, **kwargs):
+        next(iter(frames))  # the first level is mixed, the others never are
+        raise DegenerateLabelsError("no second class")
+
+    monkeypatch.setattr(pipeline, "train_baselines", failing)
+    config = _config(small_csv, runs=1)
+    split = model_splits(load_csv(small_csv), config.split, config.label)[0]
+    assert pipeline._run_b(split, config) == [
+        (label, None, {"run": split.run_index, "error": "no second class"})
+        for label in config.levels
+    ]
 
 
 def test_numerical_dates_split_on_their_text(tmp_path):
