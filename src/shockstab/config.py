@@ -39,8 +39,9 @@ def setting(default=dataclasses.MISSING, kind=None, bound=None, *,
     """A config field.
 
     `kind` is a key of _KINDS or a nested Config class; `bound` is written
-    "> 0", ">= 1" or as an interval "in (0, 1]"; `key` is the JSON key when
-    it differs from the attribute name; `null` lets the value be None.
+    "> 0", ">= 1" or as an interval "in (0, 1]", or is a tuple of the values
+    allowed; `key` is the JSON key when it differs from the attribute name;
+    `null` lets the value be None.
     """
     metadata = {"kind": kind, "bound": bound, "key": key, "null": null}
     return dataclasses.field(default=default, kw_only=kw_only, metadata=metadata)
@@ -50,7 +51,9 @@ def _key(f: dataclasses.Field) -> str:
     return f.metadata["key"] or f.name
 
 
-def _within(value, bound: str) -> bool:
+def _within(value, bound) -> bool:
+    if isinstance(bound, tuple):
+        return value in bound
     if bound.startswith("in "):
         low, high = (float(x) for x in bound[4:-1].split(","))
         return (low < value if bound[3] == "(" else low <= value) and (
@@ -58,6 +61,13 @@ def _within(value, bound: str) -> bool:
         )
     op, limit = bound.split()
     return value > float(limit) if op == ">" else value >= float(limit)
+
+
+def _phrase(bound) -> str:
+    """`bound` as messages write it."""
+    if isinstance(bound, tuple):
+        return "in {" + ", ".join(map(repr, bound)) + "}"
+    return bound
 
 
 def _plain(value):
@@ -85,7 +95,7 @@ class Config:
             if not ok or (bound and not _within(value, bound)):
                 what = f"a {kind.__name__}" if nested else kind
                 raise ConfigError(
-                    f"{_key(f)} must be {what}{' ' + bound if bound else ''}"
+                    f"{_key(f)} must be {what}{' ' + _phrase(bound) if bound else ''}"
                     f"{' or null' if null else ''}, got {value!r}"
                 )
             if kind == "a list of strings":

@@ -56,7 +56,16 @@ from .stability import (
     stabilization_score,
     stabilization_uplift,
 )
-from .synthesis import OutlierSpec, SyntheticBatch, fit, generate, mix, postprocess, upsample
+from .synthesis import (
+    FAMILIES,
+    OutlierSpec,
+    SyntheticBatch,
+    fit,
+    generate,
+    mix,
+    postprocess,
+    upsample,
+)
 
 SCHEMA_VERSION = 1
 
@@ -80,7 +89,7 @@ class PipelineConfig(Config):
     label: str = setting(kind="a string")
     split: SplitSpec = setting(kind=SplitSpec)
     levels: list = setting(kind="a list of outlier levels")
-    family: str = setting("normal", "a string")
+    family: str = setting("normal", "a string", FAMILIES)
     tail_sigma: float = setting(3.0, "a number", "> 0")
     nonneg_columns: tuple = setting((), "a list of strings")
     real_fraction: float = setting(0.5, "a number", "in (0, 1]")
@@ -401,10 +410,10 @@ def _map_runs(splits: list, config: PipelineConfig) -> dict:
         if any(fn is _run_b for fn, _ in tasks) and any(
             label != WITHOUT_LEVEL and float(label) > 0 for label in config.levels
         ):
-            # B tasks draw tails through scipy.stats. Forked workers inherit
+            # B tasks draw tails through scipy.special. Forked workers inherit
             # the parent's modules, so one import here spares every worker
-            # its own (most of a second) at its first tail draw.
-            import scipy.stats  # noqa: F401
+            # its own at its first tail draw.
+            import scipy.special  # noqa: F401
 
         with ProcessPoolExecutor(
             workers,
@@ -456,6 +465,10 @@ def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> Pipeli
     levels = {label: LevelResult(label=label) for label in config.levels}
     report.levels = [levels[label] for label in config.levels]
 
+    if config.output_dir:
+        # made before any training, so a path that cannot be a directory
+        # stops the run before the first model rather than after the last
+        _output_dir(config.output_dir)
     done = _map_runs(splits, config)
     for index, split in enumerate(splits):
         run = split.run_index
@@ -506,10 +519,22 @@ def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> Pipeli
 # Report emission
 # ---------------------------------------------------------------------------
 
+def _output_dir(path) -> Path:
+    """The directory `path`, made if it is missing.
+
+    Raises DataError, as an unreadable input does, when it cannot be made.
+    """
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc}") from exc
+    return out
+
+
 def write_report(report: PipelineReport, out_dir) -> dict:
     """Write report.json plus flat CSVs; returns the written paths."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     paths = {"report": out / "report.json"}
     paths["report"].write_text(report.to_json(), encoding="utf-8")
 

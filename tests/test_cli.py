@@ -601,6 +601,7 @@ def _set(config, path, value):
         ("coefficients.k1", True, ()),
         ("real_fraction", True, ()),
         ("output_dir", "o\u0000ut", ()),
+        ("family", "no-such-family", ()),
     ],
     ids=[
         "real-fraction-str", "tau-str", "epsilon-str", "upsample-target-str",
@@ -608,7 +609,7 @@ def _set(config, path, value):
         "nonneg-columns-int", "exclude-from-ds-int", "missing-tokens-int",
         "epochs-str", "epochs-float", "mc-runs-float", "config-list",
         "split-str-with-runs", "epsilon-zero", "dataset-name-int",
-        "k1-bool", "real-fraction-bool", "output-dir-nul",
+        "k1-bool", "real-fraction-bool", "output-dir-nul", "family-unknown",
     ],
 )
 def test_pipeline_config_fault_stops_before_training(
@@ -641,6 +642,34 @@ def test_pipeline_config_fault_stops_before_training(
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+    assert trained == []
+
+
+def test_pipeline_unwritable_output_dir_stops_before_training(
+    fixture_csv, tmp_path, capsys, monkeypatch
+):
+    # a file where the output directory should be: no directory can be made
+    # there, so the run must stop with a data error before the first model
+    trained = []
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    monkeypatch.setattr(pipeline, "train_baseline", lambda *a: trained.append(a))
+    monkeypatch.setattr(pipeline, "train_baselines", lambda *a: trained.append(a))
+    out = fixture_csv / "out"
+    config = {
+        "input": str(fixture_csv),
+        "label": "is_bad",
+        "split": {"mode": "oos", "shock_fraction": 0.2, "mc_runs": 2},
+        "levels": ["without", 5],
+        "output_dir": str(out),
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["pipeline", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert trained == []
 
 

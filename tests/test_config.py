@@ -128,10 +128,15 @@ def test_oos_split_reports_no_shock_date():
             input_path="x.csv", label="y", levels=[5],
             split={"mode": "oos", "shock_fraction": 0.2},
         ), "split must be a SplitSpec"),
+        (lambda: PipelineConfig(
+            input_path="x.csv", label="y", levels=[5],
+            split=SplitSpec(mode="oos", shock_fraction=0.2), family="cauchy",
+        ), "family must be a string in {'normal', 'laplace', 'gumbel', 'weibull', 'levy'}, "
+           "got 'cauchy'"),
     ],
     ids=["k1-bool", "k3-nan", "k2-beyond-float", "epochs-float", "l2-negative", "split-seed-float",
          "shock-date-overflow", "real-fraction-bool", "real-fraction-zero",
-         "shock-fraction-zero", "level-overflow", "split-dict"],
+         "shock-fraction-zero", "level-overflow", "split-dict", "family-unknown"],
 )
 def test_keyword_construction_is_checked(build, message):
     with pytest.raises(ConfigError) as err:

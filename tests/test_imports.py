@@ -1,9 +1,10 @@
 """What the package's modules import.
 
-scipy.stats takes most of a second to import, so `import shockstab` leaves
-it out: only the schema profile and the tail draws use it. Each command is
-checked in a fresh interpreter. And no module reaches for another's private
-helpers.
+scipy.stats takes most of a second and about 70 MB to import, so only the
+schema profile uses it; the tail draws need a few scipy.special functions,
+which cost about a third of that, and `import shockstab` loads neither. Each
+command is checked in a fresh interpreter. And no module reaches for
+another's private helpers.
 """
 
 import ast
@@ -57,31 +58,76 @@ def test_split_command_loads_no_scipy_stats(tmp_path):
     assert out == {"code": 0, "loaded": False}
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="pipeline workers need fork")
-def test_pipeline_loads_scipy_stats_before_forking_workers(tmp_path):
+def _command_loads(tmp_path, argv: list) -> dict:
+    """Exit code of `shockstab <argv>` on a 300-row fixture `f.csv`, run in
+    a fresh interpreter, and whether it loaded scipy.stats and scipy.special."""
+    return _run(
+        "import contextlib, io, json, sys\n"
+        "from shockstab import cli\n"
+        "from shockstab.fixtures import make_shocked_fixture\n"
+        "make_shocked_fixture(rows=300).to_csv('f.csv')\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'stats': 'scipy.stats' in sys.modules,\n"
+        "                  'special': 'scipy.special' in sys.modules}))\n",
+        tmp_path,
+    )
+
+
+def test_synth_and_train_eval_commands_load_no_scipy_stats(tmp_path):
+    synth = ["synth", "f.csv", "--rows", "200", "--outliers-pct", "10", "--family", "levy",
+             "--out", "s.csv"]
+    assert _command_loads(tmp_path, synth) == {"code": 0, "stats": False, "special": True}
+    train_eval = ["train-eval", "f.csv", "--label", "is_bad", "--mode", "oos",
+                  "--shock-fraction", "0.2", "--runs", "2", "--epochs", "20"]
+    assert _command_loads(tmp_path, train_eval) == {"code": 0, "stats": False, "special": False}
+
+
+@pytest.mark.parametrize(
+    "workers",
+    [1, pytest.param(2, marks=pytest.mark.skipif(
+        not hasattr(os, "fork"), reason="pipeline workers need fork"))],
+    ids=["serial", "forked"],
+)
+def test_pipeline_loads_scipy_special_and_never_scipy_stats(tmp_path, workers):
+    # every task checks, as it evaluates its model, that its process has not
+    # loaded scipy.stats; a check that fails is a failed cell
     out = _run(
         "import concurrent.futures, json, sys\n"
         "from shockstab import pipeline\n"
+        "from shockstab.errors import DataError\n"
         "from shockstab.fixtures import make_shocked_fixture\n"
         "from shockstab.splitting import SplitSpec\n"
         "loaded = []\n"
         "class Pool(concurrent.futures.ProcessPoolExecutor):\n"
         "    def __init__(self, *args, **kwargs):\n"
-        "        loaded.append('scipy.stats' in sys.modules)\n"
+        "        loaded.append('scipy.special' in sys.modules)\n"
         "        super().__init__(*args, **kwargs)\n"
         "concurrent.futures.ProcessPoolExecutor = Pool\n"
-        "pipeline._worker_count = lambda tasks: 2\n"
+        f"pipeline._worker_count = lambda tasks: {workers}\n"
+        "evaluate_pair = pipeline.evaluate_pair\n"
+        "def checked_evaluate_pair(*args):\n"
+        "    if 'scipy.stats' in sys.modules:\n"
+        "        raise DataError('scipy.stats is loaded')\n"
+        "    return evaluate_pair(*args)\n"
+        "pipeline.evaluate_pair = checked_evaluate_pair\n"
         "config = pipeline.PipelineConfig(\n"
-        "    input_path='f.csv', label='is_bad', levels=[10],\n"
+        "    input_path='f.csv', label='is_bad', levels=['without', 10], family='levy',\n"
         "    split=SplitSpec(mode='oot', date_column='date', shock_date='2018-03-22', mc_runs=2),\n"
         ")\n"
-        "before = 'scipy.stats' in sys.modules\n"
+        "before = 'scipy.special' in sys.modules\n"
         "report = pipeline.run_pipeline_on_frame(make_shocked_fixture(rows=300), config)\n"
         "print(json.dumps({'before': before, 'at_pool_start': loaded,\n"
-        "                  'partial': report.partial}))\n",
+        "                  'partial': report.partial,\n"
+        "                  'stats': 'scipy.stats' in sys.modules}))\n",
         tmp_path,
     )
-    assert out == {"before": False, "at_pool_start": [True], "partial": False}
+    assert out == {
+        "before": False,
+        "at_pool_start": [True] if workers > 1 else [],
+        "partial": False,
+        "stats": False,
+    }
 
 
 def _private_uses(source: str, siblings: set) -> list[str]:

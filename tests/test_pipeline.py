@@ -8,7 +8,7 @@ import scipy
 
 from shockstab import pipeline
 from shockstab.drift import distribution_shift
-from shockstab.errors import ConfigError, DegenerateLabelsError
+from shockstab.errors import ConfigError, DegenerateLabelsError, InsufficientDataError
 from shockstab.fixtures import make_shocked_fixture
 from shockstab.frame import Column, ColumnKind, TabularFrame, load_csv
 from shockstab.model import TrainConfig
@@ -153,28 +153,38 @@ A_FAILS = SplitSpec(mode="oos", shock_fraction=0.995, mc_runs=4, seed=5)
 A_FAILS_0_2 = SplitSpec(mode="oos", shock_fraction=0.96, mc_runs=4, seed=1)
 
 
+def _generate_fails(gen, spec):
+    raise InsufficientDataError("injected generate fault")
+
+
 @pytest.mark.parametrize(
-    "overrides, failures",
+    "overrides, generate_fails, failures",
     [
-        ({}, ""),
+        ({}, False, ""),
         # every B cell fails: pins the order of the per-level failure records
-        ({"family": "no-such-family"}, "BBBB"),
+        ({}, True, "BBBB"),
         # every A cell fails: its failure is copied to every level
-        ({"split": A_FAILS}, "AAAA"),
+        ({"split": A_FAILS}, False, "AAAA"),
         # A fails in some runs only: their records sit between the B runs
-        ({"split": A_FAILS_0_2}, "A-A-"),
-        ({"split": A_FAILS_0_2, "family": "no-such-family"}, "ABAB"),
+        ({"split": A_FAILS_0_2}, False, "A-A-"),
+        ({"split": A_FAILS_0_2}, True, "ABAB"),
         # a missing or categorical label fails the A task and must fail the
         # B task too, with an error the B task catches
-        ({"label": "no_such_column"}, "AAAA"),
-        ({"label": "sector"}, "AAAA"),
+        ({"label": "no_such_column"}, False, "AAAA"),
+        ({"label": "sector"}, False, "AAAA"),
     ],
     ids=["ok", "levels-failed", "a-failed", "a-failed-some", "a-and-b-failed",
          "missing-label", "categorical-label"],
 )
-def test_serial_and_parallel_reports_byte_identical(small_csv, overrides, failures, monkeypatch):
+def test_serial_and_parallel_reports_byte_identical(
+    small_csv, overrides, generate_fails, failures, monkeypatch
+):
     # failures: per run, "A" for an A-model failure copied to every level,
-    # "B" for a failed B cell and "-" for a B pair
+    # "B" for a failed B cell and "-" for a B pair. generate_fails makes
+    # every level's generate raise, a fault each B cell meets on its own;
+    # forked workers inherit the patch
+    if generate_fails:
+        monkeypatch.setattr(pipeline, "generate", _generate_fails)
     config = _config(small_csv, runs=4, **overrides)
     reports = []
     for workers in (1, 2, 3):

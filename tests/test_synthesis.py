@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from shockstab import synthesis
 from shockstab.errors import (
     ConfigError,
     DegenerateMarginalsError,
@@ -144,6 +147,36 @@ def test_generate_families(family):
     ok, tails = _tail_certified(batch, gen)
     assert tails == 60
     assert ok == tails
+
+
+def _scipy_stats_distribution(family):
+    """The scipy.stats distribution the tail family's draws once came from."""
+    from scipy import stats
+
+    return {
+        "normal": stats.norm,
+        "laplace": stats.laplace,
+        "gumbel": stats.gumbel_r,
+        "weibull": stats.weibull_min(1.0),
+        "levy": stats.levy,
+    }[family]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@settings(max_examples=200, deadline=None)
+@given(u=st.lists(st.floats(1e-12, 1.0, exclude_max=True), min_size=1, max_size=64))
+@example(u=[1e-12, 0.5, float(np.nextafter(1.0, 0.0))])
+def test_tail_draws_equal_scipy_stats_bit_for_bit(family, u):
+    # the draw is isf(u * sf(1.0)) for u in [1e-12, 1); scipy.stats is the
+    # oracle, loaded by this test only
+    dist = _scipy_stats_distribution(family)
+    sf, isf = synthesis._tail_table()[family]
+    u = np.asarray(u)
+    ours = np.asarray(isf(u * sf(1.0)), dtype=np.float64)
+    theirs = np.asarray(dist.isf(u * dist.sf(1.0)), dtype=np.float64)
+    assert ours.shape == theirs.shape
+    assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+    assert np.all(ours >= 1.0)
 
 
 def test_generate_deterministic():
