@@ -97,27 +97,25 @@ def _objective(coeffs: UpliftCoefficients, anchors, epsilon: float) -> float:
 def calibrate(
     anchors,
     grid: dict | None = None,
-    bounds: dict | None = None,
     epsilon: float = DEFAULT_EPSILON,
 ) -> CalibrationResult:
     """Exhaustive grid search for the slope triple matching the anchors.
 
     Ties break toward the smallest (k1, then k2, then k3). Every evaluated
     point lands in the result's grid_trace. Candidates must lie inside the
-    per-coefficient bounds (0, K_i]. Confidences so large that the weighted
-    error overflows raise DomainError.
+    per-coefficient bounds (0, K_i] of DEFAULT_BOUNDS. Confidences so large
+    that the weighted error overflows raise DomainError.
     """
     anchors = list(anchors)
     if not anchors:
         raise ConfigError("calibrate needs at least one anchor point")
     grid = dict(DEFAULT_SWEEP if grid is None else grid)
-    bounds = dict(DEFAULT_BOUNDS if bounds is None else bounds)
     candidates = []
     for name in ("k1", "k2", "k3"):
         values = sorted(float(v) for v in grid.get(name, ()))
         if not values:
             raise ConfigError(f"empty candidate list for {name}")
-        upper = float(bounds.get(name, math.inf))
+        upper = DEFAULT_BOUNDS[name]
         for v in values:
             if not (0.0 < v <= upper):
                 raise ConfigError(

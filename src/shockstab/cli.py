@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__
 from .calibration import AnchorPoint, calibrate, sensitivity_sweep
 from .drift import DEFAULT_TAU, distribution_shift
-from .errors import ConfigError, ShockStabError
+from .errors import ConfigError, DataError, ShockStabError
 from .frame import DEFAULT_MISSING_TOKENS, detect_schema, load_csv
 from .model import auc_table_from_payload, evaluate_pair, train_baseline, TrainConfig
 from .pipeline import (
@@ -125,7 +125,7 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: record {i}: {exc!r}") from None
+                raise DataError(f"{path}: record {i}: {exc!r}") from None
         return records, ds_flag
     table = auc_table_from_payload(payload, path)
     ds = table.ds if ds_flag is None else ds_flag

@@ -105,9 +105,10 @@ class Config:
     def from_dict(cls, payload):
         """Build from a JSON object keyed as `to_dict` writes it.
 
-        A field's attribute name is accepted in place of its JSON key. A
-        nested object is built by its own class, and its errors are prefixed
-        with "bad <key> config".
+        A field's attribute name is accepted in place of its JSON key, but
+        a field given under both raises ConfigError. A nested object is
+        built by its own class, and its errors are prefixed with
+        "bad <key> config".
         """
         if not isinstance(payload, dict):
             raise ConfigError(f"a config must be an object, got {payload!r}")
@@ -118,6 +119,10 @@ class Config:
             if key not in by_key:
                 raise ConfigError(f"unknown config field {key!r}")
             f = by_key[key]
+            if f.name in kwargs:
+                raise ConfigError(
+                    f"config field {_key(f)!r} given twice, as {f.name!r} and {_key(f)!r}"
+                )
             if isinstance(f.metadata["kind"], type):
                 try:
                     value = f.metadata["kind"].from_dict(value)

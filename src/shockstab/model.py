@@ -102,7 +102,6 @@ class TrainConfig(Config):
 class FeatureEncoding:
     """Train-only standardization and one-hot maps; no test leakage."""
 
-    label: str
     numerical: dict  # name -> (mean, scale): impute with the mean, then standardize
     categorical: dict  # name -> tuple of category labels (+ missing bucket)
 
@@ -150,7 +149,13 @@ class BaselineModel:
         return 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
 
 
-def _extract_labels(frame: TabularFrame, label: str) -> np.ndarray:
+def extract_labels(frame: TabularFrame, label: str) -> np.ndarray:
+    """The values of `frame`'s label column, which must be numerical 0/1.
+
+    A missing column raises SchemaMismatchError; a categorical one, a
+    missing value or a value other than 0 and 1 raises
+    DegenerateLabelsError.
+    """
     if label not in frame:
         raise SchemaMismatchError(label, "label column missing")
     col = frame.column(label)
@@ -182,12 +187,12 @@ def build_encoding(train: TabularFrame, label: str) -> FeatureEncoding:
             if col.missing_mask.any():
                 cats.append(MISSING_CATEGORY)
             categorical[col.name] = tuple(cats)
-    return FeatureEncoding(label=label, numerical=numerical, categorical=categorical)
+    return FeatureEncoding(numerical=numerical, categorical=categorical)
 
 
 def _design(train: TabularFrame, label: str) -> tuple:
     """(encoding, design matrix, labels) of a training frame."""
-    y = _extract_labels(train, label)
+    y = extract_labels(train, label)
     if y.size == 0:
         raise EmptyInputError("empty training frame")
     if not (0 < y.sum() < y.size):
@@ -301,7 +306,7 @@ def evaluate_pair(model: BaselineModel, split: ShockSplit, label: str) -> AucPai
     for frame in (split.test, split.shocked_test):
         if frame.row_count == 0:
             raise EmptyInputError("evaluation frame is empty")
-        y = _extract_labels(frame, label)
+        y = extract_labels(frame, label)
         if not (0 < y.sum() < y.size):
             raise DegenerateLabelsError("evaluation labels contain a single class")
         pairs.append(auc(model.predict_scores(frame), y))

@@ -27,15 +27,9 @@ import scipy
 from . import __version__
 from .config import Config, setting
 from .drift import DEFAULT_TAU, DriftReport, distribution_shift
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateLabelsError,
-    SchemaMismatchError,
-    ShockStabError,
-)
-from .frame import Column, ColumnKind, TabularFrame, concat_frames, load_csv
-from .model import TrainConfig, evaluate_pair, train_baseline, train_baselines
+from .errors import ConfigError, DataError, ShockStabError
+from .frame import Column, TabularFrame, concat_frames, load_csv
+from .model import TrainConfig, evaluate_pair, extract_labels, train_baseline, train_baselines
 from .splitting import (
     Aggregate,
     ShockSplit,
@@ -235,15 +229,10 @@ def _snap_labels(batch: SyntheticBatch, label: str, rng) -> SyntheticBatch:
     The body sampler emits a continuous relaxation of the 0/1 label; snap it
     stochastically (P(y=1) = value clipped into [0,1]) so the linear
     feature/label correlation survives while training sees binary targets.
-    A missing or categorical label raises the error `train_baseline` gives
-    for it, so a B task fails like the run's A task.
+    The run's frame passed `extract_labels`, so the label is a numerical
+    column of the batch.
     """
-    if label not in batch.frame:
-        raise SchemaMismatchError(label, "label column missing")
-    col = batch.frame.column(label)
-    if col.kind is not ColumnKind.NUMERICAL:
-        raise DegenerateLabelsError(f"label column {label!r} must be numerical 0/1")
-    p = np.clip(col.values, 0.0, 1.0)
+    p = np.clip(batch.frame.column(label).values, 0.0, 1.0)
     snapped = (rng.random(len(p)) < p).astype(np.float64)
     columns = [
         Column(c.name, c.kind, snapped) if c.name == label else c
@@ -253,7 +242,6 @@ def _snap_labels(batch: SyntheticBatch, label: str, rng) -> SyntheticBatch:
         frame=TabularFrame(columns),
         outlier_mask=batch.outlier_mask,
         marginals=batch.marginals,
-        spec=batch.spec,
     )
 
 
@@ -445,7 +433,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
 
 
 def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> PipelineReport:
-    """Same as run_pipeline but on an already-loaded frame."""
+    """Same as run_pipeline but on an already-loaded frame.
+
+    A label that is missing or not numerical 0/1 raises its DataError
+    before any split is made or any model trains.
+    """
+    extract_labels(frame, config.label)
     splits = model_splits(frame, config.split, config.label)
     # DS compares run 0's pre-shock rows with its shocked rows: in OOT mode
     # the partition's two segments, in OOS mode the run-0 pseudo-shock split
@@ -533,42 +526,48 @@ def _output_dir(path) -> Path:
 
 
 def write_report(report: PipelineReport, out_dir) -> dict:
-    """Write report.json plus flat CSVs; returns the written paths."""
+    """Write report.json plus flat CSVs; returns the written paths.
+
+    Raises DataError, as `_output_dir` does, when a file cannot be written.
+    """
     out = _output_dir(out_dir)
-    paths = {"report": out / "report.json"}
-    paths["report"].write_text(report.to_json(), encoding="utf-8")
+    try:
+        paths = {"report": out / "report.json"}
+        paths["report"].write_text(report.to_json(), encoding="utf-8")
 
-    paths["auc_runs"] = out / "auc_runs.csv"
-    with open(paths["auc_runs"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outliers_pct", "run", "auc_base_a", "auc_shock_a",
-                         "auc_base_b", "auc_shock_b"])
-        a_by_run = {p.run_index: p for p in report.a_runs}
-        for result in report.levels:
-            for p in result.b_runs:
-                a = a_by_run.get(p.run_index)
-                writer.writerow([
-                    result.label, p.run_index,
-                    "" if a is None else repr(a.auc_base),
-                    "" if a is None else repr(a.auc_shock),
-                    repr(p.auc_base), repr(p.auc_shock),
-                ])
+        paths["auc_runs"] = out / "auc_runs.csv"
+        with open(paths["auc_runs"], "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["outliers_pct", "run", "auc_base_a", "auc_shock_a",
+                             "auc_base_b", "auc_shock_b"])
+            a_by_run = {p.run_index: p for p in report.a_runs}
+            for result in report.levels:
+                for p in result.b_runs:
+                    a = a_by_run.get(p.run_index)
+                    writer.writerow([
+                        result.label, p.run_index,
+                        "" if a is None else repr(a.auc_base),
+                        "" if a is None else repr(a.auc_shock),
+                        repr(p.auc_base), repr(p.auc_shock),
+                    ])
 
-    paths["uplift"] = out / "uplift.csv"
-    with open(paths["uplift"], "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["outliers_pct", "su", "su_display", "ss_a", "ss_b",
-                         "w_a", "w_b", "w", "w_sup", "status"])
-        for result in report.levels:
-            br = result.uplift
-            if br is None:
-                writer.writerow([result.label] + [""] * 8 + ["failed"])
-            else:
-                writer.writerow([
-                    result.label, repr(br.su), repr(br.su_display),
-                    repr(br.ss_a), repr(br.ss_b), repr(br.w_a), repr(br.w_b),
-                    repr(br.w), repr(br.w_sup), "ok",
-                ])
+        paths["uplift"] = out / "uplift.csv"
+        with open(paths["uplift"], "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["outliers_pct", "su", "su_display", "ss_a", "ss_b",
+                             "w_a", "w_b", "w", "w_sup", "status"])
+            for result in report.levels:
+                br = result.uplift
+                if br is None:
+                    writer.writerow([result.label] + [""] * 8 + ["failed"])
+                else:
+                    writer.writerow([
+                        result.label, repr(br.su), repr(br.su_display),
+                        repr(br.ss_a), repr(br.ss_b), repr(br.w_a), repr(br.w_b),
+                        repr(br.w), repr(br.w_sup), "ok",
+                    ])
+    except OSError as exc:
+        raise DataError(f"cannot write {exc.filename or out}: {exc}") from exc
     return {k: str(v) for k, v in paths.items()}
 
 

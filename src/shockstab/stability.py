@@ -141,8 +141,6 @@ def stabilization_uplift(
     The returned breakdown carries every weight; su keeps its sign (display
     clamping is the caller's concern via `su_display`).
     """
-    if not isinstance(coeffs, UpliftCoefficients):
-        coeffs = UpliftCoefficients(*coeffs)
     base_a = flip_auc(_check_auc(a[0], "A auc_base"))
     shock_a = flip_auc(_check_auc(a[1], "A auc_shock"))
     base_b = flip_auc(_check_auc(b[0], "B auc_base"))

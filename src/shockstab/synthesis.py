@@ -15,7 +15,7 @@ distributions give, so drawing a tail never loads scipy.stats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -67,19 +67,15 @@ class FittedGenerator:
     categorical_names: tuple
     frequencies: dict  # name -> (labels array, probabilities array)
     degenerate_columns: tuple = ()
-    _factor: np.ndarray = field(default=None, repr=False)
 
     def cholesky_factor(self) -> np.ndarray:
         """Lower-triangular-ish factor L with L @ L.T == covariance."""
-        if self._factor is None:
-            try:
-                factor = np.linalg.cholesky(self.covariance)
-            except np.linalg.LinAlgError:
-                # PSD but singular: eigendecomposition with clipped spectrum
-                eigval, eigvec = np.linalg.eigh(self.covariance)
-                factor = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-            self._factor = factor
-        return self._factor
+        try:
+            return np.linalg.cholesky(self.covariance)
+        except np.linalg.LinAlgError:
+            # PSD but singular: eigendecomposition with clipped spectrum
+            eigval, eigvec = np.linalg.eigh(self.covariance)
+            return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
     def marginals(self) -> dict:
         return {
@@ -95,7 +91,6 @@ class SyntheticBatch:
     frame: TabularFrame
     outlier_mask: np.ndarray  # True for tail rows
     marginals: dict  # numerical column -> (mean, std) used for the 3-sigma rule
-    spec: OutlierSpec | None = None
 
 
 def _pairwise_covariance(matrix: np.ndarray) -> np.ndarray:
@@ -114,20 +109,18 @@ def _pairwise_covariance(matrix: np.ndarray) -> np.ndarray:
     return cov
 
 
-def fit(train: TabularFrame, regularization: float | None = None) -> FittedGenerator:
+def fit(train: TabularFrame) -> FittedGenerator:
     """Fit marginals, covariance and categorical frequencies on `train`.
 
     The covariance is estimated on complete numerical rows, falling back to
     pairwise-complete estimates when fewer than two complete rows exist, and
-    is then shifted along the diagonal to be positive semidefinite. The
-    default shift is 1e-8 * trace / dim.
+    is then shifted along the diagonal to be positive semidefinite: by
+    1e-8 * trace / dim plus the magnitude of any negative eigenvalue.
     """
     if train.row_count < 2:
         raise InsufficientDataError(
             f"need at least 2 rows to fit, got {train.row_count}"
         )
-    if regularization is not None and regularization < 0:
-        raise ConfigError("regularization must be >= 0")
 
     num_cols = [c for c in train.columns if c.kind is ColumnKind.NUMERICAL]
     cat_cols = [c for c in train.columns if c.kind is ColumnKind.CATEGORICAL]
@@ -156,10 +149,8 @@ def fit(train: TabularFrame, regularization: float | None = None) -> FittedGener
         else:
             cov = _pairwise_covariance(matrix)
         cov = 0.5 * (cov + cov.T)
-        if regularization is None:
-            regularization = 1e-8 * float(np.trace(cov)) / d
         min_eig = float(np.linalg.eigvalsh(cov).min()) if d > 0 else 0.0
-        shift = regularization + max(0.0, -min_eig)
+        shift = 1e-8 * float(np.trace(cov)) / d + max(0.0, -min_eig)
         cov = cov + shift * np.eye(d)
     else:
         cov = np.zeros((0, 0))
@@ -320,7 +311,6 @@ def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:
         frame=TabularFrame(columns),
         outlier_mask=mask,
         marginals=gen.marginals(),
-        spec=spec,
     )
 
 
@@ -355,7 +345,6 @@ def postprocess(batch: SyntheticBatch, spec: OutlierSpec) -> SyntheticBatch:
         frame=TabularFrame(columns),
         outlier_mask=batch.outlier_mask,
         marginals=batch.marginals,
-        spec=batch.spec,
     )
 
 

@@ -3,12 +3,16 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import shockstab
 from shockstab import cli, pipeline
 from shockstab.cli import main
 from shockstab.fixtures import make_shocked_fixture
@@ -126,6 +130,34 @@ def test_su_grid_per_run(tmp_path, capsys):
     code, out = _run(capsys, "su-grid", path, "--per-run")
     assert code == 0
     assert out["models"] == ["m#run0", "m#run1"]
+
+
+@pytest.mark.parametrize("command", ["su-grid", "sweep"])
+@pytest.mark.parametrize("layout", ["flat", "nested"])
+def test_record_missing_an_auc_is_data_error(tmp_path, capsys, command, layout):
+    run = {"auc_base_a": 0.8, "auc_shock_a": 0.7, "auc_base_b": 0.81}
+    if layout == "flat":
+        payload, flags = [{"model": "m", "outliers_pct": 5, **run}], ("--ds", "0.1")
+    else:
+        payload, flags = _auc_table(runs=[run]), ()
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps(payload))
+    code = main([command, str(path), *flags])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: ") and "auc_shock_b" in err
+    assert "Traceback" not in err
+
+
+def test_version_flag_of_the_module_entry_point():
+    result = subprocess.run(
+        [sys.executable, "-m", "shockstab", "--version"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(shockstab.__file__).parents[1])},
+    )
+    assert result.returncode == 0
+    assert result.stdout == shockstab.__version__ + "\n"
+    assert result.stderr == ""
 
 
 def test_su_grid_requires_ds_for_flat(tmp_path, capsys):
@@ -671,6 +703,51 @@ def test_pipeline_unwritable_output_dir_stops_before_training(
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert trained == []
+
+
+@pytest.mark.parametrize(
+    "label, report_dir, message, trains",
+    [
+        ("no_such_column", False, "schema mismatch on column 'no_such_column'", False),
+        ("sector", False, "label column 'sector' must be numerical 0/1", False),
+        ("is_bad", True, "cannot write {out}/report.json: ", True),
+    ],
+    ids=["missing-label", "categorical-label", "report-json-is-a-directory"],
+)
+def test_pipeline_data_fault_exits_3_with_one_error_line(
+    tmp_path, capsys, monkeypatch, label, report_dir, message, trains
+):
+    # a bad label stops the run before any model trains; a report file that
+    # cannot be written is found after training, and exits 3 all the same
+    calls = []
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    for name in ("fit", "train_baseline", "train_baselines"):
+        real = getattr(pipeline, name)
+        monkeypatch.setattr(
+            pipeline, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        )
+    csv_path = tmp_path / "small.csv"
+    make_shocked_fixture(rows=300).to_csv(csv_path)
+    out = tmp_path / "out"
+    if report_dir:
+        (out / "report.json").mkdir(parents=True)
+    config = {
+        "input": str(csv_path),
+        "label": label,
+        "split": {"mode": "oos", "shock_fraction": 0.2, "mc_runs": 1},
+        "levels": ["without", 5],
+        "output_dir": str(out),
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["pipeline", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: " + message.format(out=out))
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(set(calls)) == (["fit", "train_baseline", "train_baselines"] if trains else [])
 
 
 def test_pipeline_override_flags_are_checked(fixture_csv, tmp_path, capsys):

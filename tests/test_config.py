@@ -91,6 +91,15 @@ def test_valid_config_keeps_its_values():
     assert PipelineConfig.from_dict({**alias, "input_path": VALID["input"]}).to_dict() == d
 
 
+@pytest.mark.parametrize(
+    "name, key", [("input_path", "input"), ("coeffs", "coefficients")]
+)
+def test_field_under_both_names_is_config_error(name, key):
+    # neither value may silently win over the other
+    with pytest.raises(ConfigError, match=f"config field '{key}' given twice"):
+        PipelineConfig.from_dict({**VALID, name: VALID[key]})
+
+
 def test_oos_split_reports_no_shock_date():
     spec = SplitSpec(mode="oos", shock_fraction=0.2, shock_date="2018-03-22")
     assert spec.shock_date is None

@@ -8,7 +8,12 @@ import scipy
 
 from shockstab import pipeline
 from shockstab.drift import distribution_shift
-from shockstab.errors import ConfigError, DegenerateLabelsError, InsufficientDataError
+from shockstab.errors import (
+    ConfigError,
+    DegenerateLabelsError,
+    InsufficientDataError,
+    SchemaMismatchError,
+)
 from shockstab.fixtures import make_shocked_fixture
 from shockstab.frame import Column, ColumnKind, TabularFrame, load_csv
 from shockstab.model import TrainConfig
@@ -153,38 +158,50 @@ A_FAILS = SplitSpec(mode="oos", shock_fraction=0.995, mc_runs=4, seed=5)
 A_FAILS_0_2 = SplitSpec(mode="oos", shock_fraction=0.96, mc_runs=4, seed=1)
 
 
-def _generate_fails(gen, spec):
-    raise InsufficientDataError("injected generate fault")
+def _raises(exc):
+    """A stand-in for a pipeline binding that raises `exc` on every call."""
+    def fault(*args):
+        raise exc
+    return fault
+
+
+GENERATE_FAULT = {"generate": InsufficientDataError("injected generate fault")}
+
+
+def _training_fault(exc):
+    # the A task's train_baseline and the B task's train_baselines both
+    # raise `exc`: the B task must catch it as its A task does
+    return {"train_baseline": exc, "train_baselines": exc}
 
 
 @pytest.mark.parametrize(
-    "overrides, generate_fails, failures",
+    "overrides, faults, failures",
     [
-        ({}, False, ""),
+        ({}, {}, ""),
         # every B cell fails: pins the order of the per-level failure records
-        ({}, True, "BBBB"),
+        ({}, GENERATE_FAULT, "BBBB"),
         # every A cell fails: its failure is copied to every level
-        ({"split": A_FAILS}, False, "AAAA"),
+        ({"split": A_FAILS}, {}, "AAAA"),
         # A fails in some runs only: their records sit between the B runs
-        ({"split": A_FAILS_0_2}, False, "A-A-"),
-        ({"split": A_FAILS_0_2}, True, "ABAB"),
-        # a missing or categorical label fails the A task and must fail the
-        # B task too, with an error the B task catches
-        ({"label": "no_such_column"}, False, "AAAA"),
-        ({"label": "sector"}, False, "AAAA"),
+        ({"split": A_FAILS_0_2}, {}, "A-A-"),
+        ({"split": A_FAILS_0_2}, GENERATE_FAULT, "ABAB"),
+        # the errors training raised for a missing or categorical label
+        # before the pipeline checked the label up front, now injected
+        ({}, _training_fault(SchemaMismatchError("is_bad", "injected")), "AAAA"),
+        ({}, _training_fault(DegenerateLabelsError("injected")), "AAAA"),
     ],
     ids=["ok", "levels-failed", "a-failed", "a-failed-some", "a-and-b-failed",
          "missing-label", "categorical-label"],
 )
 def test_serial_and_parallel_reports_byte_identical(
-    small_csv, overrides, generate_fails, failures, monkeypatch
+    small_csv, overrides, faults, failures, monkeypatch
 ):
     # failures: per run, "A" for an A-model failure copied to every level,
-    # "B" for a failed B cell and "-" for a B pair. generate_fails makes
-    # every level's generate raise, a fault each B cell meets on its own;
-    # forked workers inherit the patch
-    if generate_fails:
-        monkeypatch.setattr(pipeline, "generate", _generate_fails)
+    # "B" for a failed B cell and "-" for a B pair. faults maps pipeline
+    # bindings to the error each call of them raises, a fault each cell
+    # meets on its own; forked workers inherit the patches
+    for name, exc in faults.items():
+        monkeypatch.setattr(pipeline, name, _raises(exc))
     config = _config(small_csv, runs=4, **overrides)
     reports = []
     for workers in (1, 2, 3):
@@ -494,6 +511,25 @@ def test_write_report_files(tmp_path, small_report):
     uplift_rows = (tmp_path / "out" / "uplift.csv").read_text().strip().splitlines()
     assert len(uplift_rows) == 1 + 3
     assert set(paths) == {"report", "auc_runs", "uplift"}
+
+
+def test_report_with_no_scored_level(small_csv, tmp_path, monkeypatch):
+    # every B cell fails, so no level is scored: uplift.csv marks each level
+    # failed, auc_runs.csv holds its header alone, and the digest is empty
+    monkeypatch.setattr(pipeline, "generate", _raises(GENERATE_FAULT["generate"]))
+    report = run_pipeline(_config(small_csv, runs=2, levels=("without", 5)))
+    write_report(report, tmp_path)
+    assert (tmp_path / "uplift.csv").read_text().splitlines() == [
+        "outliers_pct,su,su_display,ss_a,ss_b,w_a,w_b,w,w_sup,status",
+        "without,,,,,,,,,failed",
+        "5,,,,,,,,,failed",
+    ]
+    assert (tmp_path / "auc_runs.csv").read_text().splitlines() == [
+        "outliers_pct,run,auc_base_a,auc_shock_a,auc_base_b,auc_shock_b"
+    ]
+    digest = emit_digest(json.loads((tmp_path / "report.json").read_text()))
+    assert digest == {"rows": [{"dataset": "small", "ds": report.drift.ds, "model": None,
+                                "outliers_pct": None, "su_max": None}]}
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,36 @@ def test_fit_pairwise_fallback_when_no_complete_rows():
     assert np.all(np.linalg.eigvalsh(gen.covariance) >= 0.0)
 
 
+def test_fit_pairwise_covariance_matches_a_numpy_oracle(monkeypatch):
+    # one complete row, so fit falls back to pairwise-complete estimates;
+    # w shares fewer than two rows with every other column
+    columns = {
+        "x": [1.0, 2.0, 4.0, None, 7.0, None],
+        "y": [2.0, None, 3.0, 5.0, 1.0, None],
+        "z": [None, 1.0, None, 2.0, 8.0, 3.0],
+        "w": [5.0, None, None, None, None, 6.0],
+    }
+    calls = []
+    pairwise = synthesis._pairwise_covariance
+    monkeypatch.setattr(
+        synthesis, "_pairwise_covariance", lambda m: calls.append(m) or pairwise(m)
+    )
+    gen = fit(make_frame(**columns))
+    assert len(calls) == 1
+
+    matrix = np.array([[np.nan if v is None else v for v in c] for c in columns.values()]).T
+    d = matrix.shape[1]
+    cov = np.zeros((d, d))
+    for i in range(d):
+        for j in range(d):
+            both = ~np.isnan(matrix[:, i]) & ~np.isnan(matrix[:, j])
+            if both.sum() >= 2:
+                cov[i, j] = np.cov(matrix[both, i], matrix[both, j])[0, 1]
+    assert cov[3, :3].tolist() == [0.0, 0.0, 0.0]
+    shift = 1e-8 * np.trace(cov) / d + max(0.0, -np.linalg.eigvalsh(cov).min())
+    np.testing.assert_allclose(gen.covariance, cov + shift * np.eye(d), rtol=1e-12, atol=1e-12)
+
+
 def test_upsample_to_target():
     frame = _train_frame(100)
     up = upsample(frame, 10000, seed=4)
@@ -201,6 +231,23 @@ def test_generate_degenerate_marginals():
     assert batch.frame.row_count == 100
 
 
+def test_fit_and_generate_without_numerical_columns():
+    frame = make_frame(s=["a", "b", "a", "c"], t=["u", "u", "v", "u"])
+    gen = fit(frame)
+    assert gen.numerical_names == ()
+    assert gen.covariance.shape == (0, 0)
+    batch = generate(gen, OutlierSpec("normal", 0.0, total_rows=60, seed=3))
+    assert batch.frame.column_names == ["s", "t"]
+    assert batch.frame.row_count == 60
+    assert set(batch.frame.column("s").values) == {"a", "b", "c"}
+    assert set(batch.frame.column("t").values) == {"u", "v"}
+    assert not batch.outlier_mask.any()
+    assert batch.marginals == {}
+    # no numerical column can carry a tail, whatever the share
+    with pytest.raises(DegenerateMarginalsError):
+        generate(gen, OutlierSpec("normal", 0.001, total_rows=60, seed=3))
+
+
 def test_generate_moment_recovery_smoke():
     gen = fit(_train_frame(2000, seed=5))
     batch = generate(gen, OutlierSpec("normal", 0.0, total_rows=20000, seed=6))
@@ -246,7 +293,6 @@ def test_postprocess_reflects_tail_and_clamps_body():
         frame=frame,
         outlier_mask=batch.outlier_mask,
         marginals=batch.marginals,
-        spec=spec,
     )
     mean_x = batch.marginals["x"][0]
     cleaned = postprocess(tampered, spec)
