@@ -155,16 +155,9 @@ def _sign(x: float, tol: float = 1e-12) -> int:
 
 
 def _argmax_levels(grid) -> dict:
-    """Best outlier level per model by displayed SU; earliest level wins ties."""
-    out = {}
-    for model in grid.models:
-        best_level, best_su = None, -math.inf
-        for lvl in grid.levels:
-            br = grid.cells.get((lvl, model))
-            if br is not None and br.su_display > best_su:
-                best_level, best_su = lvl, br.su_display
-        out[model] = best_level
-    return out
+    """Each model's level in its first cell of `grid.ranked()`; read in
+    reverse, so that the first cell's level is the one written last."""
+    return {model: lvl for lvl, model, _ in reversed(grid.ranked())}
 
 
 def sensitivity_sweep(

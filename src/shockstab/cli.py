@@ -6,8 +6,8 @@ synthesis, slope calibration and sweeps, the built-in train/evaluate loop,
 the full pipeline and report re-emission. All commands print JSON.
 
 Exit codes: 0 success, 2 configuration error, 3 data error (or an input
-that needs more memory than there is), 4 partial pipeline (some cells
-failed).
+that needs more memory than there is, or an output that cannot be
+written), 4 partial pipeline (some cells failed).
 """
 
 from __future__ import annotations
@@ -471,6 +471,11 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ShockStabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        # every read maps its OSError to a ShockStabError, so this is an
+        # output file or directory that cannot be written
+        print(f"error: cannot write: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError as exc:
         # the input asks for arrays larger than this machine can hold

@@ -459,6 +459,13 @@ def load_csv(
 # Schema detection
 # ---------------------------------------------------------------------------
 
+# the statistics a ColumnSummary of each kind reports, in report order
+_NUMERICAL_STATS = (
+    "mean", "std", "skewness", "kurtosis", "min", "q25", "median", "q75", "max", "iqr"
+)
+_CATEGORICAL_STATS = ("top", "top_frequency", "percent_top")
+
+
 @dataclass
 class ColumnSummary:
     name: str
@@ -482,32 +489,14 @@ class ColumnSummary:
     percent_top: float | None = None
 
     def to_dict(self) -> dict:
-        d = {
+        stats = _NUMERICAL_STATS if self.kind is ColumnKind.NUMERICAL else _CATEGORICAL_STATS
+        return {
             "name": self.name,
             "kind": self.kind.value,
             "missing_count": self.missing_count,
             "unique_count": self.unique_count,
+            **{name: getattr(self, name) for name in stats},
         }
-        if self.kind is ColumnKind.NUMERICAL:
-            d.update(
-                mean=self.mean,
-                std=self.std,
-                skewness=self.skewness,
-                kurtosis=self.kurtosis,
-                min=self.min,
-                q25=self.q25,
-                median=self.median,
-                q75=self.q75,
-                max=self.max,
-                iqr=self.iqr,
-            )
-        else:
-            d.update(
-                top=self.top,
-                top_frequency=self.top_frequency,
-                percent_top=self.percent_top,
-            )
-        return d
 
 
 @dataclass

@@ -12,7 +12,6 @@ JSON instead of re-training anything.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -28,7 +27,7 @@ from .errors import (
 )
 from .frame import ColumnKind, TabularFrame
 from .splitting import ShockSplit
-from .stability import normalize_level
+from .stability import check_auc, normalize_level
 
 MISSING_CATEGORY = "__missing__"
 
@@ -243,7 +242,8 @@ def train_baselines(
     and its design built as it is read, before any model trains, so a bad
     frame raises its error first, and a generator's frames need not be
     held together. Designs of equal shape share one gradient-descent loop;
-    each other shape gets its own.
+    each other shape gets its own. A loop whose weights or bias end
+    non-finite, as a too large learning_rate makes them, raises DomainError.
     """
     designs = [_design(frame, label) for frame in frames]
     groups = {}
@@ -252,7 +252,14 @@ def train_baselines(
     models = [None] * len(designs)
     for members in groups.values():
         encodings, xs, ys = zip(*(designs[i] for i in members))
-        fitted = _descend(xs, np.stack(ys), config)
+        # a diverging loop overflows to inf and NaN; the check below names it
+        with np.errstate(over="ignore", invalid="ignore"):
+            fitted = _descend(xs, np.stack(ys), config)
+        if not all(np.isfinite(w).all() and np.isfinite(b) for w, b in fitted):
+            raise DomainError(
+                "gradient descent diverged to non-finite weights at "
+                f"learning_rate {config.learning_rate!r}"
+            )
         for i, encoding, (w, b) in zip(members, encodings, fitted):
             models[i] = BaselineModel(weights=w, bias=b, encoding=encoding)
     return models
@@ -342,14 +349,8 @@ class ImportedAucTable:
         return records
 
 
-def _check_auc_value(value, where: str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{where}: AUC value {value!r} is not a number") from None
-    if not (0.0 <= v <= 1.0) or math.isnan(v):
-        raise DomainError(f"{where}: AUC {v!r} outside [0, 1]")
-    return v
+# the AUCs of one run of an imported table, in record order
+_RUN_AUCS = ("auc_base_a", "auc_shock_a", "auc_base_b", "auc_shock_b")
 
 
 def _objects(value, where: str) -> list:
@@ -405,18 +406,11 @@ def auc_table_from_payload(payload, path) -> ImportedAucTable:
             runs = []
             level_runs = _objects(lvl.get("runs", []), f"{path}: {name}/level {label}: runs")
             for k, run in enumerate(level_runs):
-                where = f"{name}/level {label}/run {k}"
+                where = f"{path}: {name}/level {label}/run {k}"
                 try:
-                    runs.append(
-                        (
-                            _check_auc_value(run["auc_base_a"], where),
-                            _check_auc_value(run["auc_shock_a"], where),
-                            _check_auc_value(run["auc_base_b"], where),
-                            _check_auc_value(run["auc_shock_b"], where),
-                        )
-                    )
+                    runs.append(tuple(check_auc(run[key], f"{where} {key}") for key in _RUN_AUCS))
                 except KeyError as exc:
-                    raise DataError(f"{path}: {where}: missing field {exc}") from None
+                    raise DataError(f"{where}: missing field {exc}") from None
             if not runs:
                 raise DataError(f"{path}: {name}/level {label} has no runs")
             table.entries.append((name, label, runs))

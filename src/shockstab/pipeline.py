@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,6 +47,7 @@ from .stability import (
     WITHOUT_LEVEL,
     level_sort_key,
     normalize_level,
+    rank_cells,
     stabilization_score,
     stabilization_uplift,
 )
@@ -136,6 +137,24 @@ class PipelineConfig(Config):
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _score(runs: list, ds: float, epsilon: float) -> tuple:
+    """(base, shock, stability) of one model's AucPair runs: each AUC's
+    aggregate over the runs, and the SS of their two medians."""
+    base = aggregate([p.auc_base for p in runs])
+    shock = aggregate([p.auc_shock for p in runs])
+    return base, shock, stabilization_score(base.median, shock.median, ds, epsilon)
+
+
+def _model_dict(runs: list, base, shock, stability) -> dict:
+    """One model's report block; an aggregate or score not computed is null."""
+    return {
+        "runs": [p.to_dict() for p in runs],
+        "auc_base": None if base is None else base._asdict(),
+        "auc_shock": None if shock is None else shock._asdict(),
+        "stability": None if stability is None else stability.to_dict(),
+    }
+
+
 @dataclass
 class LevelResult:
     label: str
@@ -154,12 +173,7 @@ class LevelResult:
         return {
             "outliers_pct": self.label,
             "status": "failed" if self.failed else "ok",
-            "b_model": {
-                "runs": [p.to_dict() for p in self.b_runs],
-                "auc_base": None if self.b_base is None else self.b_base._asdict(),
-                "auc_shock": None if self.b_shock is None else self.b_shock._asdict(),
-                "stability": None if self.stability is None else self.stability.to_dict(),
-            },
+            "b_model": _model_dict(self.b_runs, self.b_base, self.b_shock, self.stability),
             "uplift": None if self.uplift is None else self.uplift.to_dict(),
             "failures": list(self.failures),
         }
@@ -190,12 +204,7 @@ class PipelineReport:
             "environment": self.environment,
             "drift": self.drift.to_dict(),
             "a_model": {
-                "runs": [p.to_dict() for p in self.a_runs],
-                "auc_base": None if self.a_base is None else self.a_base._asdict(),
-                "auc_shock": None if self.a_shock is None else self.a_shock._asdict(),
-                "stability": None
-                if self.a_stability is None
-                else self.a_stability.to_dict(),
+                **_model_dict(self.a_runs, self.a_base, self.a_shock, self.a_stability),
                 "failures": list(self.a_failures),
             },
             "levels": [l.to_dict() for l in self.levels],
@@ -238,11 +247,7 @@ def _snap_labels(batch: SyntheticBatch, label: str, rng) -> SyntheticBatch:
         Column(c.name, c.kind, snapped) if c.name == label else c
         for c in batch.frame.columns
     ]
-    return SyntheticBatch(
-        frame=TabularFrame(columns),
-        outlier_mask=batch.outlier_mask,
-        marginals=batch.marginals,
-    )
+    return replace(batch, frame=TabularFrame(columns))
 
 
 def _run_a(split: ShockSplit, config: PipelineConfig) -> tuple:
@@ -482,18 +487,14 @@ def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> Pipeli
                     result.failures.append(failure)
 
     if report.a_runs:
-        report.a_base = aggregate([p.auc_base for p in report.a_runs])
-        report.a_shock = aggregate([p.auc_shock for p in report.a_runs])
-        report.a_stability = stabilization_score(
-            report.a_base.median, report.a_shock.median, drift.ds, config.epsilon
+        report.a_base, report.a_shock, report.a_stability = _score(
+            report.a_runs, drift.ds, config.epsilon
         )
         for result in report.levels:
             if not result.b_runs:
                 continue
-            result.b_base = aggregate([p.auc_base for p in result.b_runs])
-            result.b_shock = aggregate([p.auc_shock for p in result.b_runs])
-            result.stability = stabilization_score(
-                result.b_base.median, result.b_shock.median, drift.ds, config.epsilon
+            result.b_base, result.b_shock, result.stability = _score(
+                result.b_runs, drift.ds, config.epsilon
             )
             result.uplift = stabilization_uplift(
                 (report.a_base.median, report.a_shock.median),
@@ -599,7 +600,7 @@ def _rows(obj, where: str, key: str) -> list:
 
 
 def _digest_cell(model, row: dict, where: str, cell: dict) -> tuple:
-    """(model, outlier level, SU) of one report or grid cell."""
+    """(outlier level, model, SU) of one report or grid cell."""
     level = _field(row, where, "outliers_pct")
     su = _field(cell, where, "su_display")
     try:
@@ -608,7 +609,7 @@ def _digest_cell(model, row: dict, where: str, cell: dict) -> tuple:
         raise DataError(f"{where}.outliers_pct is not an outlier level: {level!r}") from None
     if isinstance(su, bool) or not isinstance(su, (int, float)):
         raise DataError(f"{where}: su_display must be a number, got {su!r}")
-    return model, level, su
+    return level, model, su
 
 
 def emit_radial_data(report, nonzero: bool = False) -> dict:
@@ -679,29 +680,14 @@ def _digest_cells(obj) -> tuple[str, float, list]:
 
 
 def emit_digest(reports) -> dict:
-    """Best (model, level) cell per dataset; ties prefer the lower outlier
-    level, then the lexicographically smaller model name."""
+    """Best (model, level) cell per dataset: the first by `rank_cells`."""
     if not isinstance(reports, (list, tuple)):
         reports = [reports]
     rows = []
     for obj in reports:
         dataset, ds, cells = _digest_cells(obj)
-        if not cells:
-            rows.append(
-                {"dataset": dataset, "ds": ds, "model": None,
-                 "outliers_pct": None, "su_max": None}
-            )
-            continue
-        best = min(
-            cells, key=lambda c: (-c[2], level_sort_key(c[1]), c[0])
-        )
+        level, model, su = rank_cells(cells)[0] if cells else (None, None, None)
         rows.append(
-            {
-                "dataset": dataset,
-                "ds": ds,
-                "model": best[0],
-                "outliers_pct": best[1],
-                "su_max": best[2],
-            }
+            {"dataset": dataset, "ds": ds, "model": model, "outliers_pct": level, "su_max": su}
         )
     return {"rows": rows}

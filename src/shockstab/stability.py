@@ -21,16 +21,20 @@ DEFAULT_EPSILON = 1e-5
 SATURATION_EXPONENT = 700.0
 
 
-def _check_auc(a: float, what: str = "auc") -> float:
-    a = float(a)
-    if not (0.0 <= a <= 1.0) or math.isnan(a):
+def check_auc(value, what: str = "auc") -> float:
+    """`value` as a float in [0, 1], else DomainError naming it `what`."""
+    try:
+        a = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be a number, got {value!r}") from None
+    if not 0.0 <= a <= 1.0:
         raise DomainError(f"{what} must lie in [0, 1], got {a!r}")
     return a
 
 
 def flip_auc(a: float) -> float:
     """Map an AUC below 0.5 to 1 - AUC; idempotent, result in [0.5, 1]."""
-    a = _check_auc(a)
+    a = check_auc(a)
     return a if a >= 0.5 else 1.0 - a
 
 
@@ -77,8 +81,8 @@ def stabilization_score(
     Flipping confines the degradation to [0, 0.5], hence ss in [0.5, 1].
     ds must be finite and >= 0, epsilon finite and > 0.
     """
-    auc_base = _check_auc(auc_base, "auc_base")
-    auc_shock = _check_auc(auc_shock, "auc_shock")
+    auc_base = check_auc(auc_base, "auc_base")
+    auc_shock = check_auc(auc_shock, "auc_shock")
     ds = _check_ds(ds)
     epsilon = float(epsilon)
     if not (math.isfinite(epsilon) and epsilon > 0):
@@ -141,10 +145,10 @@ def stabilization_uplift(
     The returned breakdown carries every weight; su keeps its sign (display
     clamping is the caller's concern via `su_display`).
     """
-    base_a = flip_auc(_check_auc(a[0], "A auc_base"))
-    shock_a = flip_auc(_check_auc(a[1], "A auc_shock"))
-    base_b = flip_auc(_check_auc(b[0], "B auc_base"))
-    shock_b = flip_auc(_check_auc(b[1], "B auc_shock"))
+    base_a = flip_auc(check_auc(a[0], "A auc_base"))
+    shock_a = flip_auc(check_auc(a[1], "A auc_shock"))
+    base_b = flip_auc(check_auc(b[0], "B auc_base"))
+    shock_b = flip_auc(check_auc(b[1], "B auc_shock"))
 
     w_a = _sigmoid(coeffs.k1 * (shock_a - base_a))
     w_b = _sigmoid(coeffs.k1 * (shock_b - base_b))
@@ -185,6 +189,12 @@ def level_sort_key(label: str):
     return (1, float(label))
 
 
+def rank_cells(cells) -> list[tuple]:
+    """(level, model, SU) cells, best first: the higher SU, then the lower
+    outlier level, then the smaller model name."""
+    return sorted(cells, key=lambda c: (-c[2], level_sort_key(c[0]), c[1]))
+
+
 @dataclass
 class UpliftGrid:
     ds: float
@@ -196,18 +206,16 @@ class UpliftGrid:
     def cell(self, level, model) -> UpliftBreakdown:
         return self.cells[(normalize_level(level), model)]
 
-    def top3(self) -> list[dict]:
-        ranked = sorted(
-            self.cells.items(),
-            key=lambda kv: (
-                -kv[1].su_display,
-                self.levels.index(kv[0][0]),
-                kv[0][1],
-            ),
+    def ranked(self) -> list[tuple]:
+        """Every cell as (level, model, displayed SU), by `rank_cells`."""
+        return rank_cells(
+            (lvl, model, br.su_display) for (lvl, model), br in self.cells.items()
         )
+
+    def top3(self) -> list[dict]:
         return [
-            {"rank": i + 1, "level": lvl, "model": model, "su": br.su_display}
-            for i, ((lvl, model), br) in enumerate(ranked[:3])
+            {"rank": i + 1, "level": lvl, "model": model, "su": su}
+            for i, (lvl, model, su) in enumerate(self.ranked()[:3])
         ]
 
     def to_dict(self) -> dict:

@@ -15,7 +15,7 @@ distributions give, so drawing a tail never loads scipy.stats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache
 
 import numpy as np
@@ -341,11 +341,7 @@ def postprocess(batch: SyntheticBatch, spec: OutlierSpec) -> SyntheticBatch:
         values[reflect] = np.maximum(mean + np.abs(values[reflect] - mean), 0.0)
         values[clamp] = 0.0
         columns.append(Column(col.name, col.kind, values))
-    return SyntheticBatch(
-        frame=TabularFrame(columns),
-        outlier_mask=batch.outlier_mask,
-        marginals=batch.marginals,
-    )
+    return replace(batch, frame=TabularFrame(columns))
 
 
 def mix(

@@ -452,6 +452,30 @@ def test_exit_codes(write_csv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["schema", "f.csv", "--json", "DIR"],
+        ["synth", "f.csv", "--rows", "10", "--out", "DIR"],
+        ["synth", "f.csv", "--rows", "10", "--out", "s.csv", "--mask-out", "DIR"],
+        ["split", "f.csv", "--mode", "oos", "--shock-fraction", "0.2", "--out", "f.csv"],
+        ["report", "digest", "grid.json", "--json", "DIR"],
+    ],
+    ids=["schema-json", "synth-out", "synth-mask-out", "split-out-is-a-file", "digest-json"],
+)
+def test_an_output_that_cannot_be_written_exits_3(tmp_path, capsys, argv):
+    make_shocked_fixture(rows=200).to_csv(tmp_path / "f.csv")
+    (tmp_path / "grid.json").write_text(json.dumps({"ds": 0.1, "rows": []}))
+    (tmp_path / "DIR").mkdir()
+    with contextlib.chdir(tmp_path):
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
     "key, value",
     [("train", {"epochz": 3}), ("coefficients", {"k4": 1.0}), ("train", [400])],
     ids=["train-key", "coefficients-key", "train-not-object"],
@@ -1015,8 +1039,9 @@ def test_numeric_flags_exit_with_a_documented_code(number_inputs, data):
 # traceback. Integers stay small so that no drawn run count, epoch count or
 # row target makes a run long, and a real_fraction f, which asks for
 # (1 - f) / f synthetic rows per real row, is not drawn below 0.01 (the test
-# after this one takes the shares no memory can hold); output_dir stays
-# unset, so nothing is written.
+# after this one takes the shares no memory can hold). output_dir is drawn
+# only from names with no "/" and no "..", so nothing is written outside the
+# test's folder.
 _PIPELINE_BASE = {
     "input": "tiny.csv",
     "label": "is_bad",
@@ -1047,6 +1072,15 @@ _PIPELINE_VALUES = st.one_of(
     st.lists(_PIPELINE_SCALARS, max_size=3),
     st.dictionaries(st.text(max_size=8), _PIPELINE_SCALARS, max_size=2),
 )
+_OUTPUT_DIRS = st.one_of(
+    st.text(max_size=8).filter(lambda name: "/" not in name and ".." not in name),
+    st.sampled_from(["out", ".", "tiny.csv", "config.json"]),
+)
+_PIPELINE_DRAWS = st.sampled_from(_PIPELINE_PATHS + [("output_dir", None)]).flatmap(
+    lambda path: st.tuples(
+        st.just(path), _OUTPUT_DIRS if path[0] == "output_dir" else _PIPELINE_VALUES
+    )
+)
 
 
 @pytest.fixture(scope="module")
@@ -1070,18 +1104,21 @@ def test_pipeline_property_base_config_runs(tiny_dir):
 
 
 @settings(max_examples=150, deadline=None)
-@given(path=st.sampled_from(_PIPELINE_PATHS), value=_PIPELINE_VALUES)
-def test_pipeline_config_with_a_drawn_value_exits_with_a_documented_code(
-    tiny_dir, path, value
-):
-    key, sub = path
+@given(draw=_PIPELINE_DRAWS)
+def test_pipeline_config_with_a_drawn_value_exits_with_a_documented_code(tiny_dir, draw):
+    (key, sub), value = draw
     assume(not (key == "real_fraction" and isinstance(value, float) and 0 < value < 0.01))
     config = dict(_PIPELINE_BASE)
     if sub is None:
         config[key] = value
     else:
         config[key] = {**config.get(key, {}), sub: value}
-    assert _pipeline_exit(tiny_dir, config) in (0, 2, 3, 4)
+    with mock.patch.object(pipeline, "train_baseline", wraps=pipeline.train_baseline) as one, \
+            mock.patch.object(pipeline, "train_baselines", wraps=pipeline.train_baselines) as many:
+        code = _pipeline_exit(tiny_dir, config)
+    assert code in (0, 2, 3, 4)
+    if code == 2:  # a config error stops the run before any model trains
+        assert one.call_count == many.call_count == 0
 
 
 @pytest.mark.parametrize("real_fraction", [1.6331864357700506e-149, 1e-12])

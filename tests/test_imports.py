@@ -242,3 +242,53 @@ def test_date_decision_check_finds_each_form():
         "oot_partition(frame, config.split)",
         "splitting.oot_partition(frame, spec)",
     ]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names that `source` imports and never reads. `__future__` imports
+    and lines marked `noqa` (an import kept for its side effect) are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__" or "noqa" in lines[node.lineno - 1]:
+                continue
+            # `import a.b` binds `a`
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export
+    root = Path(shockstab.__file__).parent
+    found = {
+        p.name: unused
+        for p in sorted(root.glob("*.py"))
+        if p.name != "__init__.py"
+        if (unused := _unused_imports(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_unused_import_check_finds_each_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "import scipy.special  # noqa: F401\n"
+        "from .frame import Column, load_csv as load\n"
+        "from . import pipeline\n"
+        "def f(x: Column):\n"
+        "    import json\n"
+        "    from .model import auc\n"
+        "    np = None\n"
+        "    return os.path.join(x), pipeline.run, auc\n"
+    )
+    assert _unused_imports(source) == ["json", "load", "math", "np"]

@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -383,6 +384,22 @@ def test_import_auc_table_range_error(tmp_path):
     assert "run 1" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "value, message",
+    [(1.2, "must lie in [0, 1], got 1.2"), ("high", "must be a number, got 'high'"),
+     (None, "must be a number, got None")],
+    ids=["out-of-range", "text", "null"],
+)
+def test_import_auc_table_error_names_the_field(tmp_path, value, message):
+    payload = _nested_table(models=1, levels=1, runs=2)
+    payload["models"][0]["levels"][0]["runs"][1]["auc_shock_b"] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(DomainError) as err:
+        import_auc_table(path)
+    assert str(err.value).endswith(f"/run 1 auc_shock_b {message}")
+
+
 def test_import_auc_table_empty_models(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"ds": 0.1, "models": []}), encoding="utf-8")
@@ -421,3 +438,23 @@ def test_numerical_encoding_holds_the_mean_and_scale_once():
     design = enc.design_matrix(frame)
     assert np.array_equal(design[:, 0], (filled - mean) / std)
     assert np.array_equal(design[:, 1], np.zeros(5))
+
+
+@pytest.mark.parametrize("learning_rate", [1e100, 1e300, 1.7e308])
+def test_a_diverging_fit_raises_a_named_error_and_no_warning(learning_rate):
+    frame = make_shocked_fixture(rows=300)
+    config = TrainConfig(learning_rate=learning_rate, epochs=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="diverged") as err:
+            train_baseline(frame, "is_bad", config)
+        with pytest.raises(DomainError, match="diverged"):
+            train_baselines([frame, frame], "is_bad", config)
+    assert f"learning_rate {learning_rate!r}" in str(err.value)
+
+
+def test_a_large_learning_rate_that_converges_is_kept():
+    model = train_baseline(
+        make_shocked_fixture(rows=300), "is_bad", TrainConfig(learning_rate=1e3, epochs=20)
+    )
+    assert np.isfinite(model.weights).all() and np.isfinite(model.bias)

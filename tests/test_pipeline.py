@@ -532,6 +532,15 @@ def test_report_with_no_scored_level(small_csv, tmp_path, monkeypatch):
                                 "outliers_pct": None, "su_max": None}]}
 
 
+def test_a_diverging_fit_fails_its_cells(small_csv):
+    train = TrainConfig(learning_rate=1e100, epochs=20)
+    report = run_pipeline(_config(small_csv, runs=1, levels=("without",), train=train))
+    assert report.partial and not report.a_runs
+    [failure] = report.a_failures
+    assert "diverged" in failure["error"] and "learning_rate 1e+100" in failure["error"]
+    assert report.levels[0].failures == [{"run": 0, "error": f"a-model failed: {failure['error']}"}]
+
+
 # ---------------------------------------------------------------------------
 # radial / digest emission
 # ---------------------------------------------------------------------------

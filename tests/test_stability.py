@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shockstab.calibration import sensitivity_sweep
 from shockstab.errors import ConfigError, DomainError, DuplicateKeyError
+from shockstab.pipeline import emit_digest
 from shockstab.stability import (
     UpliftCoefficients,
     batch_uplift,
+    check_auc,
     flip_auc,
+    level_sort_key,
     stabilization_score,
     stabilization_uplift,
     _sigmoid,
@@ -296,3 +300,80 @@ def test_su_magnitude_is_bounded_by_w(a, b, ds, coeffs, epsilon):
 @given(pair=_pairs, ds=_ds, coeffs=_coefficients, epsilon=_epsilons)
 def test_su_is_zero_for_identical_pairs(pair, ds, coeffs, epsilon):
     assert stabilization_uplift(pair, pair, ds, coeffs, epsilon).su == 0.0
+
+
+def test_check_auc_refuses_non_numbers_and_values_outside():
+    assert check_auc(0.25, "x") == 0.25
+    assert check_auc(1, "x") == 1.0
+    for value in ("high", None, [0.5], 10**400):
+        with pytest.raises(DomainError, match=r"^run 3 auc_base must be a number, got "):
+            check_auc(value, "run 3 auc_base")
+    for value in (-0.1, 1.2, math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"^auc must lie in \[0, 1\], got "):
+            check_auc(value)
+
+
+# The orderings of uplift cells as the code before `rank_cells` wrote them:
+# three copies, each with its own tie-break.
+def _reference_top3(grid):
+    ranked = sorted(
+        grid.cells.items(),
+        key=lambda kv: (-kv[1].su_display, grid.levels.index(kv[0][0]), kv[0][1]),
+    )
+    return [
+        {"rank": i + 1, "level": lvl, "model": model, "su": br.su_display}
+        for i, ((lvl, model), br) in enumerate(ranked[:3])
+    ]
+
+
+def _reference_argmax(grid):
+    out = {}
+    for model in grid.models:
+        best_level, best_su = None, -math.inf
+        for lvl in grid.levels:
+            br = grid.cells.get((lvl, model))
+            if br is not None and br.su_display > best_su:
+                best_level, best_su = lvl, br.su_display
+        out[model] = best_level
+    return out
+
+
+def _reference_digest_cell(grid):
+    cells = [
+        (model, lvl, grid.cells[(lvl, model)].su_display)
+        for lvl in grid.levels
+        for model in grid.models
+        if (lvl, model) in grid.cells
+    ]
+    return min(cells, key=lambda c: (-c[2], level_sort_key(c[1]), c[0]))
+
+
+# few AUC values, so that many cells share one SU, and identical A and B
+# pairs give SU 0
+_TIED_CELLS = st.dictionaries(
+    st.tuples(
+        st.sampled_from(["without", "0", "1", "5", "10", "12.5"]),
+        st.sampled_from(["m", "a", "zeta", "b"]),
+    ),
+    st.tuples(*(st.sampled_from([0.3, 0.7, 0.8]) for _ in range(4))),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=_TIED_CELLS)
+def test_every_cell_ranking_equals_its_reference(cells):
+    records = [(model, lvl, *aucs) for (lvl, model), aucs in cells.items()]
+    grid = batch_uplift(records, ds=0.1)
+    assert grid.top3() == _reference_top3(grid)
+
+    model, lvl, su = _reference_digest_cell(grid)
+    [row] = emit_digest(grid.to_dict())["rows"]
+    assert (row["model"], row["outliers_pct"], row["su_max"]) == (model, lvl, su)
+
+    sweep = {"k1": [100.0], "k2": [1.0, 1000.0], "k3": [1000.0]}
+    for entry in sensitivity_sweep(records, 0.1, sweep).entries:
+        coeffs = UpliftCoefficients(**entry["coefficients"])
+        expected = _reference_argmax(batch_uplift(records, 0.1, coeffs))
+        assert {m: e["level"] for m, e in entry["argmax_by_model"].items()} == expected

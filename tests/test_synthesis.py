@@ -85,9 +85,20 @@ def test_fit_insufficient_data():
         fit(make_frame(s=[None, None], x=[1.0, 2.0]))
 
 
-def test_fit_pairwise_fallback_when_no_complete_rows():
-    frame = make_frame(x=[1.0, 2.0, None, 4.0], y=[None, 3.0, 5.0, 6.0])
+def test_fit_pairwise_fallback_when_no_complete_rows(monkeypatch):
+    # each row lacks one of the three columns, and each pair shares two rows
+    frame = make_frame(
+        x=[1.0, 2.0, 3.0, 5.0, None, None],
+        y=[2.0, 5.0, None, None, 1.0, 4.0],
+        z=[None, None, 1.0, 7.0, 2.0, 3.0],
+    )
+    calls = []
+    pairwise = synthesis._pairwise_covariance
+    monkeypatch.setattr(
+        synthesis, "_pairwise_covariance", lambda m: calls.append(m) or pairwise(m)
+    )
     gen = fit(frame)
+    assert len(calls) == 1
     assert np.all(np.isfinite(gen.covariance))
     assert np.all(np.linalg.eigvalsh(gen.covariance) >= 0.0)
 
