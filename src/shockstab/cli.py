@@ -62,10 +62,22 @@ def _finite_number(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    """A JSON integer's value, refused as `_finite_number` refuses a number
+    beyond float's range."""
+    _finite_number(text)
+    return int(text)
+
+
 def _load_json(path) -> object:
     try:
         text = Path(path).read_text(encoding="utf-8")
-        return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+        return json.loads(
+            text,
+            parse_float=_finite_number,
+            parse_int=_finite_int,
+            parse_constant=_finite_number,
+        )
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ConfigError(f"cannot load {path}: {exc}") from exc
 
@@ -284,9 +296,10 @@ def _cmd_train_eval(args) -> int:
     config = TrainConfig(
         learning_rate=args.learning_rate, epochs=args.epochs, l2=args.l2
     )
-    frame = load_csv(args.file)
     pairs = []
-    for split in model_splits(frame, spec, args.label):
+    # the loaded frame goes straight to its splits, so its cell text is
+    # freed before the first fit
+    for split in model_splits(load_csv(args.file), spec, args.label):
         model = train_baseline(split.train, args.label, config)
         pairs.append(evaluate_pair(model, split, args.label))
     base = aggregate([p.auc_base for p in pairs])

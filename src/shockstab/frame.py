@@ -12,6 +12,13 @@ every non-missing cell byte-equal. A numerical column keeps a tuple of its
 cell strings; a categorical column's categories are its cell strings, so
 each cell's text is held once. `Column.raw` gives the text back per cell,
 or None for a column that keeps none (one built from an array of values).
+
+`load_csv` reads a file in chunks of `_CSV_READ_ROWS` (8,192) rows and
+classifies each chunk's cells before it reads the next, so a categorical
+column's cell strings are dropped with their chunk and only its distinct
+values stay. The pipeline and `train-eval` hand the loaded frame straight
+to `splitting.model_splits`, whose splits keep no text, so the frame and
+its text are freed once the splits exist, before any model trains.
 """
 
 from __future__ import annotations
@@ -320,6 +327,10 @@ class TabularFrame:
 # (8,192 rows raised a 50k-row split's peak RSS by about 2 MB).
 _CSV_CHUNK_ROWS = 1024
 
+# Rows per read in load_csv: enough that the per-chunk overhead vanishes, few
+# enough that a chunk's cells add little to the peak memory.
+_CSV_READ_ROWS = 8192
+
 
 def _writes_verbatim(texts, delimiter: str) -> bool:
     """Whether csv's QUOTE_MINIMAL writer leaves every cell of the columns
@@ -378,6 +389,12 @@ def load_csv(
     numeric columns with at most that many distinct values to categorical;
     a negative one is a ConfigError. `kind_overrides` forces specific
     columns. Missing cells are any cell equal to one of `missing_tokens`.
+
+    Rows are read in chunks of `_CSV_READ_ROWS`, and each chunk's cells are
+    classified column by column before the next is read. Errors keep the
+    precedence of a whole-file read: text that is not UTF-8 anywhere in the
+    file wins, then the first ragged row, then the first cell of a column
+    forced numerical that is not numeric, in header order.
     """
     _check_override(categorical_override)
     missing_tokens = frozenset(missing_tokens)
@@ -399,19 +416,17 @@ def load_csv(
             if len(set(header)) != len(header):
                 dup = next(h for h in header if header.count(h) > 1)
                 raise CsvFormatError(f"{path}: duplicate header column {dup!r}")
-            # csv.reader's row lists are tracked containers, so each collection
-            # while they pile up would walk them all again: pause the collector
-            # while they are read and transposed
+            columns = [
+                _ColumnReader(name, kind_overrides.get(name), missing_tokens)
+                for name in header
+            ]
+            # csv.reader's row lists are tracked containers, so a collection
+            # would walk a whole chunk of them, and the text kept so far:
+            # pause the collector while the file is read
             gc_enabled = gc.isenabled()
             gc.disable()
             try:
-                rows = list(reader)
-                width = len(header)
-                if any(map(width.__ne__, map(len, rows))):
-                    i = next(i for i, row in enumerate(rows) if len(row) != width)
-                    raise RaggedRowError(i + 1, width, len(rows[i]))
-                by_column = list(zip(*rows)) or [()] * width
-                del rows
+                ragged = _read_rows(reader, columns)
             finally:
                 if gc_enabled:
                     gc.enable()
@@ -419,40 +434,120 @@ def load_csv(
         raise CsvFormatError(
             f"cannot read {path}: not UTF-8 text ({exc.reason})"
         ) from None
+    if ragged is not None:
+        raise ragged
+    for column in columns:
+        if column.error is not None:
+            raise column.error
+    return TabularFrame([c.column(categorical_override) for c in columns])
 
-    columns = []
-    for i, name in enumerate(header):
-        # let go of each column's cells once it is built: a categorical
-        # column keeps one string per category, not one per cell
-        cells, by_column[i] = by_column[i], None
+
+def _read_rows(reader, columns: list) -> RaggedRowError | None:
+    """Read `reader` to its end in chunks, each column classifying its cells.
+
+    Returns the first ragged row's error, or None; once a row is ragged the
+    rest of the file is read, for its decoding errors, but not classified.
+    """
+    width, offset = len(columns), 0
+    while chunk := list(itertools.islice(reader, _CSV_READ_ROWS)):
+        if any(map(width.__ne__, map(len, chunk))):
+            i = next(i for i, row in enumerate(chunk) if len(row) != width)
+            ragged = RaggedRowError(offset + i + 1, width, len(chunk[i]))
+            for _ in reader:
+                pass
+            return ragged
+        for column, cells in zip(columns, zip(*chunk)):
+            column.add(cells, offset)
+        offset += len(chunk)
+        del chunk, cells  # before the next chunk is read
+    return None
+
+
+class _ColumnReader:
+    """One CSV column as load_csv reads it, a chunk of cells at a time.
+
+    While every cell read is numeric or missing, the column keeps each
+    chunk's floats, NaN marking a missing cell, and its cell text, None
+    marking a missing cell. From the first chunk with another cell, or from
+    the start when forced categorical, it keeps provisional int32 codes by
+    first appearance instead, and one string per distinct cell. A column
+    forced numerical keeps, at its first cell that is not numeric, the
+    CsvFormatError that names it.
+    """
+
+    __slots__ = ("name", "forced", "missing_tokens", "floats", "text", "codes", "lookup", "error")
+
+    def __init__(self, name: str, forced: ColumnKind | None, missing_tokens: frozenset):
+        self.name, self.forced, self.missing_tokens = name, forced, missing_tokens
+        self.floats, self.text = [], []
+        self.codes = self.lookup = self.error = None
+        if forced is ColumnKind.CATEGORICAL:
+            self._to_codes()
+
+    def add(self, cells: tuple, offset: int) -> None:
+        """Classify one chunk of cells, the first of them at row `offset`."""
+        if self.error is not None:
+            return
         missing = np.fromiter(
-            map(missing_tokens.__contains__, cells), dtype=bool, count=len(cells)
+            map(self.missing_tokens.__contains__, cells), dtype=bool, count=len(cells)
         )
         text = np.array(cells, dtype=object)
         text[missing] = None
-        present = text[~missing]
-        kind = kind_overrides.get(name)
-        numbers = None if kind is ColumnKind.CATEGORICAL else _parse_floats(present)
-        if kind is ColumnKind.NUMERICAL and numbers is None:
-            row = next(
-                i for i, c in enumerate(text) if c is not None and _parse_floats((c,)) is None
-            )
-            raise CsvFormatError(
-                f"column {name!r} forced numerical but row {row + 1} holds {cells[row]!r}"
-            )
-        if kind is None:
-            numeric = numbers is not None and present.size > 0
-            if numeric and categorical_override > 0:
-                numeric = np.unique(numbers).size > categorical_override
-            kind = ColumnKind.NUMERICAL if numeric else ColumnKind.CATEGORICAL
-        if kind is ColumnKind.NUMERICAL:
-            values = np.full(len(cells), np.nan)
-            values[~missing] = numbers
-            columns.append(Column(name, kind, values, tuple(text.tolist())))
-        else:
-            codes, categories = _encode(text.tolist())
-            columns.append(Column.from_codes(name, codes, categories, keeps_text=True))
-    return TabularFrame(columns)
+        if self.codes is None:
+            present = text[~missing]
+            numbers = _parse_floats(present)
+            if numbers is not None:
+                values = np.full(len(cells), np.nan)
+                values[~missing] = numbers
+                self.floats.append(values)
+                self.text += text.tolist()
+                return
+            if self.forced is ColumnKind.NUMERICAL:
+                row = next(
+                    i for i, c in enumerate(text) if c is not None and _parse_floats((c,)) is None
+                )
+                self.error = CsvFormatError(
+                    f"column {self.name!r} forced numerical but row {offset + row + 1} "
+                    f"holds {cells[row]!r}"
+                )
+                self.floats = self.text = None
+                return
+            self._to_codes()
+        self._encode(text.tolist())
+
+    def _to_codes(self) -> None:
+        """Switch to provisional codes, encoding the text kept so far."""
+        text = self.text
+        self.codes, self.lookup = [], {None: -1}
+        self.floats = self.text = None
+        self._encode(text)
+
+    def _encode(self, cells: list) -> None:
+        lookup = self.lookup
+        new = [c for c in dict.fromkeys(cells) if c not in lookup]
+        lookup.update(zip(new, itertools.count(len(lookup) - 1)))
+        self.codes.append(
+            np.fromiter(map(lookup.__getitem__, cells), dtype=np.int32, count=len(cells))
+        )
+
+    def column(self, categorical_override: int) -> Column:
+        """The loaded column, its kind decided on all of its cells."""
+        if self.codes is None:
+            values = np.concatenate(self.floats) if self.floats else np.empty(0)
+            numeric = self.forced is ColumnKind.NUMERICAL
+            if self.forced is None:
+                present = values[~np.isnan(values)]
+                numeric = present.size > 0
+                if numeric and categorical_override > 0:
+                    numeric = np.unique(present).size > categorical_override
+            if numeric:
+                return Column(self.name, ColumnKind.NUMERICAL, values, tuple(self.text))
+            self._to_codes()
+        # the lookup lists None, then each cell by its provisional code; its
+        # codes into the categories sorted by str remap every cell's code
+        remap, categories = _encode(list(self.lookup))
+        codes = remap[np.concatenate(self.codes) + 1]
+        return Column.from_codes(self.name, codes, categories, keeps_text=True)
 
 
 # ---------------------------------------------------------------------------

@@ -429,22 +429,36 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     in parallel processes (see `_map_runs`); the report is byte-identical
     for every process count.
     """
-    frame = load_csv(
-        config.input_path,
-        missing_tokens=config.missing_tokens,
-        categorical_override=config.categorical_override,
+    # the loaded frame goes straight to its splits, so its cell text is
+    # freed before any model trains
+    splits = _pipeline_splits(
+        load_csv(
+            config.input_path,
+            missing_tokens=config.missing_tokens,
+            categorical_override=config.categorical_override,
+        ),
+        config,
     )
-    return run_pipeline_on_frame(frame, config)
+    return _run_splits(splits, config)
 
 
 def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> PipelineReport:
-    """Same as run_pipeline but on an already-loaded frame.
+    """Same as run_pipeline but on an already-loaded frame."""
+    return _run_splits(_pipeline_splits(frame, config), config)
+
+
+def _pipeline_splits(frame: TabularFrame, config: PipelineConfig) -> list:
+    """The pipeline's Monte Carlo splits of `frame`.
 
     A label that is missing or not numerical 0/1 raises its DataError
     before any split is made or any model trains.
     """
     extract_labels(frame, config.label)
-    splits = model_splits(frame, config.split, config.label)
+    return model_splits(frame, config.split, config.label)
+
+
+def _run_splits(splits: list, config: PipelineConfig) -> PipelineReport:
+    """The pipeline's report from its splits: DS, every task, the scores."""
     # DS compares run 0's pre-shock rows with its shocked rows: in OOT mode
     # the partition's two segments, in OOS mode the run-0 pseudo-shock split
     first = splits[0]
@@ -464,8 +478,9 @@ def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> Pipeli
     report.levels = [levels[label] for label in config.levels]
 
     if config.output_dir:
-        # made before any training, so a path that cannot be a directory
-        # stops the run before the first model rather than after the last
+        # made before any training, so a path that cannot be a directory,
+        # or a report file that cannot be a file, stops the run before the
+        # first model rather than after the last
         _output_dir(config.output_dir)
     done = _map_runs(splits, config)
     for index, split in enumerate(splits):
@@ -513,16 +528,24 @@ def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> Pipeli
 # Report emission
 # ---------------------------------------------------------------------------
 
+# The files write_report writes in its output directory, by key.
+_REPORT_FILES = {"report": "report.json", "auc_runs": "auc_runs.csv", "uplift": "uplift.csv"}
+
+
 def _output_dir(path) -> Path:
     """The directory `path`, made if it is missing.
 
-    Raises DataError, as an unreadable input does, when it cannot be made.
+    Raises DataError, as an unreadable input does, when it cannot be made,
+    or when one of `_REPORT_FILES` exists in it and is not a regular file.
     """
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot write {out}: {exc}") from exc
+    for file in map(out.joinpath, _REPORT_FILES.values()):
+        if file.exists() and not file.is_file():
+            raise DataError(f"cannot write {file}: it exists and is not a regular file")
     return out
 
 
@@ -532,11 +555,10 @@ def write_report(report: PipelineReport, out_dir) -> dict:
     Raises DataError, as `_output_dir` does, when a file cannot be written.
     """
     out = _output_dir(out_dir)
+    paths = {key: out / name for key, name in _REPORT_FILES.items()}
     try:
-        paths = {"report": out / "report.json"}
         paths["report"].write_text(report.to_json(), encoding="utf-8")
 
-        paths["auc_runs"] = out / "auc_runs.csv"
         with open(paths["auc_runs"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["outliers_pct", "run", "auc_base_a", "auc_shock_a",
@@ -552,7 +574,6 @@ def write_report(report: PipelineReport, out_dir) -> dict:
                         repr(p.auc_base), repr(p.auc_shock),
                     ])
 
-        paths["uplift"] = out / "uplift.csv"
         with open(paths["uplift"], "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["outliers_pct", "su", "su_display", "ss_a", "ss_b",

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -308,6 +309,8 @@ _REPORT = {
         }
     ],
 }
+# an integer whose float() overflows: refused as a float beyond range is
+_HUGE = "9" * 401
 _ANCHOR = {
     "a_base": 0.8, "a_shock": 0.7, "b_base": 0.8, "b_shock": 0.7,
     "ds": 0.2, "target_su": 0.0,
@@ -346,6 +349,18 @@ _ANCHOR = {
             2, "NaN is not a finite number",
         ),
         (
+            ["su-grid", "FILE", "--ds", "0.2"],
+            f'[{{"model": "m", "outliers_pct": 5, "auc_base_a": {_HUGE}, "auc_shock_a": 0.7,'
+            ' "auc_base_b": 0.82, "auc_shock_b": 0.78}]',
+            2, f"input.json: {_HUGE} is not a finite number",
+        ),
+        (
+            ["su-grid", "FILE"],
+            f'{{"ds": {_HUGE}, "models": [{{"name": "m", "levels": [{{"outliers_pct": 5, "runs":'
+            ' [{"auc_base_a": 0.8, "auc_shock_a": 0.7, "auc_base_b": 0.81, "auc_shock_b": 0.76}]}]}]}',
+            2, f"input.json: {_HUGE} is not a finite number",
+        ),
+        (
             ["calibrate", "FILE"],
             json.dumps([{**_ANCHOR, "confidence": float("inf")}]),
             2, "Infinity is not a finite number",
@@ -360,7 +375,8 @@ _ANCHOR = {
         ),
     ],
     ids=["digest-nan-ds", "digest-infinite-su", "radial-nan-median", "radial-overflowing-median",
-         "su-grid-nan-auc", "calibrate-infinite-confidence", "calibrate-overflowing-error"],
+         "su-grid-nan-auc", "su-grid-overflowing-integer-auc", "su-grid-overflowing-integer-ds",
+         "calibrate-infinite-confidence", "calibrate-overflowing-error"],
 )
 def test_non_finite_json_input_exits_with_one_error_line(
     tmp_path, capsys, argv, text, code, message
@@ -473,6 +489,29 @@ def test_an_output_that_cannot_be_written_exits_3(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_train_eval_frees_the_loaded_frame_before_the_first_fit(fixture_csv, capsys, monkeypatch):
+    loaded, alive_at_fit = [], []
+
+    def load(*args, **kwargs):
+        frame = cli_load_csv(*args, **kwargs)
+        loaded.append(weakref.ref(frame))
+        return frame
+
+    def train(*args, **kwargs):
+        alive_at_fit.append(loaded[0]() is not None)
+        return cli_train_baseline(*args, **kwargs)
+
+    cli_load_csv, cli_train_baseline = cli.load_csv, cli.train_baseline
+    monkeypatch.setattr(cli, "load_csv", load)
+    monkeypatch.setattr(cli, "train_baseline", train)
+    code, out = _run(
+        capsys, "train-eval", fixture_csv, "--label", "is_bad", "--mode", "oot",
+        "--date-col", "date", "--shock-date", "2018-03-22", "--runs", "2", "--epochs", "20",
+    )
+    assert code == 0 and len(out["runs"]) == 2
+    assert alive_at_fit == [False, False]
 
 
 @pytest.mark.parametrize(
@@ -730,19 +769,22 @@ def test_pipeline_unwritable_output_dir_stops_before_training(
 
 
 @pytest.mark.parametrize(
-    "label, report_dir, message, trains",
+    "label, report_file, message",
     [
-        ("no_such_column", False, "schema mismatch on column 'no_such_column'", False),
-        ("sector", False, "label column 'sector' must be numerical 0/1", False),
-        ("is_bad", True, "cannot write {out}/report.json: ", True),
+        ("no_such_column", None, "schema mismatch on column 'no_such_column'"),
+        ("sector", None, "label column 'sector' must be numerical 0/1"),
+        ("is_bad", "report.json", "cannot write {out}/report.json: "),
+        ("is_bad", "auc_runs.csv", "cannot write {out}/auc_runs.csv: "),
+        ("is_bad", "uplift.csv", "cannot write {out}/uplift.csv: "),
     ],
-    ids=["missing-label", "categorical-label", "report-json-is-a-directory"],
+    ids=["missing-label", "categorical-label", "report-json-is-a-directory",
+         "auc-runs-csv-is-a-directory", "uplift-csv-is-a-directory"],
 )
 def test_pipeline_data_fault_exits_3_with_one_error_line(
-    tmp_path, capsys, monkeypatch, label, report_dir, message, trains
+    tmp_path, capsys, monkeypatch, label, report_file, message
 ):
-    # a bad label stops the run before any model trains; a report file that
-    # cannot be written is found after training, and exits 3 all the same
+    # a bad label, or a report file that exists and is not a regular file,
+    # stops the run before any model trains
     calls = []
     monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
     for name in ("fit", "train_baseline", "train_baselines"):
@@ -753,8 +795,8 @@ def test_pipeline_data_fault_exits_3_with_one_error_line(
     csv_path = tmp_path / "small.csv"
     make_shocked_fixture(rows=300).to_csv(csv_path)
     out = tmp_path / "out"
-    if report_dir:
-        (out / "report.json").mkdir(parents=True)
+    if report_file:
+        (out / report_file).mkdir(parents=True)
     config = {
         "input": str(csv_path),
         "label": label,
@@ -771,7 +813,7 @@ def test_pipeline_data_fault_exits_3_with_one_error_line(
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
-    assert sorted(set(calls)) == (["fit", "train_baseline", "train_baselines"] if trains else [])
+    assert calls == []
 
 
 def test_pipeline_override_flags_are_checked(fixture_csv, tmp_path, capsys):

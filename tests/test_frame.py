@@ -1,9 +1,14 @@
 import csv
 import gc
+import io
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shockstab.errors import (
     ConfigError,
@@ -14,6 +19,8 @@ from shockstab.errors import (
     SchemaMismatchError,
     UndeterminableColumnError,
 )
+from shockstab import frame as frame_module
+from shockstab.fixtures import make_shocked_fixture
 from shockstab.frame import ColumnKind, TabularFrame, concat_frames, detect_schema, load_csv
 
 from conftest import make_frame, num_col
@@ -337,3 +344,125 @@ def test_negative_categorical_override_is_config_error(write_csv):
 def test_path_with_a_nul_byte_is_a_csv_error():
     with pytest.raises(CsvFormatError, match="embedded null byte"):
         load_csv("data\x00.csv")
+
+
+# load_csv reads its rows in chunks of frame._CSV_READ_ROWS; every chunk size
+# must give the same frame, or the same error, as one chunk holding them all.
+
+def _loaded(path, chunk_rows, **kwargs):
+    """load_csv's frame at `chunk_rows` rows per chunk, as comparable data,
+    or its error's type, message and row index."""
+    with mock.patch.object(frame_module, "_CSV_READ_ROWS", chunk_rows):
+        try:
+            frame = load_csv(path, **kwargs)
+        except CsvFormatError as exc:
+            return type(exc), str(exc), getattr(exc, "row_index", None)
+    return [
+        (c.name, c.kind, c.raw, c.values.tobytes())
+        if c.kind is ColumnKind.NUMERICAL
+        else (c.name, c.kind, c.raw, c.codes.tobytes(), c.categories)
+        for c in frame.columns
+    ]
+
+
+_number_cells = st.one_of(
+    st.sampled_from(["0", "1", "-0.0", "1e3", " 2.5 ", "", "NA", "null"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_other_cells = st.one_of(
+    st.sampled_from(["x", "b b", "1_000", "inf", "nan", "a,b", 'say "hi"', "two\nlines", "r\r\n"]),
+    st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=5),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """(file bytes, column names): columns of numbers that may turn to other
+    text at a drawn row, the odd ragged row and the odd byte that is not
+    UTF-8."""
+    names = draw(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4, unique=True))
+    rows = draw(st.integers(0, 10))
+    columns = []
+    for _ in names:
+        turn = draw(st.integers(0, rows + 1))  # the row from which any text is drawn
+        columns.append([draw(_number_cells if i < turn else _other_cells) for i in range(rows)])
+    table = [list(row) for row in zip(*columns)] if rows else []
+    for row in table:
+        if draw(st.integers(0, 19)) == 0:
+            del row[draw(st.integers(0, len(row) - 1)) :]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(names)
+    writer.writerows(table)
+    data = buffer.getvalue().encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, names
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    drawn=_csv_files(),
+    categorical_override=st.integers(0, 2),
+    forced=st.lists(st.sampled_from([None, ColumnKind.NUMERICAL, ColumnKind.CATEGORICAL]),
+                    min_size=4, max_size=4),
+)
+def test_load_csv_gives_the_same_result_for_every_chunk_size(
+    tmp_path_factory, drawn, categorical_override, forced
+):
+    data, names = drawn
+    path = tmp_path_factory.getbasetemp() / "chunks.csv"
+    path.write_bytes(data)
+    kwargs = {
+        "categorical_override": categorical_override,
+        "kind_overrides": {n: k for n, k in zip(names, forced) if k is not None},
+    }
+    whole = _loaded(path, data.count(b"\n") + 1, **kwargs)
+    for chunk_rows in (1, 2, 3):
+        assert _loaded(path, chunk_rows, **kwargs) == whole
+
+
+_FORCED = {"a": ColumnKind.NUMERICAL, "b": ColumnKind.NUMERICAL}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 8192])
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("a,b\n1,2\n3,y\nx,4\n5\n\xff,6\n", CsvFormatError, "not UTF-8 text"),
+        ("a,b\n1,y\n3,4\nx,4\n5\n", RaggedRowError, "row 4 has 1 cells, header has 2"),
+        ("a,b\n1,y\n3,4\nx,4\n", CsvFormatError,
+         "column 'a' forced numerical but row 3 holds 'x'"),
+        ("a,b\n1,y\n3,z\n4,5\n", CsvFormatError,
+         "column 'b' forced numerical but row 1 holds 'y'"),
+    ],
+    ids=["undecodable-wins", "then-ragged", "then-forced-in-header-order", "first-bad-row"],
+)
+def test_load_csv_error_precedence_holds_for_every_chunk_size(
+    tmp_path, chunk_rows, text, error, message
+):
+    path = tmp_path / "errors.csv"
+    path.write_bytes(text.encode("utf-8").replace(b"\xc3\xbf", b"\xff"))
+    with mock.patch.object(frame_module, "_CSV_READ_ROWS", chunk_rows):
+        with pytest.raises(error) as err:
+            load_csv(path, kind_overrides=_FORCED)
+    assert type(err.value) is error
+    assert message in str(err.value)
+
+
+def test_load_csv_peaks_near_what_its_frame_keeps(tmp_path):
+    path = tmp_path / "fixture.csv"
+    make_shocked_fixture(rows=20_000).to_csv(path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        frame = load_csv(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert frame.row_count == 20_000
+    # a whole-file read peaked at 1.67 times what its frame keeps
+    assert (peak - before) <= 1.4 * (kept - before)

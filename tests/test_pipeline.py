@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -272,6 +273,27 @@ def test_seeded_report_digest_frozen(tmp_path, monkeypatch):
     for name in ("auc_runs.csv", "uplift.csv"):
         digest.update((tmp_path / "out" / name).read_bytes())
     assert digest.hexdigest() == FROZEN_REPORT_DIGEST
+
+
+def test_the_loaded_frame_is_freed_before_any_task_runs(small_csv, monkeypatch):
+    loaded, alive_at_tasks = [], []
+    real_load_csv, real_map_runs = pipeline.load_csv, pipeline._map_runs
+
+    def load(*args, **kwargs):
+        frame = real_load_csv(*args, **kwargs)
+        loaded.append(weakref.ref(frame))
+        return frame
+
+    def map_runs(splits, config):
+        alive_at_tasks.append(loaded[0]() is not None)
+        return real_map_runs(splits, config)
+
+    monkeypatch.setattr(pipeline, "load_csv", load)
+    monkeypatch.setattr(pipeline, "_map_runs", map_runs)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    report = run_pipeline(_config(small_csv, runs=2, levels=("without",)))
+    assert not report.partial
+    assert alive_at_tasks == [False]
 
 
 def test_pipeline_frames_carry_no_raw_text(small_csv, monkeypatch):
