@@ -55,7 +55,6 @@ from .pipeline import (
     emit_digest,
     emit_radial_data,
     run_pipeline,
-    run_pipeline_on_frame,
     write_report,
 )
 from .splitting import (
@@ -144,7 +143,6 @@ __all__ = [
     "oot_partition",
     "postprocess",
     "run_pipeline",
-    "run_pipeline_on_frame",
     "sensitivity_sweep",
     "split_once",
     "stabilization_score",

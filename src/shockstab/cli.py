@@ -2,8 +2,10 @@
 
 One subcommand per capability: schema inspection, distribution shift,
 stabilization score/uplift, uplift grids, shock splitting, outlier
-synthesis, slope calibration and sweeps, the built-in train/evaluate loop,
-the full pipeline and report re-emission. All commands print JSON.
+synthesis, slope calibration and sweeps, the full pipeline and report
+re-emission. All commands print JSON. The A-model alone over the Monte
+Carlo splits is a pipeline run with `real_fraction` 1.0 and the one level
+"without".
 
 Exit codes: 0 success, 2 configuration error, 3 data error (or an input
 that needs more memory than there is, or an output that cannot be
@@ -23,19 +25,20 @@ from .calibration import AnchorPoint, calibrate, sensitivity_sweep
 from .drift import DEFAULT_TAU, distribution_shift
 from .errors import ConfigError, DataError, ShockStabError
 from .frame import DEFAULT_MISSING_TOKENS, detect_schema, load_csv
-from .model import auc_table_from_payload, evaluate_pair, train_baseline, TrainConfig
+from .model import auc_table_from_payload
 from .pipeline import (
     PipelineConfig,
     emit_digest,
     emit_radial_data,
     run_pipeline,
 )
-from .splitting import SplitSpec, aggregate, model_splits, split_once
+from .splitting import SplitSpec, split_once
 from .stability import (
     DEFAULT_COEFFICIENTS,
     DEFAULT_EPSILON,
     UpliftCoefficients,
     batch_uplift,
+    normalize_level,
     stabilization_score,
     stabilization_uplift,
 )
@@ -105,18 +108,6 @@ def _coeffs(args) -> UpliftCoefficients:
     return UpliftCoefficients(k1=args.k1, k2=args.k2, k3=args.k3)
 
 
-def _split_spec(args) -> SplitSpec:
-    return SplitSpec(
-        mode=args.mode,
-        date_column=getattr(args, "date_col", None),
-        shock_date=getattr(args, "shock_date", None),
-        shock_fraction=getattr(args, "shock_fraction", None),
-        train_fraction=args.train_fraction,
-        mc_runs=args.runs,
-        seed=args.seed,
-    )
-
-
 def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
     """Load either the flat su-grid record list or the nested AUC table."""
     payload = _load_json(path)
@@ -129,13 +120,15 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
                 records.append(
                     (
                         r["model"],
-                        r["outliers_pct"],
+                        normalize_level(r["outliers_pct"]),
                         float(r["auc_base_a"]),
                         float(r["auc_shock_a"]),
                         float(r["auc_base_b"]),
                         float(r["auc_shock_b"]),
                     )
                 )
+            except ConfigError as exc:  # not an outlier level
+                raise DataError(f"{path}: record {i}: {exc}") from None
             except (KeyError, TypeError, ValueError) as exc:
                 raise DataError(f"{path}: record {i}: {exc!r}") from None
         return records, ds_flag
@@ -207,7 +200,16 @@ def _write_split(split, out: Path) -> list[str]:
 
 
 def _cmd_split(args) -> int:
-    spec = _split_spec(args)  # a config error stops before the CSV is read
+    # a config error stops before the CSV is read
+    spec = SplitSpec(
+        mode=args.mode,
+        date_column=args.date_col,
+        shock_date=args.shock_date,
+        shock_fraction=args.shock_fraction,
+        train_fraction=args.train_fraction,
+        mc_runs=args.runs,
+        seed=args.seed,
+    )
     frame = load_csv(args.file)
     first = split_once(frame, spec, 0)  # a bad date column stops before any file
     out = Path(args.out)
@@ -290,31 +292,6 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _cmd_train_eval(args) -> int:
-    # a config error stops before the CSV is read
-    spec = _split_spec(args)
-    config = TrainConfig(
-        learning_rate=args.learning_rate, epochs=args.epochs, l2=args.l2
-    )
-    pairs = []
-    # the loaded frame goes straight to its splits, so its cell text is
-    # freed before the first fit
-    for split in model_splits(load_csv(args.file), spec, args.label):
-        model = train_baseline(split.train, args.label, config)
-        pairs.append(evaluate_pair(model, split, args.label))
-    base = aggregate([p.auc_base for p in pairs])
-    shock = aggregate([p.auc_shock for p in pairs])
-    _emit(
-        {
-            "runs": [p.to_dict() for p in pairs],
-            "auc_base": base._asdict(),
-            "auc_shock": shock._asdict(),
-        },
-        args.json,
-    )
-    return EXIT_OK
-
-
 def _cmd_pipeline(args) -> int:
     payload = _load_json(args.config)
     # the overrides join the payload, so from_dict checks them with the rest;
@@ -351,18 +328,6 @@ def _add_coeff_flags(p):
     p.add_argument("--k1", type=float, default=DEFAULT_COEFFICIENTS.k1)
     p.add_argument("--k2", type=float, default=DEFAULT_COEFFICIENTS.k2)
     p.add_argument("--k3", type=float, default=DEFAULT_COEFFICIENTS.k3)
-
-
-def _add_split_flags(p):
-    p.add_argument("--mode", choices=("oot", "oos"), required=True)
-    p.add_argument("--date-col", dest="date_col")
-    p.add_argument("--shock-date", dest="shock_date")
-    p.add_argument("--shock-fraction", dest="shock_fraction", type=float)
-    # a dataclass field's default is its class attribute
-    p.add_argument("--train-fraction", dest="train_fraction", type=float,
-                   default=SplitSpec.train_fraction)
-    p.add_argument("--runs", type=int, default=SplitSpec.mc_runs)
-    p.add_argument("--seed", type=int, default=SplitSpec.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("split", help="write train/test/shock CSVs per run")
     p.add_argument("file")
-    _add_split_flags(p)
+    p.add_argument("--mode", choices=("oot", "oos"), required=True)
+    p.add_argument("--date-col", dest="date_col")
+    p.add_argument("--shock-date", dest="shock_date")
+    p.add_argument("--shock-fraction", dest="shock_fraction", type=float)
+    # a dataclass field's default is its class attribute
+    p.add_argument("--train-fraction", dest="train_fraction", type=float,
+                   default=SplitSpec.train_fraction)
+    p.add_argument("--runs", type=int, default=SplitSpec.mc_runs)
+    p.add_argument("--seed", type=int, default=SplitSpec.seed)
     p.add_argument("--out", default="splits")
     p.set_defaults(func=_cmd_split)
 
@@ -444,17 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="also write the report to this path")
     _add_coeff_flags(p)
     p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("train-eval", help="train the baseline over MC splits")
-    p.add_argument("file")
-    p.add_argument("--label", required=True)
-    _add_split_flags(p)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float,
-                   default=TrainConfig.learning_rate)
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
-    p.add_argument("--l2", type=float, default=TrainConfig.l2)
-    p.add_argument("--json", help="also write the result to this path")
-    p.set_defaults(func=_cmd_train_eval)
 
     p = sub.add_parser("pipeline", help="run the full evaluation pipeline")
     p.add_argument("config")

@@ -16,9 +16,10 @@ or None for a column that keeps none (one built from an array of values).
 `load_csv` reads a file in chunks of `_CSV_READ_ROWS` (8,192) rows and
 classifies each chunk's cells before it reads the next, so a categorical
 column's cell strings are dropped with their chunk and only its distinct
-values stay. The pipeline and `train-eval` hand the loaded frame straight
-to `splitting.model_splits`, whose splits keep no text, so the frame and
-its text are freed once the splits exist, before any model trains.
+values stay. The pipeline drops the loaded frame once
+`splitting.model_splits` has split it, and the splits keep no text, so the
+frame and its text are freed before any model trains. Files are read and
+written comma-separated.
 """
 
 from __future__ import annotations
@@ -179,23 +180,23 @@ class Column:
         held = totals > 0
         return labels[held], totals[held]
 
-    def text(self, missing_token: str = "") -> tuple | list:
+    def text(self) -> tuple | list:
         """Every cell as text: the retained raw string, the repr() of a
-        number or the str() of a category, and `missing_token` for a
-        missing cell, read from the NaN mask or code -1.
+        number or the str() of a category, and "" for a missing cell, read
+        from the NaN mask or code -1.
 
         A numerical column whose raw text has no missing cell returns that
         tuple itself.
         """
         if self.kind is ColumnKind.CATEGORICAL:
-            table = (*map(str, self.categories), missing_token)
+            table = (*map(str, self.categories), "")
             return _gather(table, self.codes.tolist())
         missing = np.flatnonzero(np.isnan(self._floats)).tolist()
         if self._raw is not None and not missing:
             return self._raw
         cells = list(self._raw or map(repr, self._floats.tolist()))
         for i in missing:
-            cells[i] = missing_token
+            cells[i] = ""
         return cells
 
     def take(self, indices) -> "Column":
@@ -301,22 +302,23 @@ class TabularFrame:
             if name not in excluded and name not in self:
                 raise SchemaMismatchError(name, "missing from first frame")
 
-    def to_csv(self, path, delimiter: str = ",", missing_token: str = "") -> None:
-        """Write the frame as RFC-4180 CSV with a header row.
+    def to_csv(self, path) -> None:
+        """Write the frame as RFC-4180 CSV with a header row, a missing cell
+        as an empty one.
 
         Quoting follows csv's QUOTE_MINIMAL and CRLF line ends. Rows go
         out in chunks of `_CSV_CHUNK_ROWS`; a chunk of two or more columns
         with no cell that csv would quote is joined and written directly,
         which gives the bytes csv.writer would write, at C speed.
         """
-        texts = [c.text(missing_token) for c in self.columns]
+        texts = [c.text() for c in self.columns]
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, delimiter=delimiter)
+            writer = csv.writer(fh)
             writer.writerow(self.column_names)
             for start in range(0, self.row_count, _CSV_CHUNK_ROWS):
                 chunk = [t[start : start + _CSV_CHUNK_ROWS] for t in texts]
-                if _writes_verbatim(chunk, delimiter):
-                    fh.write("\r\n".join(map(delimiter.join, zip(*chunk))))
+                if _writes_verbatim(chunk):
+                    fh.write("\r\n".join(map(",".join, zip(*chunk))))
                     fh.write("\r\n")
                 else:
                     writer.writerows(zip(*chunk))
@@ -332,17 +334,17 @@ _CSV_CHUNK_ROWS = 1024
 _CSV_READ_ROWS = 8192
 
 
-def _writes_verbatim(texts, delimiter: str) -> bool:
+def _writes_verbatim(texts) -> bool:
     """Whether csv's QUOTE_MINIMAL writer leaves every cell of the columns
-    `texts` as is, so that joining the rows gives its bytes.
+    `texts` as is, so that joining the rows with commas gives its bytes.
 
-    It quotes a cell holding the delimiter, the quote character or a line
-    break, and the single empty cell of a one-column row.
+    It quotes a cell holding a comma, the quote character or a line break,
+    and the single empty cell of a one-column row.
     """
     if len(texts) < 2:
         return False
     cells = "".join(itertools.chain.from_iterable(texts))
-    return not any(map(cells.__contains__, (delimiter, '"', "\r", "\n")))
+    return not any(map(cells.__contains__, (",", '"', "\r", "\n")))
 
 
 def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
@@ -375,92 +377,93 @@ def _check_override(value: int) -> None:
 
 
 def load_csv(
-    path,
-    delimiter: str = ",",
-    missing_tokens=DEFAULT_MISSING_TOKENS,
-    categorical_override: int = 0,
-    kind_overrides: dict[str, ColumnKind] | None = None,
+    path, missing_tokens=DEFAULT_MISSING_TOKENS, categorical_override: int = 0
 ) -> TabularFrame:
-    """Load a delimited text file with a header row into a TabularFrame.
+    """Load a comma-separated file with a header row into a TabularFrame.
 
     A column is numerical when it has a non-missing cell and every
     non-missing cell is numeric (see `_parse_floats`); otherwise it is
     categorical. `categorical_override`, when positive, additionally routes
     numeric columns with at most that many distinct values to categorical;
-    a negative one is a ConfigError. `kind_overrides` forces specific
-    columns. Missing cells are any cell equal to one of `missing_tokens`.
+    a negative one is a ConfigError. Missing cells are any cell equal to
+    one of `missing_tokens`.
 
     Rows are read in chunks of `_CSV_READ_ROWS`, and each chunk's cells are
     classified column by column before the next is read. Errors keep the
     precedence of a whole-file read: text that is not UTF-8 anywhere in the
-    file wins, then the first ragged row, then the first cell of a column
-    forced numerical that is not numeric, in header order.
+    file wins, then the first ragged row or line that csv cannot parse (a
+    field longer than csv's field limit, say), whichever comes first.
     """
     _check_override(categorical_override)
     missing_tokens = frozenset(missing_tokens)
-    kind_overrides = kind_overrides or {}
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
     try:
         with fh:
-            reader = csv.reader(fh, delimiter=delimiter)
+            reader = csv.reader(fh)
             try:
-                header = next(reader)
-            except StopIteration:
-                raise EmptyHeaderError(f"{path}: file is empty") from None
-            header = [h.strip() for h in header]
-            if not header or all(h == "" for h in header):
-                raise EmptyHeaderError(f"{path}: header row is empty")
-            if len(set(header)) != len(header):
-                dup = next(h for h in header if header.count(h) > 1)
-                raise CsvFormatError(f"{path}: duplicate header column {dup!r}")
-            columns = [
-                _ColumnReader(name, kind_overrides.get(name), missing_tokens)
-                for name in header
-            ]
-            # csv.reader's row lists are tracked containers, so a collection
-            # would walk a whole chunk of them, and the text kept so far:
-            # pause the collector while the file is read
-            gc_enabled = gc.isenabled()
-            gc.disable()
-            try:
-                ragged = _read_rows(reader, columns)
-            finally:
-                if gc_enabled:
-                    gc.enable()
+                header = next(reader, None)
+                if header is None:
+                    raise EmptyHeaderError(f"{path}: file is empty")
+                header = [h.strip() for h in header]
+                if not header or all(h == "" for h in header):
+                    raise EmptyHeaderError(f"{path}: header row is empty")
+                if len(set(header)) != len(header):
+                    dup = next(h for h in header if header.count(h) > 1)
+                    raise CsvFormatError(f"{path}: duplicate header column {dup!r}")
+                columns = [_ColumnReader(name, missing_tokens) for name in header]
+                error = _read_rows(reader, columns)
+            except csv.Error as exc:
+                error = CsvFormatError(f"{path}: line {reader.line_num}: {exc}")
+            if error is not None:
+                # the rest of the file is read only for its decoding errors
+                while fh.read(1 << 20):
+                    pass
     except UnicodeDecodeError as exc:
         raise CsvFormatError(
             f"cannot read {path}: not UTF-8 text ({exc.reason})"
         ) from None
-    if ragged is not None:
-        raise ragged
-    for column in columns:
-        if column.error is not None:
-            raise column.error
+    if error is not None:
+        raise error
     return TabularFrame([c.column(categorical_override) for c in columns])
 
 
 def _read_rows(reader, columns: list) -> RaggedRowError | None:
     """Read `reader` to its end in chunks, each column classifying its cells.
 
-    Returns the first ragged row's error, or None; once a row is ragged the
-    rest of the file is read, for its decoding errors, but not classified.
+    Returns the first ragged row's error, or None; reading stops there. A
+    line that csv cannot parse raises its csv.Error, unless a ragged row
+    comes before it.
     """
     width, offset = len(columns), 0
-    while chunk := list(itertools.islice(reader, _CSV_READ_ROWS)):
-        if any(map(width.__ne__, map(len, chunk))):
-            i = next(i for i, row in enumerate(chunk) if len(row) != width)
-            ragged = RaggedRowError(offset + i + 1, width, len(chunk[i]))
-            for _ in reader:
-                pass
-            return ragged
-        for column, cells in zip(columns, zip(*chunk)):
-            column.add(cells, offset)
-        offset += len(chunk)
-        del chunk, cells  # before the next chunk is read
-    return None
+    # csv.reader's row lists are tracked containers, so a collection would
+    # walk a whole chunk of them, and the text kept so far: pause the
+    # collector while the file is read
+    gc_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while True:
+            chunk = []
+            try:
+                # extend keeps the rows read before a line csv cannot parse
+                chunk.extend(itertools.islice(reader, _CSV_READ_ROWS))
+            except csv.Error:
+                if all(map(width.__eq__, map(len, chunk))):
+                    raise
+            if any(map(width.__ne__, map(len, chunk))):
+                i = next(i for i, row in enumerate(chunk) if len(row) != width)
+                return RaggedRowError(offset + i + 1, width, len(chunk[i]))
+            if not chunk:
+                return None
+            for column, cells in zip(columns, zip(*chunk)):
+                column.add(cells)
+            offset += len(chunk)
+            del chunk, cells  # before the next chunk is read
+    finally:
+        if gc_enabled:
+            gc.enable()
 
 
 class _ColumnReader:
@@ -468,49 +471,32 @@ class _ColumnReader:
 
     While every cell read is numeric or missing, the column keeps each
     chunk's floats, NaN marking a missing cell, and its cell text, None
-    marking a missing cell. From the first chunk with another cell, or from
-    the start when forced categorical, it keeps provisional int32 codes by
-    first appearance instead, and one string per distinct cell. A column
-    forced numerical keeps, at its first cell that is not numeric, the
-    CsvFormatError that names it.
+    marking a missing cell. From the first chunk with another cell it keeps
+    provisional int32 codes by first appearance instead, and one string per
+    distinct cell.
     """
 
-    __slots__ = ("name", "forced", "missing_tokens", "floats", "text", "codes", "lookup", "error")
+    __slots__ = ("name", "missing_tokens", "floats", "text", "codes", "lookup")
 
-    def __init__(self, name: str, forced: ColumnKind | None, missing_tokens: frozenset):
-        self.name, self.forced, self.missing_tokens = name, forced, missing_tokens
+    def __init__(self, name: str, missing_tokens: frozenset):
+        self.name, self.missing_tokens = name, missing_tokens
         self.floats, self.text = [], []
-        self.codes = self.lookup = self.error = None
-        if forced is ColumnKind.CATEGORICAL:
-            self._to_codes()
+        self.codes = self.lookup = None
 
-    def add(self, cells: tuple, offset: int) -> None:
-        """Classify one chunk of cells, the first of them at row `offset`."""
-        if self.error is not None:
-            return
+    def add(self, cells: tuple) -> None:
+        """Classify one chunk of cells."""
         missing = np.fromiter(
             map(self.missing_tokens.__contains__, cells), dtype=bool, count=len(cells)
         )
         text = np.array(cells, dtype=object)
         text[missing] = None
         if self.codes is None:
-            present = text[~missing]
-            numbers = _parse_floats(present)
+            numbers = _parse_floats(text[~missing])
             if numbers is not None:
                 values = np.full(len(cells), np.nan)
                 values[~missing] = numbers
                 self.floats.append(values)
                 self.text += text.tolist()
-                return
-            if self.forced is ColumnKind.NUMERICAL:
-                row = next(
-                    i for i, c in enumerate(text) if c is not None and _parse_floats((c,)) is None
-                )
-                self.error = CsvFormatError(
-                    f"column {self.name!r} forced numerical but row {offset + row + 1} "
-                    f"holds {cells[row]!r}"
-                )
-                self.floats = self.text = None
                 return
             self._to_codes()
         self._encode(text.tolist())
@@ -534,12 +520,10 @@ class _ColumnReader:
         """The loaded column, its kind decided on all of its cells."""
         if self.codes is None:
             values = np.concatenate(self.floats) if self.floats else np.empty(0)
-            numeric = self.forced is ColumnKind.NUMERICAL
-            if self.forced is None:
-                present = values[~np.isnan(values)]
-                numeric = present.size > 0
-                if numeric and categorical_override > 0:
-                    numeric = np.unique(present).size > categorical_override
+            present = values[~np.isnan(values)]
+            numeric = present.size > 0
+            if numeric and categorical_override > 0:
+                numeric = np.unique(present).size > categorical_override
             if numeric:
                 return Column(self.name, ColumnKind.NUMERICAL, values, tuple(self.text))
             self._to_codes()

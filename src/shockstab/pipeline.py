@@ -429,36 +429,19 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     in parallel processes (see `_map_runs`); the report is byte-identical
     for every process count.
     """
-    # the loaded frame goes straight to its splits, so its cell text is
-    # freed before any model trains
-    splits = _pipeline_splits(
-        load_csv(
-            config.input_path,
-            missing_tokens=config.missing_tokens,
-            categorical_override=config.categorical_override,
-        ),
-        config,
+    frame = load_csv(
+        config.input_path,
+        missing_tokens=config.missing_tokens,
+        categorical_override=config.categorical_override,
     )
-    return _run_splits(splits, config)
-
-
-def run_pipeline_on_frame(frame: TabularFrame, config: PipelineConfig) -> PipelineReport:
-    """Same as run_pipeline but on an already-loaded frame."""
-    return _run_splits(_pipeline_splits(frame, config), config)
-
-
-def _pipeline_splits(frame: TabularFrame, config: PipelineConfig) -> list:
-    """The pipeline's Monte Carlo splits of `frame`.
-
-    A label that is missing or not numerical 0/1 raises its DataError
-    before any split is made or any model trains.
-    """
+    # a label that is missing or not numerical 0/1 stops the run before any
+    # split is made
     extract_labels(frame, config.label)
-    return model_splits(frame, config.split, config.label)
+    splits = model_splits(frame, config.split, config.label)
+    # the splits keep no CSV text, so the frame and its text are freed
+    # before any model trains
+    del frame
 
-
-def _run_splits(splits: list, config: PipelineConfig) -> PipelineReport:
-    """The pipeline's report from its splits: DS, every task, the scores."""
     # DS compares run 0's pre-shock rows with its shocked rows: in OOT mode
     # the partition's two segments, in OOS mode the run-0 pseudo-shock split
     first = splits[0]

@@ -1,11 +1,13 @@
+import argparse
 import builtins
 import contextlib
+import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
-import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -17,8 +19,9 @@ import shockstab
 from shockstab import cli, pipeline
 from shockstab.cli import main
 from shockstab.fixtures import make_shocked_fixture
-from shockstab.model import TrainConfig
-from shockstab.splitting import SplitSpec
+from shockstab.frame import load_csv
+from shockstab.model import TrainConfig, evaluate_pair, train_baseline
+from shockstab.splitting import SplitSpec, model_splits
 
 from conftest import with_compact_dates
 
@@ -150,6 +153,19 @@ def test_record_missing_an_auc_is_data_error(tmp_path, capsys, command, layout):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["su-grid", "sweep"])
+@pytest.mark.parametrize("level", ["abc", -1, True], ids=["str", "negative", "bool"])
+def test_flat_record_with_a_bad_level_is_data_error(tmp_path, capsys, command, level):
+    run = {"auc_base_a": 0.8, "auc_shock_a": 0.7, "auc_base_b": 0.81, "auc_shock_b": 0.76}
+    good = {"model": "m", "outliers_pct": 5, **run}
+    path = tmp_path / "records.json"
+    path.write_text(json.dumps([good, {**good, "outliers_pct": level}]))
+    code = main([command, str(path), "--ds", "0.1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"error: {path}: record 1: invalid outlier level {level!r}\n"
+
+
 def test_version_flag_of_the_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "shockstab", "--version"],
@@ -263,38 +279,61 @@ def test_sweep_command(tmp_path, capsys):
     assert out["all_preserved"] in (True, False)
 
 
-def test_train_eval_command(fixture_csv, capsys):
-    code, out = _run(
-        capsys,
-        "train-eval", fixture_csv, "--label", "is_bad",
-        "--mode", "oot", "--date-col", "date", "--shock-date", "2018-03-22",
-        "--runs", "3", "--seed", "1",
-    )
-    assert code == 0
-    assert len(out["runs"]) == 3
-    assert out["auc_shock"]["median"] < out["auc_base"]["median"]
+def _readme() -> str:
+    return (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_a_only_config() -> dict:
+    """The README's pipeline config that trains and evaluates the A-model
+    alone: real_fraction 1.0 and the one level "without"."""
+    blocks = re.findall(r"```json\n(.*?)```", _readme(), flags=re.S)
+    configs = [json.loads(b) for b in blocks if '"real_fraction": 1.0' in b]
+    assert len(configs) == 1
+    return configs[0]
+
+
+def test_train_eval_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["train-eval", "data.csv", "--label", "is_bad", "--mode", "oos"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'train-eval'" in capsys.readouterr().err
+
+
+def test_readme_cli_block_names_every_subcommand():
+    block = _readme().split("## CLI", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    named = {line.split()[1] for line in block.splitlines() if line.startswith("shockstab ")}
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    assert named == set(subparsers.choices)
 
 
 @pytest.mark.parametrize("dates", ["iso", "numerical"])
 def test_train_eval_runs_equal_the_pipeline_a_model_runs(tmp_path, capsys, monkeypatch, dates):
+    # the README's A-only pipeline config replaces the train-eval command;
+    # the train-eval loop lives on here as the reference
     frame = make_shocked_fixture(rows=400, seed=9)
     shock_date = "2018-03-22"
     if dates == "numerical":
         frame, shock_date = with_compact_dates(frame), "20180322"
     path = tmp_path / "f.csv"
     frame.to_csv(path)
-    code, out = _run(
-        capsys, "train-eval", path, "--label", "is_bad", "--mode", "oot", "--date-col", "date",
-        "--shock-date", shock_date, "--runs", "3", "--seed", "4", "--epochs", "60",
-    )
-    assert code == 0
-    config = pipeline.PipelineConfig(
-        input_path=str(path), label="is_bad", levels=["without"], real_fraction=1.0,
-        split=SplitSpec(mode="oot", date_column="date", shock_date=shock_date, mc_runs=3, seed=4),
-        train=TrainConfig(epochs=60),
-    )
+    config = _readme_a_only_config()
+    config["input"] = str(path)
+    config["split"].update(shock_date=shock_date, mc_runs=3, seed=4)
+    config["train"] = {"epochs": 60}
+    (tmp_path / "a_only.json").write_text(json.dumps(config))
     monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
-    assert out["runs"] == pipeline.run_pipeline(config).to_dict()["a_model"]["runs"]
+    code, out = _run(capsys, "pipeline", tmp_path / "a_only.json")
+    assert code == 0
+    spec = SplitSpec.from_dict(config["split"])
+    reference = [
+        evaluate_pair(train_baseline(split.train, "is_bad", TrainConfig(epochs=60)), split, "is_bad")
+        for split in model_splits(load_csv(path), spec, "is_bad")
+    ]
+    assert out["a_model"]["runs"] == [p.to_dict() for p in reference]
+    assert out["a_model"]["auc_shock"]["median"] < out["a_model"]["auc_base"]["median"]
+    assert [level["outliers_pct"] for level in out["levels"]] == ["without"]
 
 
 _REPORT = {
@@ -489,29 +528,6 @@ def test_an_output_that_cannot_be_written_exits_3(tmp_path, capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: cannot write: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-
-
-def test_train_eval_frees_the_loaded_frame_before_the_first_fit(fixture_csv, capsys, monkeypatch):
-    loaded, alive_at_fit = [], []
-
-    def load(*args, **kwargs):
-        frame = cli_load_csv(*args, **kwargs)
-        loaded.append(weakref.ref(frame))
-        return frame
-
-    def train(*args, **kwargs):
-        alive_at_fit.append(loaded[0]() is not None)
-        return cli_train_baseline(*args, **kwargs)
-
-    cli_load_csv, cli_train_baseline = cli.load_csv, cli.train_baseline
-    monkeypatch.setattr(cli, "load_csv", load)
-    monkeypatch.setattr(cli, "train_baseline", train)
-    code, out = _run(
-        capsys, "train-eval", fixture_csv, "--label", "is_bad", "--mode", "oot",
-        "--date-col", "date", "--shock-date", "2018-03-22", "--runs", "2", "--epochs", "20",
-    )
-    assert code == 0 and len(out["runs"]) == 2
-    assert alive_at_fit == [False, False]
 
 
 @pytest.mark.parametrize(
@@ -830,29 +846,6 @@ def test_pipeline_override_flags_are_checked(fixture_csv, tmp_path, capsys):
     assert "mc_runs must be an integer >= 1, got 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "flags, message",
-    [
-        (("--epochs", "-2"), "epochs must be an integer >= 0, got -2"),
-        (("--learning-rate", "0"), "learning_rate must be a number > 0, got 0.0"),
-    ],
-    ids=["epochs", "learning-rate"],
-)
-def test_train_eval_bad_train_flag_is_config_error(tmp_path, capsys, monkeypatch, flags, message):
-    from shockstab import cli
-
-    monkeypatch.setattr(cli, "train_baseline", lambda *a: pytest.fail("trained"))
-    # the file does not exist: the flags are checked before it is read
-    code = main([
-        "train-eval", str(tmp_path / "missing.csv"), "--label", "is_bad",
-        "--mode", "oos", "--shock-fraction", "0.2", "--runs", "2", *flags,
-    ])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert message in err
-    assert "Traceback" not in err
-
-
 def _auc_table(**level_overrides):
     run = {"auc_base_a": 0.8, "auc_shock_a": 0.7, "auc_base_b": 0.81, "auc_shock_b": 0.76}
     level = {"outliers_pct": 5, "runs": [run], **level_overrides}
@@ -910,21 +903,22 @@ def _write_latin1(tmp_path):
     return path
 
 
-@pytest.mark.parametrize(
+_CSV_COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ("schema", "{csv}"),
         ("ds", "{csv}", "{csv}"),
         ("split", "{csv}", "--mode", "oos", "--shock-fraction", "0.2", "--out", "{tmp}/s"),
         ("synth", "{csv}", "--rows", "5", "--out", "{tmp}/syn.csv"),
-        ("train-eval", "{csv}", "--label", "is_bad", "--mode", "oos",
-         "--shock-fraction", "0.2"),
         ("pipeline", "{config}"),
     ],
-    ids=["schema", "ds", "split", "synth", "train-eval", "pipeline"],
+    ids=["schema", "ds", "split", "synth", "pipeline"],
 )
-def test_csv_that_is_not_utf8_is_data_error(tmp_path, capsys, argv):
-    csv_path = _write_latin1(tmp_path)
+
+
+def _run_on_csv(tmp_path, capsys, argv, csv_path):
+    """Exit code, stdout and stderr of `argv` with {csv} set to `csv_path`
+    and {config} to a pipeline config that reads it."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "input": str(csv_path),
@@ -936,11 +930,30 @@ def test_csv_that_is_not_utf8_is_data_error(tmp_path, capsys, argv):
     fields = {"csv": csv_path, "config": config, "tmp": tmp_path}
     code = main([a.format(**fields) for a in argv])
     captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@_CSV_COMMANDS
+def test_csv_that_is_not_utf8_is_data_error(tmp_path, capsys, argv):
+    csv_path = _write_latin1(tmp_path)
+    code, out, err = _run_on_csv(tmp_path, capsys, argv, csv_path)
     assert code == 3
-    assert captured.err == (
+    assert err == (
         f"error: cannot read {csv_path}: not UTF-8 text (invalid continuation byte)\n"
     )
-    assert captured.out == ""
+    assert out == ""
+
+
+@_CSV_COMMANDS
+def test_csv_with_a_field_beyond_the_limit_is_data_error(tmp_path, capsys, argv):
+    # csv's field limit stays as it is: such a cell is a data error
+    limit = csv.field_size_limit()
+    csv_path = tmp_path / "long.csv"
+    csv_path.write_text(f"date,x,is_bad\n2018-01-01,{'y' * (limit + 1)},0\n")
+    code, out, err = _run_on_csv(tmp_path, capsys, argv, csv_path)
+    assert code == 3
+    assert err == f"error: {csv_path}: line 2: field larger than field limit ({limit})\n"
+    assert out == ""
 
 
 @pytest.fixture(scope="module")

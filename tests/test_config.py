@@ -114,6 +114,8 @@ def test_oos_split_reports_no_shock_date():
         (lambda: UpliftCoefficients(k2=10**400), "k2 must be a number > 0"),
         (lambda: TrainConfig(epochs=2.5), "epochs must be an integer >= 0, got 2.5"),
         (lambda: TrainConfig(l2=-1.0), "l2 must be a number >= 0, got -1.0"),
+        (lambda: TrainConfig(epochs=-2), "epochs must be an integer >= 0, got -2"),
+        (lambda: TrainConfig(learning_rate=0.0), "learning_rate must be a number > 0, got 0.0"),
         (lambda: SplitSpec(mode="oos", shock_fraction=0.2, seed=1.5),
          "seed must be an integer, got 1.5"),
         (lambda: SplitSpec(mode="oot", date_column="date",
@@ -143,7 +145,8 @@ def test_oos_split_reports_no_shock_date():
         ), "family must be a string in {'normal', 'laplace', 'gumbel', 'weibull', 'levy'}, "
            "got 'cauchy'"),
     ],
-    ids=["k1-bool", "k3-nan", "k2-beyond-float", "epochs-float", "l2-negative", "split-seed-float",
+    ids=["k1-bool", "k3-nan", "k2-beyond-float", "epochs-float", "l2-negative", "epochs-negative",
+         "learning-rate-zero", "split-seed-float",
          "shock-date-overflow", "real-fraction-bool", "real-fraction-zero",
          "shock-fraction-zero", "level-overflow", "split-dict", "family-unknown"],
 )

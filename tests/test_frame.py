@@ -80,9 +80,6 @@ def test_binary_integer_column_defaults_numerical(write_csv):
     overridden = load_csv(path, categorical_override=2)
     assert overridden.kind_of("gender") is ColumnKind.CATEGORICAL
 
-    forced = load_csv(path, kind_overrides={"gender": ColumnKind.CATEGORICAL})
-    assert forced.kind_of("gender") is ColumnKind.CATEGORICAL
-
 
 def test_missing_tokens(write_csv):
     path = write_csv("missing.csv", "x,y\n1,NA\nnull,b\n3,\n")
@@ -233,13 +230,6 @@ def test_quoted_cells_round_trip(write_csv, tmp_path):
     frame.to_csv(out)
     again = load_csv(out)
     assert list(again.column("note").values) == list(frame.column("note").values)
-
-
-def test_custom_delimiter(write_csv):
-    path = write_csv("semi.csv", "a;b\n1;x\n2;y\n")
-    frame = load_csv(path, delimiter=";")
-    assert frame.column_names == ["a", "b"]
-    assert frame.kind_of("a") is ColumnKind.NUMERICAL
 
 
 def test_detect_schema_override_reports_numeric_as_categorical():
@@ -405,39 +395,34 @@ def _csv_files(draw):
 @given(
     drawn=_csv_files(),
     categorical_override=st.integers(0, 2),
-    forced=st.lists(st.sampled_from([None, ColumnKind.NUMERICAL, ColumnKind.CATEGORICAL]),
-                    min_size=4, max_size=4),
 )
 def test_load_csv_gives_the_same_result_for_every_chunk_size(
-    tmp_path_factory, drawn, categorical_override, forced
+    tmp_path_factory, drawn, categorical_override
 ):
     data, names = drawn
     path = tmp_path_factory.getbasetemp() / "chunks.csv"
     path.write_bytes(data)
-    kwargs = {
-        "categorical_override": categorical_override,
-        "kind_overrides": {n: k for n, k in zip(names, forced) if k is not None},
-    }
-    whole = _loaded(path, data.count(b"\n") + 1, **kwargs)
+    whole = _loaded(path, data.count(b"\n") + 1, categorical_override=categorical_override)
     for chunk_rows in (1, 2, 3):
-        assert _loaded(path, chunk_rows, **kwargs) == whole
+        assert _loaded(path, chunk_rows, categorical_override=categorical_override) == whole
 
 
-_FORCED = {"a": ColumnKind.NUMERICAL, "b": ColumnKind.NUMERICAL}
+# a cell one character longer than csv reads
+_LONG = "x" * (csv.field_size_limit() + 1)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 8192])
 @pytest.mark.parametrize(
     "text, error, message",
     [
-        ("a,b\n1,2\n3,y\nx,4\n5\n\xff,6\n", CsvFormatError, "not UTF-8 text"),
-        ("a,b\n1,y\n3,4\nx,4\n5\n", RaggedRowError, "row 4 has 1 cells, header has 2"),
-        ("a,b\n1,y\n3,4\nx,4\n", CsvFormatError,
-         "column 'a' forced numerical but row 3 holds 'x'"),
-        ("a,b\n1,y\n3,z\n4,5\n", CsvFormatError,
-         "column 'b' forced numerical but row 1 holds 'y'"),
+        (f"a,b\n1,2\n3,y\nx,4\n5\n{_LONG},1\n\xff,6\n", CsvFormatError, "not UTF-8 text"),
+        (f"a,b\n1,y\n3,4\nx,4\n5\n{_LONG},1\n", RaggedRowError,
+         "row 4 has 1 cells, header has 2"),
+        ("a,b\n1,2\n3\n4,5,6\n", RaggedRowError, "row 2 has 1 cells, header has 2"),
+        (f"a,b\n1,2\n{_LONG},3\n4\n", CsvFormatError,
+         "errors.csv: line 3: field larger than field limit"),
     ],
-    ids=["undecodable-wins", "then-ragged", "then-forced-in-header-order", "first-bad-row"],
+    ids=["undecodable-wins", "then-ragged", "first-bad-row", "then-unparsable-line"],
 )
 def test_load_csv_error_precedence_holds_for_every_chunk_size(
     tmp_path, chunk_rows, text, error, message
@@ -446,7 +431,7 @@ def test_load_csv_error_precedence_holds_for_every_chunk_size(
     path.write_bytes(text.encode("utf-8").replace(b"\xc3\xbf", b"\xff"))
     with mock.patch.object(frame_module, "_CSV_READ_ROWS", chunk_rows):
         with pytest.raises(error) as err:
-            load_csv(path, kind_overrides=_FORCED)
+            load_csv(path)
     assert type(err.value) is error
     assert message in str(err.value)
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shockstab import frame as frame_module
-from shockstab.errors import CsvFormatError
 from shockstab.frame import Column, ColumnKind, TabularFrame, load_csv
 
 
@@ -52,27 +51,10 @@ def _reference_infer_kind(cells, missing_tokens):
     return ColumnKind.CATEGORICAL, parsed
 
 
-def _reference_column(name, cells, missing_tokens, categorical_override, forced):
+def _reference_column(cells, missing_tokens, categorical_override):
     """(kind, values, raw) of one column as the per-cell loader built it."""
     kind, parsed = _reference_infer_kind(cells, missing_tokens)
-    if forced is not None:
-        kind = forced
-        if kind is ColumnKind.CATEGORICAL:
-            parsed = [None if c in missing_tokens else c for c in cells]
-        else:
-            parsed = []
-            for i, c in enumerate(cells):
-                if c in missing_tokens:
-                    parsed.append(None)
-                    continue
-                value = _reference_parse_numeric(c)
-                if value is None:
-                    raise CsvFormatError(
-                        f"column {name!r} forced numerical but row {i + 1} "
-                        f"holds {c!r}"
-                    )
-                parsed.append(value)
-    elif (
+    if (
         kind is ColumnKind.NUMERICAL
         and categorical_override > 0
         and len({v for v in parsed if v is not None}) <= categorical_override
@@ -103,31 +85,15 @@ _any_cells = st.one_of(
 @given(
     cells=st.one_of(st.lists(_numeric_cells, max_size=12), st.lists(_any_cells, max_size=12)),
     categorical_override=st.integers(0, 3),
-    forced=st.sampled_from([None, ColumnKind.CATEGORICAL, ColumnKind.NUMERICAL]),
 )
-def test_load_csv_matches_per_cell_reference(
-    tmp_path_factory, cells, categorical_override, forced
-):
+def test_load_csv_matches_per_cell_reference(tmp_path_factory, cells, categorical_override):
     path = tmp_path_factory.getbasetemp() / "reference_kinds.csv"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "cell"])
         writer.writerows(enumerate(cells))
-    missing_tokens = ("", "NA", "null")
-    overrides = {} if forced is None else {"cell": forced}
-    try:
-        expected = _reference_column(
-            "cell", cells, missing_tokens, categorical_override, forced
-        )
-    except CsvFormatError as exc:
-        with pytest.raises(CsvFormatError) as err:
-            load_csv(path, categorical_override=categorical_override, kind_overrides=overrides)
-        assert str(err.value) == str(exc)
-        return
-    col = load_csv(
-        path, categorical_override=categorical_override, kind_overrides=overrides
-    ).column("cell")
-    kind, values, raw = expected
+    kind, values, raw = _reference_column(cells, ("", "NA", "null"), categorical_override)
+    col = load_csv(path, categorical_override=categorical_override).column("cell")
     assert col.kind is kind
     assert col.raw == raw
     assert col.values.dtype == values.dtype
@@ -141,21 +107,18 @@ def test_load_csv_matches_per_cell_reference(
 # to_csv's body when every row went through csv.writer; to_csv must write
 # the same bytes, whichever of its paths a chunk of rows takes.
 
-def _reference_text(column, missing_token):
+def _reference_text(column):
     if column.raw is not None:
-        return [missing_token if r is None else r for r in column.raw]
+        return ["" if r is None else r for r in column.raw]
     if column.kind is ColumnKind.NUMERICAL:
-        return [
-            missing_token if math.isnan(v) else repr(v)
-            for v in column.values.tolist()
-        ]
-    return [missing_token if v is None else str(v) for v in column.values]
+        return ["" if math.isnan(v) else repr(v) for v in column.values.tolist()]
+    return ["" if v is None else str(v) for v in column.values]
 
 
-def _reference_to_csv(frame, path, delimiter, missing_token):
-    texts = [_reference_text(c, missing_token) for c in frame.columns]
+def _reference_to_csv(frame, path):
+    texts = [_reference_text(c) for c in frame.columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(frame.column_names)
         writer.writerows(zip(*texts))
 
@@ -190,17 +153,13 @@ def _frames(draw):
 @settings(max_examples=300, deadline=None)
 @given(
     frame=_frames(),
-    delimiter=st.sampled_from([",", "\t", ";"]),
-    missing_token=st.sampled_from(["", "NA", "N;A", '"']),
     chunk_rows=st.sampled_from([1, 2, 3, 8192]),
 )
-def test_to_csv_matches_csv_writer_reference(
-    tmp_path_factory, frame, delimiter, missing_token, chunk_rows
-):
+def test_to_csv_matches_csv_writer_reference(tmp_path_factory, frame, chunk_rows):
     base = tmp_path_factory.getbasetemp()
-    _reference_to_csv(frame, base / "expected.csv", delimiter, missing_token)
+    _reference_to_csv(frame, base / "expected.csv")
     with mock.patch.object(frame_module, "_CSV_CHUNK_ROWS", chunk_rows):
-        frame.to_csv(base / "got.csv", delimiter=delimiter, missing_token=missing_token)
+        frame.to_csv(base / "got.csv")
     assert (base / "got.csv").read_bytes() == (base / "expected.csv").read_bytes()
 
 

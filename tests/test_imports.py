@@ -78,9 +78,13 @@ def test_synth_and_train_eval_commands_load_no_scipy_stats(tmp_path):
     synth = ["synth", "f.csv", "--rows", "200", "--outliers-pct", "10", "--family", "levy",
              "--out", "s.csv"]
     assert _command_loads(tmp_path, synth) == {"code": 0, "stats": False, "special": True}
-    train_eval = ["train-eval", "f.csv", "--label", "is_bad", "--mode", "oos",
-                  "--shock-fraction", "0.2", "--runs", "2", "--epochs", "20"]
-    assert _command_loads(tmp_path, train_eval) == {"code": 0, "stats": False, "special": False}
+    # the A-only pipeline config that replaces the train-eval command
+    (tmp_path / "a_only.json").write_text(json.dumps({
+        "input": "f.csv", "label": "is_bad", "split": {"mode": "oos", "shock_fraction": 0.2,
+        "mc_runs": 2}, "levels": ["without"], "real_fraction": 1.0, "train": {"epochs": 20},
+    }))
+    a_only = ["pipeline", "a_only.json"]
+    assert _command_loads(tmp_path, a_only) == {"code": 0, "stats": False, "special": False}
 
 
 @pytest.mark.parametrize(
@@ -115,8 +119,9 @@ def test_pipeline_loads_scipy_special_and_never_scipy_stats(tmp_path, workers):
         "    input_path='f.csv', label='is_bad', levels=['without', 10], family='levy',\n"
         "    split=SplitSpec(mode='oot', date_column='date', shock_date='2018-03-22', mc_runs=2),\n"
         ")\n"
+        "make_shocked_fixture(rows=300).to_csv('f.csv')\n"
         "before = 'scipy.special' in sys.modules\n"
-        "report = pipeline.run_pipeline_on_frame(make_shocked_fixture(rows=300), config)\n"
+        "report = pipeline.run_pipeline(config)\n"
         "print(json.dumps({'before': before, 'at_pool_start': loaded,\n"
         "                  'partial': report.partial,\n"
         "                  'stats': 'scipy.stats' in sys.modules}))\n",

@@ -440,7 +440,7 @@ def test_oot_ds_equals_the_partition_reference(tmp_path, monkeypatch, seed, date
         real_fraction=1.0, tau=0.2, train=TrainConfig(epochs=5),
     )
     monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
-    report = pipeline.run_pipeline_on_frame(frame, config)
+    report = pipeline.run_pipeline(config)
 
     pre, post = oot_partition(frame, spec)
     reference = distribution_shift(frame.take(pre), frame.take(post), 0.2, {"is_bad", "date"})
