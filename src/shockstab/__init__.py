@@ -45,7 +45,6 @@ from .model import (
     TrainConfig,
     auc,
     evaluate_pair,
-    import_auc_table,
     train_baseline,
     train_baselines,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "fit",
     "flip_auc",
     "generate",
-    "import_auc_table",
     "ks_statistic",
     "load_csv",
     "make_shocked_fixture",

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from .errors import ConfigError, DomainError
 from .stability import (
     DEFAULT_COEFFICIENTS,
-    DEFAULT_EPSILON,
     UpliftCoefficients,
     batch_uplift,
     stabilization_uplift,
@@ -80,12 +79,12 @@ class CalibrationResult:
         }
 
 
-def _objective(coeffs: UpliftCoefficients, anchors, epsilon: float) -> float:
+def _objective(coeffs: UpliftCoefficients, anchors) -> float:
     num = 0.0
     den = 0.0
     for a in anchors:
         su = stabilization_uplift(
-            (a.a_base, a.a_shock), (a.b_base, a.b_shock), a.ds, coeffs, epsilon
+            (a.a_base, a.a_shock), (a.b_base, a.b_shock), a.ds, coeffs
         ).su
         num += a.confidence * (su - a.target_su) ** 2
         den += a.confidence
@@ -94,11 +93,7 @@ def _objective(coeffs: UpliftCoefficients, anchors, epsilon: float) -> float:
     return num / den
 
 
-def calibrate(
-    anchors,
-    grid: dict | None = None,
-    epsilon: float = DEFAULT_EPSILON,
-) -> CalibrationResult:
+def calibrate(anchors, grid: dict | None = None) -> CalibrationResult:
     """Exhaustive grid search for the slope triple matching the anchors.
 
     Ties break toward the smallest (k1, then k2, then k3). Every evaluated
@@ -124,7 +119,7 @@ def calibrate(
         candidates.append(values)
 
     trace = [
-        (coeffs, _objective(coeffs, anchors, epsilon))
+        (coeffs, _objective(coeffs, anchors))
         for coeffs in itertools.starmap(UpliftCoefficients, itertools.product(*candidates))
     ]
     # min keeps the first of equal objectives: earlier (smaller) tuples win ties
@@ -165,7 +160,6 @@ def sensitivity_sweep(
     ds: float,
     sweep: dict | None = None,
     baseline: UpliftCoefficients = DEFAULT_COEFFICIENTS,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> SweepReport:
     """Recompute the SU grid for every slope combination in the sweep.
 
@@ -178,7 +172,7 @@ def sensitivity_sweep(
         if not sweep.get(name):
             raise ConfigError(f"empty sweep list for {name}")
     records = list(records)
-    base_grid = batch_uplift(records, ds, baseline, epsilon)
+    base_grid = batch_uplift(records, ds, baseline)
     base_signs = {key: _sign(br.su) for key, br in base_grid.cells.items()}
     base_argmax = _argmax_levels(base_grid)
 
@@ -187,7 +181,7 @@ def sensitivity_sweep(
         sorted(sweep["k1"]), sorted(sweep["k2"]), sorted(sweep["k3"])
     ):
         coeffs = UpliftCoefficients(float(k1), float(k2), float(k3))
-        grid = batch_uplift(records, ds, coeffs, epsilon)
+        grid = batch_uplift(records, ds, coeffs)
         cells = []
         signs_ok = True
         for (lvl, model), br in sorted(grid.cells.items()):

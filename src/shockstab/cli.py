@@ -23,21 +23,21 @@ from pathlib import Path
 from . import __version__
 from .calibration import AnchorPoint, calibrate, sensitivity_sweep
 from .drift import DEFAULT_TAU, distribution_shift
-from .errors import ConfigError, DataError, ShockStabError
+from .errors import ConfigError, DataError, EmptyInputError, ShockStabError
 from .frame import DEFAULT_MISSING_TOKENS, detect_schema, load_csv
-from .model import auc_table_from_payload
 from .pipeline import (
     PipelineConfig,
     emit_digest,
     emit_radial_data,
     run_pipeline,
 )
-from .splitting import SplitSpec, split_once
+from .splitting import SplitSpec, aggregate, split_once
 from .stability import (
     DEFAULT_COEFFICIENTS,
     DEFAULT_EPSILON,
     UpliftCoefficients,
     batch_uplift,
+    check_auc,
     normalize_level,
     stabilization_score,
     stabilization_uplift,
@@ -108,8 +108,27 @@ def _coeffs(args) -> UpliftCoefficients:
     return UpliftCoefficients(k1=args.k1, k2=args.k2, k3=args.k3)
 
 
+# the AUCs of a flat record or of one run of a nested table, in record order
+_RUN_AUCS = ("auc_base_a", "auc_shock_a", "auc_base_b", "auc_shock_b")
+
+
+def _objects(value, where: str) -> list:
+    """`value` if it is a list of JSON objects, else DataError."""
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise DataError(f"{where} must be a list of objects, got {value!r}")
+    return value
+
+
 def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
-    """Load either the flat su-grid record list or the nested AUC table."""
+    """The (model, level, four AUCs) records of a su-grid/sweep file, and its DS.
+
+    The file is a flat record list, which needs `ds_flag`, or a nested
+    table {"ds", "models": [{"name", "levels": [{"outliers_pct", "runs":
+    [{four AUCs}, ...]}]}]}, whose DS `ds_flag` overrides. A nested level
+    gives one record of each AUC's `aggregate` median over its runs, or
+    with `per_run` one record per run, named "<model>#run<k>". Every AUC is
+    checked into [0, 1], its error naming the field.
+    """
     payload = _load_json(path)
     if isinstance(payload, list):
         if ds_flag is None:
@@ -121,21 +140,49 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
                     (
                         r["model"],
                         normalize_level(r["outliers_pct"]),
-                        float(r["auc_base_a"]),
-                        float(r["auc_shock_a"]),
-                        float(r["auc_base_b"]),
-                        float(r["auc_shock_b"]),
+                        *[check_auc(r[key], f"{path}: record {i} {key}") for key in _RUN_AUCS],
                     )
                 )
             except ConfigError as exc:  # not an outlier level
                 raise DataError(f"{path}: record {i}: {exc}") from None
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise DataError(f"{path}: record {i}: {exc!r}") from None
         return records, ds_flag
-    table = auc_table_from_payload(payload, path)
-    ds = table.ds if ds_flag is None else ds_flag
-    records = table.per_run_records() if per_run else table.median_records()
-    return records, ds
+    if not isinstance(payload, dict) or "models" not in payload:
+        raise DataError(f"{path}: expected an object with a 'models' list")
+    if not payload["models"]:
+        raise EmptyInputError(f"{path}: empty model list")
+    try:
+        ds = float(payload.get("ds", 0.0))
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: ds must be a number, got {payload['ds']!r}") from None
+    records = []
+    for m in _objects(payload["models"], f"{path}: models"):
+        name = str(m.get("name", ""))
+        if not name:
+            raise DataError(f"{path}: model entry without a name")
+        for lvl in _objects(m.get("levels", []), f"{path}: {name}: levels"):
+            if "outliers_pct" not in lvl:
+                raise DataError(f"{path}: {name}: level without outliers_pct")
+            try:
+                label = normalize_level(lvl["outliers_pct"])
+            except ConfigError as exc:
+                raise DataError(f"{path}: {name}: {exc}") from None
+            runs = []
+            level_runs = _objects(lvl.get("runs", []), f"{path}: {name}/level {label}: runs")
+            for k, run in enumerate(level_runs):
+                where = f"{path}: {name}/level {label}/run {k}"
+                try:
+                    runs.append([check_auc(run[key], f"{where} {key}") for key in _RUN_AUCS])
+                except KeyError as exc:
+                    raise DataError(f"{where}: missing field {exc}") from None
+            if not runs:
+                raise DataError(f"{path}: {name}/level {label} has no runs")
+            if per_run:
+                records += [(f"{name}#run{k}", label, *run) for k, run in enumerate(runs)]
+            else:
+                records.append((name, label, *[aggregate(a).median for a in zip(*runs)]))
+    return records, ds if ds_flag is None else ds_flag
 
 
 # ---------------------------------------------------------------------------

@@ -392,7 +392,9 @@ def load_csv(
     classified column by column before the next is read. Errors keep the
     precedence of a whole-file read: text that is not UTF-8 anywhere in the
     file wins, then the first ragged row or line that csv cannot parse (a
-    field longer than csv's field limit, say), whichever comes first.
+    field longer than csv's field limit, or a quote never closed), whichever
+    comes first. csv reads in strict mode, so a quote left open is an error
+    rather than a cell that swallows the rest of the file.
     """
     _check_override(categorical_override)
     missing_tokens = frozenset(missing_tokens)
@@ -402,7 +404,7 @@ def load_csv(
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
     try:
         with fh:
-            reader = csv.reader(fh)
+            reader = csv.reader(fh, strict=True)
             try:
                 header = next(reader, None)
                 if header is None:

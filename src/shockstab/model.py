@@ -1,25 +1,20 @@
-"""Built-in baseline classifier, AUC computation and AUC-table import.
+"""Built-in baseline classifier and AUC computation.
 
 The classifier is a deliberately small regularized logistic model trained
 by full-batch gradient descent: just enough to run the A-model/B-model
 pipeline end to end. `train_baselines` trains several models in one loop
 per group of equal-shape designs, and each model's weights are bitwise
 those `train_baseline` gives it alone; `train_baseline` says why.
-Externally produced AUC tables (from whatever model zoo) are imported from
-JSON instead of re-training anything.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .config import Config, setting
 from .errors import (
-    ConfigError,
-    DataError,
     DegenerateLabelsError,
     DomainError,
     EmptyInputError,
@@ -27,7 +22,6 @@ from .errors import (
 )
 from .frame import ColumnKind, TabularFrame
 from .splitting import ShockSplit
-from .stability import check_auc, normalize_level
 
 MISSING_CATEGORY = "__missing__"
 
@@ -319,99 +313,3 @@ def evaluate_pair(model: BaselineModel, split: ShockSplit, label: str) -> AucPai
         pairs.append(auc(model.predict_scores(frame), y))
     return AucPair(auc_base=pairs[0], auc_shock=pairs[1], run_index=split.run_index)
 
-
-# ---------------------------------------------------------------------------
-# External AUC tables
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ImportedAucTable:
-    """Per-model, per-level AUC runs for models A and B, plus the dataset DS."""
-
-    ds: float
-    entries: list = field(default_factory=list)  # (model, level, [(ba,sa,bb,sb)...])
-
-    def median_records(self) -> list:
-        """One batch_uplift record per (model, level): medians over runs."""
-        records = []
-        for model, level, runs in self.entries:
-            arr = np.asarray(runs, dtype=np.float64)
-            med = np.median(arr, axis=0)
-            records.append((model, level, *[float(v) for v in med]))
-        return records
-
-    def per_run_records(self) -> list:
-        """One record per (model, level, run), level label suffixed by run."""
-        records = []
-        for model, level, runs in self.entries:
-            for k, run in enumerate(runs):
-                records.append((f"{model}#run{k}", level, *run))
-        return records
-
-
-# the AUCs of one run of an imported table, in record order
-_RUN_AUCS = ("auc_base_a", "auc_shock_a", "auc_base_b", "auc_shock_b")
-
-
-def _objects(value, where: str) -> list:
-    """`value` if it is a list of JSON objects, else DataError."""
-    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-        raise DataError(f"{where} must be a list of objects, got {value!r}")
-    return value
-
-
-def import_auc_table(path) -> ImportedAucTable:
-    """Load {"ds": ..., "models": [{"name", "levels": [{"outliers_pct",
-    "runs": [{auc_base_a, auc_shock_a, auc_base_b, auc_shock_b}, ...]}]}]}.
-
-    Every AUC is validated into [0, 1]; an empty model list raises
-    EmptyInputError; malformed JSON raises DataError.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # bad JSON or not UTF-8
-        raise DataError(f"{path}: malformed JSON: {exc}") from exc
-    return auc_table_from_payload(payload, path)
-
-
-def auc_table_from_payload(payload, path) -> ImportedAucTable:
-    """The table of an already parsed `import_auc_table` document.
-
-    `path` names the document's source in error messages.
-    """
-    if not isinstance(payload, dict) or "models" not in payload:
-        raise DataError(f"{path}: expected an object with a 'models' list")
-    models = payload["models"]
-    if not models:
-        raise EmptyInputError(f"{path}: empty model list")
-    try:
-        ds = float(payload.get("ds", 0.0))
-    except (TypeError, ValueError):
-        raise DataError(f"{path}: ds must be a number, got {payload['ds']!r}") from None
-    table = ImportedAucTable(ds=ds)
-    for m in _objects(models, f"{path}: models"):
-        name = str(m.get("name", ""))
-        if not name:
-            raise DataError(f"{path}: model entry without a name")
-        for lvl in _objects(m.get("levels", []), f"{path}: {name}: levels"):
-            if "outliers_pct" not in lvl:
-                raise DataError(f"{path}: {name}: level without outliers_pct")
-            try:
-                label = normalize_level(lvl["outliers_pct"])
-            except ConfigError as exc:
-                raise DataError(f"{path}: {name}: {exc}") from None
-            runs = []
-            level_runs = _objects(lvl.get("runs", []), f"{path}: {name}/level {label}: runs")
-            for k, run in enumerate(level_runs):
-                where = f"{path}: {name}/level {label}/run {k}"
-                try:
-                    runs.append(tuple(check_auc(run[key], f"{where} {key}") for key in _RUN_AUCS))
-                except KeyError as exc:
-                    raise DataError(f"{where}: missing field {exc}") from None
-            if not runs:
-                raise DataError(f"{path}: {name}/level {label} has no runs")
-            table.entries.append((name, label, runs))
-    return table

@@ -28,7 +28,7 @@ from . import __version__
 from .config import Config, setting
 from .drift import DEFAULT_TAU, DriftReport, distribution_shift
 from .errors import ConfigError, DataError, ShockStabError
-from .frame import Column, TabularFrame, concat_frames, load_csv
+from .frame import DEFAULT_MISSING_TOKENS, Column, TabularFrame, concat_frames, load_csv
 from .model import TrainConfig, evaluate_pair, extract_labels, train_baseline, train_baselines
 from .splitting import (
     Aggregate,
@@ -98,7 +98,7 @@ class PipelineConfig(Config):
     output_dir: str | None = setting(None, "a string", null=True)
     seed: int = setting(0, "an integer")
     train: TrainConfig = setting(TrainConfig(), TrainConfig)
-    missing_tokens: tuple = setting(("", "NA", "null"), "a list of strings")
+    missing_tokens: tuple = setting(DEFAULT_MISSING_TOKENS, "a list of strings")
     categorical_override: int = setting(0, "an integer", ">= 0")
 
     def __post_init__(self):

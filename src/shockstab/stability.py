@@ -236,10 +236,7 @@ class UpliftGrid:
 
 
 def batch_uplift(
-    records,
-    ds: float,
-    coeffs: UpliftCoefficients = DEFAULT_COEFFICIENTS,
-    epsilon: float = DEFAULT_EPSILON,
+    records, ds: float, coeffs: UpliftCoefficients = DEFAULT_COEFFICIENTS
 ) -> UpliftGrid:
     """Evaluate the uplift for a batch of (model, level, four AUCs) records.
 
@@ -263,6 +260,6 @@ def batch_uplift(
             models.append(model)
         if label not in levels:
             levels.append(label)
-        cells[key] = stabilization_uplift((ba, sa), (bb, sb), ds, coeffs, epsilon)
+        cells[key] = stabilization_uplift((ba, sa), (bb, sb), ds, coeffs)
     levels.sort(key=level_sort_key)
     return UpliftGrid(ds=ds, coeffs=coeffs, levels=levels, models=models, cells=cells)

@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from shockstab.fixtures import make_shocked_fixture
 from shockstab.frame import load_csv
 from shockstab.model import TrainConfig, evaluate_pair, train_baseline
 from shockstab.splitting import SplitSpec, model_splits
+from shockstab.stability import normalize_level, stabilization_uplift
 
 from conftest import with_compact_dates
 
@@ -875,6 +877,156 @@ def test_su_grid_malformed_table_is_data_error(tmp_path, capsys, table, message)
     assert "Traceback" not in err
 
 
+_RUN_AUCS = ("auc_base_a", "auc_shock_a", "auc_base_b", "auc_shock_b")
+
+
+def _nested_table(models=8, levels=8, runs=51, seed=0):
+    rng = np.random.default_rng(seed)
+    level_labels = ["without", 1, 3, 5, 7, 10, 50, 100][:levels]
+    return {
+        "ds": 0.1193,
+        "models": [
+            {
+                "name": f"model{i}",
+                "levels": [
+                    {
+                        "outliers_pct": lvl,
+                        "runs": [
+                            {key: float(rng.uniform(0.5, 1)) for key in _RUN_AUCS}
+                            for _ in range(runs)
+                        ],
+                    }
+                    for lvl in level_labels
+                ],
+            }
+            for i in range(models)
+        ],
+    }
+
+
+def _write_json(tmp_path, payload, name="table.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def test_su_grid_nested_table_aggregates_to_64_cells(tmp_path, capsys):
+    table = _nested_table()
+    code, out = _run(capsys, "su-grid", _write_json(tmp_path, table))
+    assert code == 0
+    assert out["ds"] == 0.1193
+    cells = [cell for row in out["rows"] for cell in row["cells"].values()]
+    assert len(cells) == 64 and None not in cells
+    # a cell is the uplift of each AUC's numpy median over the level's runs
+    runs = table["models"][0]["levels"][0]["runs"]
+    medians = [float(np.median([r[key] for r in runs])) for key in _RUN_AUCS]
+    expected = stabilization_uplift(medians[:2], medians[2:], 0.1193).to_dict()
+    assert out["rows"][0]["cells"]["model0"] == expected
+
+
+@pytest.mark.parametrize("command", ["su-grid", "sweep"])
+@pytest.mark.parametrize("layout", ["flat", "nested"])
+@pytest.mark.parametrize(
+    "value, message",
+    [(1.2, "must lie in [0, 1], got 1.2"), ("high", "must be a number, got 'high'"),
+     (None, "must be a number, got None")],
+    ids=["out-of-range", "text", "null"],
+)
+def test_a_bad_auc_names_its_file_record_and_field(
+    tmp_path, capsys, command, layout, value, message
+):
+    run = {"auc_base_a": 0.8, "auc_shock_a": 0.7, "auc_base_b": 0.81, "auc_shock_b": 0.76}
+    bad = {**run, "auc_shock_b": value}
+    if layout == "flat":
+        payload = [{"model": "m", "outliers_pct": 5, **run},
+                   {"model": "m", "outliers_pct": 10, **bad}]
+        flags, where = ("--ds", "0.1"), "record 1"
+    else:
+        payload, flags, where = _auc_table(runs=[run, bad]), (), "gbm/level 5/run 1"
+    path = _write_json(tmp_path, payload)
+    code = main([command, str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {path}: {where} auc_shock_b {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["su-grid", "sweep"])
+def test_nested_table_with_no_models_is_data_error(tmp_path, capsys, command):
+    path = _write_json(tmp_path, {"ds": 0.1, "models": []})
+    code = main([command, str(path)])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {path}: empty model list\n"
+
+
+@pytest.mark.parametrize("command", ["su-grid", "sweep"])
+def test_auc_table_that_is_not_json_is_config_error(tmp_path, capsys, command):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json", encoding="utf-8")
+    code = main([command, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot load {path}: ") and err.count("\n") == 1
+
+
+def _reference_records(table, per_run):
+    """A nested table's records as the reader gave them before it moved into
+    the CLI: numpy's median of each AUC over a level's runs, or with
+    `per_run` one record per run."""
+    records = []
+    for m in table["models"]:
+        for lvl in m["levels"]:
+            label = normalize_level(lvl["outliers_pct"])
+            runs = [tuple(float(run[key]) for key in _RUN_AUCS) for run in lvl["runs"]]
+            if per_run:
+                records += [(f"{m['name']}#run{k}", label, *run) for k, run in enumerate(runs)]
+            else:
+                medians = np.median(np.asarray(runs, dtype=np.float64), axis=0)
+                records.append((m["name"], label, *[float(v) for v in medians]))
+    return records
+
+
+def _bits(records):
+    return [(model, level, *map(float.hex, aucs)) for model, level, *aucs in records]
+
+
+_DRAWN_AUCS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+_DRAWN_TABLES = st.fixed_dictionaries({
+    "ds": st.floats(0.0, 1.0),
+    "models": st.lists(
+        st.fixed_dictionaries({
+            "name": st.text(min_size=1, max_size=4),
+            "levels": st.lists(
+                st.fixed_dictionaries({
+                    "outliers_pct": st.sampled_from(["without", 0, 1, 2.5, "5", 10.0]),
+                    "runs": st.lists(
+                        st.fixed_dictionaries({key: _DRAWN_AUCS for key in _RUN_AUCS}),
+                        min_size=1, max_size=6,
+                    ),
+                }),
+                min_size=1, max_size=3,
+            ),
+        }),
+        min_size=1, max_size=3,
+    ),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    table=_DRAWN_TABLES,
+    per_run=st.booleans(),
+    ds_flag=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+def test_nested_records_are_bitwise_the_numpy_median_reference(
+    tmp_path_factory, table, per_run, ds_flag
+):
+    path = _write_json(tmp_path_factory.getbasetemp(), table, "drawn_table.json")
+    records, ds = cli._grid_records(str(path), ds_flag, per_run)
+    assert _bits(records) == _bits(_reference_records(table, per_run))
+    assert ds == (table["ds"] if ds_flag is None else ds_flag)
+
+
 @pytest.mark.parametrize("command", ["su-grid", "sweep"])
 def test_nested_auc_table_is_read_once(tmp_path, capsys, monkeypatch, command):
     path = tmp_path / "table.json"
@@ -953,6 +1105,17 @@ def test_csv_with_a_field_beyond_the_limit_is_data_error(tmp_path, capsys, argv)
     code, out, err = _run_on_csv(tmp_path, capsys, argv, csv_path)
     assert code == 3
     assert err == f"error: {csv_path}: line 2: field larger than field limit ({limit})\n"
+    assert out == ""
+
+
+@_CSV_COMMANDS
+def test_csv_with_a_quote_never_closed_is_data_error(tmp_path, capsys, argv):
+    # a lenient csv reader would fold the last row into the open cell
+    csv_path = tmp_path / "open.csv"
+    csv_path.write_text('date,x,is_bad\n2018-01-01,"y,0\n2018-01-02,z,1\n')
+    code, out, err = _run_on_csv(tmp_path, capsys, argv, csv_path)
+    assert code == 3
+    assert err == f"error: {csv_path}: line 3: unexpected end of data\n"
     assert out == ""
 
 

@@ -421,8 +421,11 @@ _LONG = "x" * (csv.field_size_limit() + 1)
         ("a,b\n1,2\n3\n4,5,6\n", RaggedRowError, "row 2 has 1 cells, header has 2"),
         (f"a,b\n1,2\n{_LONG},3\n4\n", CsvFormatError,
          "errors.csv: line 3: field larger than field limit"),
+        # read leniently, the open cell would take the row 3,4 with no error
+        ('a,b\n0,1\n1,"2\n3,4\n', CsvFormatError, "errors.csv: line 4: unexpected end of data"),
     ],
-    ids=["undecodable-wins", "then-ragged", "first-bad-row", "then-unparsable-line"],
+    ids=["undecodable-wins", "then-ragged", "first-bad-row", "then-unparsable-line",
+         "quote-never-closed"],
 )
 def test_load_csv_error_precedence_holds_for_every_chunk_size(
     tmp_path, chunk_rows, text, error, message

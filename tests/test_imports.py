@@ -297,3 +297,17 @@ def test_unused_import_check_finds_each_form():
         "    return os.path.join(x), pipeline.run, auc\n"
     )
     assert _unused_imports(source) == ["json", "load", "math", "np"]
+
+
+def test_all_lists_each_name_the_package_imports_once():
+    # a name removed from a module but left in __all__, or imported and
+    # never listed, fails here
+    tree = ast.parse(Path(shockstab.__file__).read_text(encoding="utf-8"))
+    imported = [
+        a.asname or a.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for a in node.names
+    ]
+    assert len(set(shockstab.__all__)) == len(shockstab.__all__)
+    assert sorted(shockstab.__all__) == sorted(imported)

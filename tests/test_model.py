@@ -1,12 +1,10 @@
 import copy
-import json
 import warnings
 
 import numpy as np
 import pytest
 
 from shockstab.errors import (
-    DataError,
     DegenerateLabelsError,
     DomainError,
     EmptyInputError,
@@ -20,7 +18,6 @@ from shockstab.model import (
     auc,
     build_encoding,
     evaluate_pair,
-    import_auc_table,
     train_baseline,
     train_baselines,
 )
@@ -324,105 +321,6 @@ def test_schema_mismatch_at_evaluation():
     other = make_frame(x1=[0.0, 1.0], label=[0.0, 1.0])
     with pytest.raises(SchemaMismatchError):
         model.predict_scores(other)
-
-
-# ---------------------------------------------------------------------------
-# AUC table import
-# ---------------------------------------------------------------------------
-
-def _nested_table(models=8, levels=8, runs=51, seed=0):
-    rng = np.random.default_rng(seed)
-    level_labels = ["without", 1, 3, 5, 7, 10, 50, 100][:levels]
-    return {
-        "ds": 0.1193,
-        "models": [
-            {
-                "name": f"model{i}",
-                "levels": [
-                    {
-                        "outliers_pct": lvl,
-                        "runs": [
-                            {
-                                "auc_base_a": float(rng.uniform(0.5, 1)),
-                                "auc_shock_a": float(rng.uniform(0.5, 1)),
-                                "auc_base_b": float(rng.uniform(0.5, 1)),
-                                "auc_shock_b": float(rng.uniform(0.5, 1)),
-                            }
-                            for _ in range(runs)
-                        ],
-                    }
-                    for lvl in level_labels
-                ],
-            }
-            for i in range(models)
-        ],
-    }
-
-
-def test_import_auc_table_aggregates_to_64_cells(tmp_path):
-    path = tmp_path / "aucs.json"
-    path.write_text(json.dumps(_nested_table()), encoding="utf-8")
-    table = import_auc_table(path)
-    records = table.median_records()
-    assert len(records) == 64
-    assert table.ds == pytest.approx(0.1193)
-    # medians match a direct numpy median over the runs
-    raw = _nested_table()
-    first = raw["models"][0]["levels"][0]["runs"]
-    expected = float(np.median([r["auc_base_a"] for r in first]))
-    assert records[0][2] == pytest.approx(expected)
-
-
-def test_import_auc_table_range_error(tmp_path):
-    payload = _nested_table(models=1, levels=1, runs=2)
-    payload["models"][0]["levels"][0]["runs"][1]["auc_shock_b"] = 1.2
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(DomainError) as err:
-        import_auc_table(path)
-    assert "model0" in str(err.value)
-    assert "run 1" in str(err.value)
-
-
-@pytest.mark.parametrize(
-    "value, message",
-    [(1.2, "must lie in [0, 1], got 1.2"), ("high", "must be a number, got 'high'"),
-     (None, "must be a number, got None")],
-    ids=["out-of-range", "text", "null"],
-)
-def test_import_auc_table_error_names_the_field(tmp_path, value, message):
-    payload = _nested_table(models=1, levels=1, runs=2)
-    payload["models"][0]["levels"][0]["runs"][1]["auc_shock_b"] = value
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(DomainError) as err:
-        import_auc_table(path)
-    assert str(err.value).endswith(f"/run 1 auc_shock_b {message}")
-
-
-def test_import_auc_table_empty_models(tmp_path):
-    path = tmp_path / "empty.json"
-    path.write_text(json.dumps({"ds": 0.1, "models": []}), encoding="utf-8")
-    with pytest.raises(EmptyInputError):
-        import_auc_table(path)
-
-
-def test_import_auc_table_malformed(tmp_path):
-    path = tmp_path / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(DataError):
-        import_auc_table(path)
-
-
-def test_per_run_records(tmp_path):
-    path = tmp_path / "aucs.json"
-    path.write_text(
-        json.dumps(_nested_table(models=2, levels=2, runs=3)), encoding="utf-8"
-    )
-    table = import_auc_table(path)
-    records = table.per_run_records()
-    assert len(records) == 12
-    assert records[0][0] == "model0#run0"
 
 
 def test_numerical_encoding_holds_the_mean_and_scale_once():
