@@ -1,9 +1,11 @@
 import copy
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from shockstab import cli
 from shockstab.errors import (
     DegenerateLabelsError,
     DomainError,
@@ -321,6 +323,38 @@ def test_schema_mismatch_at_evaluation():
     other = make_frame(x1=[0.0, 1.0], label=[0.0, 1.0])
     with pytest.raises(SchemaMismatchError):
         model.predict_scores(other)
+
+
+def test_per_run_records(tmp_path):
+    """A nested AUC table read per run gives one record per model, level and
+    run, each carrying that run's four AUCs."""
+    keys = ("auc_base_a", "auc_shock_a", "auc_base_b", "auc_shock_b")
+    table = {
+        "ds": 0.1,
+        "models": [
+            {
+                "name": f"model{i}",
+                "levels": [
+                    {
+                        "outliers_pct": lvl,
+                        "runs": [
+                            {key: 0.5 + (i + j + k) / 100 for key in keys}
+                            for k in range(3)
+                        ],
+                    }
+                    for j, lvl in enumerate(["without", 5])
+                ],
+            }
+            for i in range(2)
+        ],
+    }
+    path = tmp_path / "aucs.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    records, ds = cli._grid_records(str(path), None, per_run=True)
+    assert ds == 0.1
+    assert len(records) == 12
+    assert records[0] == ("model0#run0", "without", 0.5, 0.5, 0.5, 0.5)
+    assert records[-1] == ("model1#run2", "5", 0.54, 0.54, 0.54, 0.54)
 
 
 def test_numerical_encoding_holds_the_mean_and_scale_once():
