@@ -127,12 +127,16 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
     [{four AUCs}, ...]}]}]}, whose DS `ds_flag` overrides. A nested level
     gives one record of each AUC's `aggregate` median over its runs, or
     with `per_run` one record per run, named "<model>#run<k>". Every AUC is
-    checked into [0, 1], its error naming the field.
+    checked into [0, 1], its error naming the field. A file with no record
+    (an empty list, a model with no levels, a level with no runs) and an
+    AUC or DS given as text or as a boolean are data errors.
     """
     payload = _load_json(path)
     if isinstance(payload, list):
         if ds_flag is None:
             raise ConfigError("--ds is required with a flat record list")
+        if not payload:
+            raise EmptyInputError(f"{path}: empty record list")
         records = []
         for i, r in enumerate(payload):
             try:
@@ -152,16 +156,19 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
         raise DataError(f"{path}: expected an object with a 'models' list")
     if not payload["models"]:
         raise EmptyInputError(f"{path}: empty model list")
-    try:
-        ds = float(payload.get("ds", 0.0))
-    except (TypeError, ValueError):
-        raise DataError(f"{path}: ds must be a number, got {payload['ds']!r}") from None
+    ds = payload.get("ds", 0.0)
+    # float() would also read text such as "0.3", and True as 1.0
+    if isinstance(ds, bool) or not isinstance(ds, (int, float)):
+        raise DataError(f"{path}: ds must be a number, got {ds!r}")
     records = []
     for m in _objects(payload["models"], f"{path}: models"):
         name = str(m.get("name", ""))
         if not name:
             raise DataError(f"{path}: model entry without a name")
-        for lvl in _objects(m.get("levels", []), f"{path}: {name}: levels"):
+        levels = _objects(m.get("levels", []), f"{path}: {name}: levels")
+        if not levels:
+            raise DataError(f"{path}: {name} has no levels")
+        for lvl in levels:
             if "outliers_pct" not in lvl:
                 raise DataError(f"{path}: {name}: level without outliers_pct")
             try:
@@ -182,7 +189,7 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
                 records += [(f"{name}#run{k}", label, *run) for k, run in enumerate(runs)]
             else:
                 records.append((name, label, *[aggregate(a).median for a in zip(*runs)]))
-    return records, ds if ds_flag is None else ds_flag
+    return records, float(ds) if ds_flag is None else ds_flag
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +201,7 @@ def _cmd_schema(args) -> int:
         args.file,
         missing_tokens=tuple(args.missing_tokens),
         categorical_override=args.categorical_override,
+        text_columns=(),
     )
     report = detect_schema(frame, categorical_override=args.categorical_override)
     _emit(report.to_dict(), args.json)
@@ -201,8 +209,8 @@ def _cmd_schema(args) -> int:
 
 
 def _cmd_ds(args) -> int:
-    base = load_csv(args.base)
-    shock = load_csv(args.shock)
+    base = load_csv(args.base, text_columns=())
+    shock = load_csv(args.shock, text_columns=())
     excluded = _split_list(args.exclude) if args.exclude else []
     report = distribution_shift(base, shock, tau=args.tau, excluded=excluded)
     _emit(report.to_dict(), args.json)
@@ -257,7 +265,7 @@ def _cmd_split(args) -> int:
         mc_runs=args.runs,
         seed=args.seed,
     )
-    frame = load_csv(args.file)
+    frame = load_csv(args.file)  # every cell's text, which the exports write back
     first = split_once(frame, spec, 0)  # a bad date column stops before any file
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,7 +286,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    frame = load_csv(args.file)
+    frame = load_csv(args.file, text_columns=())
     generator = fit(frame)
     spec = OutlierSpec(
         family=args.family,

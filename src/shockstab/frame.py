@@ -7,19 +7,24 @@ by str, with -1 marking a missing cell; `Column.values` decodes them into
 an object array with None for missing cells. Missingness is always read
 from these arrays: the NaN mask or code -1.
 
-A frame loaded from CSV keeps its cell text, so that exporting reproduces
-every non-missing cell byte-equal. A numerical column keeps a tuple of its
-cell strings; a categorical column's categories are its cell strings, so
-each cell's text is held once. `Column.raw` gives the text back per cell,
-or None for a column that keeps none (one built from an array of values).
+A categorical column's categories are its cell strings, so a column
+loaded from CSV holds each such cell's text once. A numerical column keeps
+a tuple of its cell strings only where `load_csv` is asked to: by default
+every column keeps its text, so that exporting reproduces every
+non-missing cell byte-equal, and with `text_columns` only the numerical
+columns named there do. `shockstab split`, which exports, keeps all text;
+the pipeline keeps only an OOT date column's (a date such as 20180322
+loads as a number, and is parsed from its text), and `schema`, `ds` and
+`synth` keep none. `Column.raw` gives the text back per cell, or None for
+a column that keeps none.
 
 `load_csv` reads a file in chunks of `_CSV_READ_ROWS` (8,192) rows and
 classifies each chunk's cells before it reads the next, so a categorical
 column's cell strings are dropped with their chunk and only its distinct
 values stay. The pipeline drops the loaded frame once
 `splitting.model_splits` has split it, and the splits keep no text, so the
-frame and its text are freed before any model trains. Files are read and
-written comma-separated.
+frame is freed before any model trains. Files are read and written
+comma-separated.
 """
 
 from __future__ import annotations
@@ -377,7 +382,10 @@ def _check_override(value: int) -> None:
 
 
 def load_csv(
-    path, missing_tokens=DEFAULT_MISSING_TOKENS, categorical_override: int = 0
+    path,
+    missing_tokens=DEFAULT_MISSING_TOKENS,
+    categorical_override: int = 0,
+    text_columns=None,
 ) -> TabularFrame:
     """Load a comma-separated file with a header row into a TabularFrame.
 
@@ -387,6 +395,12 @@ def load_csv(
     numeric columns with at most that many distinct values to categorical;
     a negative one is a ConfigError. Missing cells are any cell equal to
     one of `missing_tokens`.
+
+    `text_columns` names the numerical columns that keep their cell text;
+    None, the default, keeps every column's, so that `to_csv` writes each
+    non-missing cell back byte-equal. Any other numerical column keeps no
+    text (its `raw` is None). A categorical column's categories are its
+    text, so it keeps it either way.
 
     Rows are read in chunks of `_CSV_READ_ROWS`, and each chunk's cells are
     classified column by column before the next is read. Errors keep the
@@ -398,6 +412,7 @@ def load_csv(
     """
     _check_override(categorical_override)
     missing_tokens = frozenset(missing_tokens)
+    text_columns = None if text_columns is None else frozenset(text_columns)
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
@@ -415,7 +430,12 @@ def load_csv(
                 if len(set(header)) != len(header):
                     dup = next(h for h in header if header.count(h) > 1)
                     raise CsvFormatError(f"{path}: duplicate header column {dup!r}")
-                columns = [_ColumnReader(name, missing_tokens) for name in header]
+                columns = [
+                    _ColumnReader(
+                        name, missing_tokens, text_columns is None or name in text_columns
+                    )
+                    for name in header
+                ]
                 error = _read_rows(reader, columns)
             except csv.Error as exc:
                 error = CsvFormatError(f"{path}: line {reader.line_num}: {exc}")
@@ -472,16 +492,18 @@ class _ColumnReader:
     """One CSV column as load_csv reads it, a chunk of cells at a time.
 
     While every cell read is numeric or missing, the column keeps each
-    chunk's floats, NaN marking a missing cell, and its cell text, None
-    marking a missing cell. From the first chunk with another cell it keeps
-    provisional int32 codes by first appearance instead, and one string per
-    distinct cell.
+    chunk's floats, NaN marking a missing cell, and its cell text: with
+    `keeps_text`, one string per cell, None marking a missing cell;
+    without, one string per chunk, its present cells joined by NUL, which
+    no numeric cell holds (float() refuses it). From the first chunk with
+    another cell it keeps provisional int32 codes by first appearance
+    instead, and one string per distinct cell.
     """
 
-    __slots__ = ("name", "missing_tokens", "floats", "text", "codes", "lookup")
+    __slots__ = ("name", "missing_tokens", "keeps_text", "floats", "text", "codes", "lookup")
 
-    def __init__(self, name: str, missing_tokens: frozenset):
-        self.name, self.missing_tokens = name, missing_tokens
+    def __init__(self, name: str, missing_tokens: frozenset, keeps_text: bool):
+        self.name, self.missing_tokens, self.keeps_text = name, missing_tokens, keeps_text
         self.floats, self.text = [], []
         self.codes = self.lookup = None
 
@@ -498,17 +520,30 @@ class _ColumnReader:
                 values = np.full(len(cells), np.nan)
                 values[~missing] = numbers
                 self.floats.append(values)
-                self.text += text.tolist()
+                if self.keeps_text:
+                    self.text += text.tolist()
+                else:
+                    self.text.append("\0".join(text[~missing].tolist()))
                 return
             self._to_codes()
         self._encode(text.tolist())
 
     def _to_codes(self) -> None:
         """Switch to provisional codes, encoding the text kept so far."""
-        text = self.text
-        self.codes, self.lookup = [], {None: -1}
+        floats, text = self.floats, self.text
+        # column() concatenates the codes, which a file with no rows has none of
+        self.codes, self.lookup = [np.empty(0, dtype=np.int32)], {None: -1}
         self.floats = self.text = None
-        self._encode(text)
+        if self.keeps_text:
+            self._encode(text)
+            return
+        # a chunk's NUL-joined text goes back to its present cells
+        for values, joined in zip(floats, text):
+            cells = np.full(values.size, None, dtype=object)
+            present = ~np.isnan(values)
+            if present.any():
+                cells[present] = joined.split("\0")
+            self._encode(cells.tolist())
 
     def _encode(self, cells: list) -> None:
         lookup = self.lookup
@@ -527,7 +562,8 @@ class _ColumnReader:
             if numeric and categorical_override > 0:
                 numeric = np.unique(present).size > categorical_override
             if numeric:
-                return Column(self.name, ColumnKind.NUMERICAL, values, tuple(self.text))
+                raw = tuple(self.text) if self.keeps_text else None
+                return Column(self.name, ColumnKind.NUMERICAL, values, raw)
             self._to_codes()
         # the lookup lists None, then each cell by its provisional code; its
         # codes into the categories sorted by str remap every cell's code

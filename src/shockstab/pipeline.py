@@ -37,6 +37,7 @@ from .splitting import (
     aggregate,
     child_rng,
     model_splits,
+    text_columns,
 )
 from .stability import (
     DEFAULT_COEFFICIENTS,
@@ -433,13 +434,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         config.input_path,
         missing_tokens=config.missing_tokens,
         categorical_override=config.categorical_override,
+        text_columns=text_columns(config.split),
     )
     # a label that is missing or not numerical 0/1 stops the run before any
     # split is made
     extract_labels(frame, config.label)
     splits = model_splits(frame, config.split, config.label)
-    # the splits keep no CSV text, so the frame and its text are freed
-    # before any model trains
+    # the splits keep no CSV text, so the frame and the text it keeps (an
+    # OOT date column's, read from its text) are freed before any model trains
     del frame
 
     # DS compares run 0's pre-shock rows with its shocked rows: in OOT mode

@@ -193,6 +193,12 @@ def monte_carlo(frame: TabularFrame, spec: SplitSpec) -> list[ShockSplit]:
     return [split_once(frame, spec, r) for r in range(spec.mc_runs)]
 
 
+def text_columns(spec: SplitSpec) -> tuple[str, ...]:
+    """The columns whose CSV text `model_splits` reads: an OOT date column,
+    which can load as a number such as 20180322 and is parsed from its text."""
+    return (spec.date_column,) if spec.mode == OOT else ()
+
+
 def model_splits(frame: TabularFrame, spec: SplitSpec, label: str) -> list[ShockSplit]:
     """The Monte Carlo splits a model trains and is evaluated on.
 
@@ -200,11 +206,11 @@ def model_splits(frame: TabularFrame, spec: SplitSpec, label: str) -> list[Shock
     and is neither a feature nor a DS column, so it is dropped from every
     split unless it is the label.
     """
-    date = spec.date_column if spec.mode == OOT else None
+    dates = set(text_columns(spec))
     frame = TabularFrame(
-        [(_date_text(c) if c.name == date else c).without_text() for c in frame.columns]
+        [(_date_text(c) if c.name in dates else c).without_text() for c in frame.columns]
     )
-    drop = {date} - {None, label}
+    drop = dates - {label}
     return [
         ShockSplit(*(f.drop_columns(drop) for f in (s.train, s.test, s.shocked_test)), s.run_index)
         for s in monte_carlo(frame, spec)

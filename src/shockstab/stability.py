@@ -26,7 +26,10 @@ def check_auc(value, what: str = "auc") -> float:
     try:
         a = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{what} must be a number, got {value!r}") from None
+        a = None
+    # float() also reads text such as "0.7", and True as 1.0
+    if a is None or isinstance(value, (str, bool)):
+        raise DomainError(f"{what} must be a number, got {value!r}")
     if not 0.0 <= a <= 1.0:
         raise DomainError(f"{what} must lie in [0, 1], got {a!r}")
     return a

@@ -20,7 +20,7 @@ import shockstab
 from shockstab import cli, pipeline
 from shockstab.cli import main
 from shockstab.fixtures import make_shocked_fixture
-from shockstab.frame import load_csv
+from shockstab.frame import ColumnKind, load_csv
 from shockstab.model import TrainConfig, evaluate_pair, train_baseline
 from shockstab.splitting import SplitSpec, model_splits
 from shockstab.stability import normalize_level, stabilization_uplift
@@ -1350,3 +1350,80 @@ def test_pipeline_real_fraction_beyond_memory_exits_3(tiny_dir, real_fraction):
     assert code == 3
     assert err.getvalue().startswith("error: not enough memory: ")
     assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["su-grid", "sweep"])
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([], "empty record list"),
+        ({"ds": 0.1, "models": [{"name": "gbm"}]}, "gbm has no levels"),
+        ([{"model": "m", "outliers_pct": 5, "auc_base_a": "0.7", "auc_shock_a": 0.7,
+           "auc_base_b": 0.81, "auc_shock_b": 0.76}],
+         "record 0 auc_base_a must be a number, got '0.7'"),
+        ([{"model": "m", "outliers_pct": 5, "auc_base_a": 0.8, "auc_shock_a": 0.7,
+           "auc_base_b": True, "auc_shock_b": 0.76}],
+         "record 0 auc_base_b must be a number, got True"),
+        ({**_auc_table(), "ds": "0.3"}, "ds must be a number, got '0.3'"),
+    ],
+    ids=["flat-empty", "model-without-levels", "quoted-auc", "boolean-auc", "quoted-ds"],
+)
+def test_an_auc_file_with_no_record_or_a_number_as_text_is_data_error(
+    tmp_path, capsys, command, payload, message
+):
+    # float() would read "0.7" and "0.3" as numbers and True as 1.0
+    path = _write_json(tmp_path, payload)
+    code = main([command, str(path), "--ds", "0.2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, kept",
+    [
+        (("schema", "{csv}"), set()),
+        (("ds", "{csv}", "{csv}"), set()),
+        (("synth", "{csv}", "--rows", "5", "--out", "{tmp}/syn.csv"), set()),
+        (("pipeline", "{oot}"), {"date"}),
+        (("pipeline", "{oos}"), set()),
+        (("split", "{csv}", "--mode", "oos", "--shock-fraction", "0.2", "--runs", "1",
+          "--out", "{tmp}/s"), {"date", "rate", "volume", "score", "price", "is_bad"}),
+    ],
+    ids=["schema", "ds", "synth", "pipeline-oot", "pipeline-oos", "split"],
+)
+def test_only_split_and_an_oot_date_keep_numerical_text(
+    tmp_path, capsys, monkeypatch, argv, kept
+):
+    # the dates load as numbers such as 20180322, which an OOT split parses
+    # from their text; no other command reads a numerical column's text
+    csv_path = tmp_path / "shocked.csv"
+    with_compact_dates(make_shocked_fixture(rows=300)).to_csv(csv_path)
+    configs = {}
+    for mode, split in [
+        ("oot", {"mode": "oot", "date_column": "date", "shock_date": "20180322"}),
+        ("oos", {"mode": "oos", "shock_fraction": 0.2}),
+    ]:
+        configs[mode] = _write_json(tmp_path, {
+            "input": str(csv_path), "label": "is_bad", "levels": ["without"],
+            "split": {**split, "mc_runs": 2}, "output_dir": str(tmp_path / mode),
+        }, name=f"{mode}.json")
+    frames = []
+
+    def recording_load_csv(*args, **kwargs):
+        frames.append(load_csv(*args, **kwargs))
+        return frames[-1]
+
+    monkeypatch.setattr(cli, "load_csv", recording_load_csv)
+    monkeypatch.setattr(pipeline, "load_csv", recording_load_csv)
+    fields = {"csv": csv_path, "tmp": tmp_path, **configs}
+    assert main([a.format(**fields) for a in argv]) == 0
+    capsys.readouterr()
+    assert frames
+    for frame in frames:
+        assert frame.kind_of("date") is frame.kind_of("rate") is ColumnKind.NUMERICAL
+        assert {
+            c.name for c in frame.columns
+            if c.kind is ColumnKind.NUMERICAL and c.raw is not None
+        } == kept

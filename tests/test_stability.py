@@ -377,3 +377,12 @@ def test_every_cell_ranking_equals_its_reference(cells):
         coeffs = UpliftCoefficients(**entry["coefficients"])
         expected = _reference_argmax(batch_uplift(records, 0.1, coeffs))
         assert {m: e["level"] for m, e in entry["argmax_by_model"].items()} == expected
+
+
+def test_check_auc_refuses_text_and_booleans_that_float_reads():
+    for value in ("0.7", True, False):
+        with pytest.raises(DomainError, match=r"^x must be a number, got "):
+            check_auc(value, "x")
+    assert check_auc(np.float64(0.25), "x") == 0.25
+    assert check_auc(np.float32(0.5), "x") == 0.5
+    assert flip_auc(np.float64(0.25)) == 0.75
