@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from .config import check
 from .errors import ConfigError, DomainError
 from .stability import (
     DEFAULT_COEFFICIENTS,
@@ -37,6 +38,12 @@ DEFAULT_BOUNDS = {
 }
 
 
+_ANCHOR_BOUNDS = {
+    "a_base": "in [0, 1]", "a_shock": "in [0, 1]", "b_base": "in [0, 1]", "b_shock": "in [0, 1]",
+    "ds": "in [0, 1]", "target_su": "in [-1, 1]", "confidence": "> 0",
+}
+
+
 @dataclass(frozen=True)
 class AnchorPoint:
     """One expert-labelled SU target for a concrete AUC/DS constellation."""
@@ -50,16 +57,9 @@ class AnchorPoint:
     confidence: float = 1.0
 
     def __post_init__(self):
-        for name in ("a_base", "a_shock", "b_base", "b_shock"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise DomainError(f"{name} must lie in [0, 1], got {v!r}")
-        if not (0.0 <= self.ds <= 1.0):
-            raise DomainError(f"ds must lie in [0, 1], got {self.ds!r}")
-        if not (-1.0 <= self.target_su <= 1.0):
-            raise DomainError(f"target_su must lie in [-1, 1], got {self.target_su!r}")
-        if not (self.confidence > 0):
-            raise DomainError(f"confidence must be > 0, got {self.confidence!r}")
+        for name, bound in _ANCHOR_BOUNDS.items():
+            value = check(getattr(self, name), "a number", bound, what=name, error=DomainError)
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -93,6 +93,21 @@ def _objective(coeffs: UpliftCoefficients, anchors) -> float:
     return num / den
 
 
+def _slope_grid(grid: dict | None, bounded: bool) -> list:
+    """The UpliftCoefficients of every combination of `grid`'s candidate
+    lists (DEFAULT_SWEEP when None), smallest first. A candidate must be a
+    number > 0, and with `bounded` at most its value in DEFAULT_BOUNDS."""
+    grid = DEFAULT_SWEEP if grid is None else grid
+    lists = []
+    for name in ("k1", "k2", "k3"):
+        bound = f"in (0, {DEFAULT_BOUNDS[name]}]" if bounded else "> 0"
+        lists.append(sorted(float(check(v, "a number", bound, what=f"candidate {name}"))
+                            for v in grid.get(name, ())))
+        if not lists[-1]:
+            raise ConfigError(f"empty candidate list for {name}")
+    return list(itertools.starmap(UpliftCoefficients, itertools.product(*lists)))
+
+
 def calibrate(anchors, grid: dict | None = None) -> CalibrationResult:
     """Exhaustive grid search for the slope triple matching the anchors.
 
@@ -104,24 +119,7 @@ def calibrate(anchors, grid: dict | None = None) -> CalibrationResult:
     anchors = list(anchors)
     if not anchors:
         raise ConfigError("calibrate needs at least one anchor point")
-    grid = dict(DEFAULT_SWEEP if grid is None else grid)
-    candidates = []
-    for name in ("k1", "k2", "k3"):
-        values = sorted(float(v) for v in grid.get(name, ()))
-        if not values:
-            raise ConfigError(f"empty candidate list for {name}")
-        upper = DEFAULT_BOUNDS[name]
-        for v in values:
-            if not (0.0 < v <= upper):
-                raise ConfigError(
-                    f"candidate {name}={v} outside bounds (0, {upper}]"
-                )
-        candidates.append(values)
-
-    trace = [
-        (coeffs, _objective(coeffs, anchors))
-        for coeffs in itertools.starmap(UpliftCoefficients, itertools.product(*candidates))
-    ]
+    trace = [(coeffs, _objective(coeffs, anchors)) for coeffs in _slope_grid(grid, True)]
     # min keeps the first of equal objectives: earlier (smaller) tuples win ties
     best, best_obj = min(trace, key=lambda entry: entry[1])
     return CalibrationResult(coeffs=best, objective=best_obj, grid_trace=trace)
@@ -165,22 +163,17 @@ def sensitivity_sweep(
 
     For each combination the report states, per cell, whether the sign of
     the raw SU matches the baseline coefficients' sign, and per model
-    whether the best outlier level is unchanged.
+    whether the best outlier level is unchanged. Each slope must be a
+    number > 0.
     """
-    sweep = dict(DEFAULT_SWEEP if sweep is None else sweep)
-    for name in ("k1", "k2", "k3"):
-        if not sweep.get(name):
-            raise ConfigError(f"empty sweep list for {name}")
+    slopes = _slope_grid(sweep, False)
     records = list(records)
     base_grid = batch_uplift(records, ds, baseline)
     base_signs = {key: _sign(br.su) for key, br in base_grid.cells.items()}
     base_argmax = _argmax_levels(base_grid)
 
     report = SweepReport(baseline=baseline)
-    for k1, k2, k3 in itertools.product(
-        sorted(sweep["k1"]), sorted(sweep["k2"]), sorted(sweep["k3"])
-    ):
-        coeffs = UpliftCoefficients(float(k1), float(k2), float(k3))
+    for coeffs in slopes:
         grid = batch_uplift(records, ds, coeffs)
         cells = []
         signs_ok = True

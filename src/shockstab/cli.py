@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .calibration import AnchorPoint, calibrate, sensitivity_sweep
+from .config import check
 from .drift import DEFAULT_TAU, distribution_shift
 from .errors import ConfigError, DataError, EmptyInputError, ShockStabError
 from .frame import DEFAULT_MISSING_TOKENS, detect_schema, load_csv
@@ -126,10 +127,11 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
     table {"ds", "models": [{"name", "levels": [{"outliers_pct", "runs":
     [{four AUCs}, ...]}]}]}, whose DS `ds_flag` overrides. A nested level
     gives one record of each AUC's `aggregate` median over its runs, or
-    with `per_run` one record per run, named "<model>#run<k>". Every AUC is
-    checked into [0, 1], its error naming the field. A file with no record
-    (an empty list, a model with no levels, a level with no runs) and an
-    AUC or DS given as text or as a boolean are data errors.
+    with `per_run` one record per run, named "<model>#run<k>". Each AUC, the
+    DS and each model name go through `check`: a number in [0, 1], a number
+    >= 0 and a non-empty string, or a data error naming the file, record
+    and field. A file with no record (an empty list, a model with no
+    levels, a level with no runs) is a data error too.
     """
     payload = _load_json(path)
     if isinstance(payload, list):
@@ -142,7 +144,8 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
             try:
                 records.append(
                     (
-                        r["model"],
+                        check(r["model"], "a non-empty string", what=f"{path}: record {i} model",
+                              error=DataError),
                         normalize_level(r["outliers_pct"]),
                         *[check_auc(r[key], f"{path}: record {i} {key}") for key in _RUN_AUCS],
                     )
@@ -156,15 +159,11 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
         raise DataError(f"{path}: expected an object with a 'models' list")
     if not payload["models"]:
         raise EmptyInputError(f"{path}: empty model list")
-    ds = payload.get("ds", 0.0)
-    # float() would also read text such as "0.3", and True as 1.0
-    if isinstance(ds, bool) or not isinstance(ds, (int, float)):
-        raise DataError(f"{path}: ds must be a number, got {ds!r}")
+    ds = check(payload.get("ds", 0.0), "a number", ">= 0", what=f"{path}: ds", error=DataError)
     records = []
-    for m in _objects(payload["models"], f"{path}: models"):
-        name = str(m.get("name", ""))
-        if not name:
-            raise DataError(f"{path}: model entry without a name")
+    for j, m in enumerate(_objects(payload["models"], f"{path}: models")):
+        name = check(m.get("name"), "a non-empty string", what=f"{path}: model {j} name",
+                     error=DataError)
         levels = _objects(m.get("levels", []), f"{path}: {name}: levels")
         if not levels:
             raise DataError(f"{path}: {name} has no levels")

@@ -4,8 +4,11 @@ A config dataclass derives from `Config` and declares every field with
 `setting`: its default, its JSON key, its kind and its bound. `Config`
 checks every field when an object is built, whether by keywords or through
 `from_dict`, so a bad value stops a run before any data is read; and it
-derives `from_dict` and `to_dict` from the same declarations. A check never
-converts a value, except that a list of strings is stored as a tuple.
+derives `from_dict` and `to_dict` from the same declarations. `check` is
+that one check, and the library's numeric arguments and file records go
+through it too. A check never converts a value, except that a numpy scalar
+is taken as its Python equal, so `to_dict` writes plain JSON, and a list of
+strings is stored as a tuple.
 """
 
 from __future__ import annotations
@@ -14,19 +17,23 @@ import dataclasses
 import sys
 from datetime import datetime
 
+import numpy as np
+
 from .errors import ConfigError
 
 # What each kind of value accepts, keyed by the phrase messages use for it.
-# A bool is never a number. A number must be a finite float or an int within
-# float range: reports hold no infinity or NaN (they are written with
-# allow_nan=False), and the metrics compute in floats. A string is not a
-# list of levels: "10" would read as the levels "1" and "0".
+# A bool or text is never a number, though float() reads True and "0.3"; a
+# numpy scalar is checked as its Python equal. A number must be a finite
+# float or an int within float range, and an integer is such an int:
+# reports hold no infinity or NaN (they are written with allow_nan=False),
+# and the metrics compute in floats. A string is not a list of levels: "10"
+# would read as the levels "1" and "0".
 _KINDS = {
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "a number": lambda v: isinstance(v, (int, float))
-    and not isinstance(v, bool)
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     and abs(v) <= sys.float_info.max,
+    "an integer": lambda v: isinstance(v, int) and _KINDS["a number"](v),
     "a string": lambda v: isinstance(v, str),
+    "a non-empty string": lambda v: isinstance(v, str) and v != "",
     "a list of strings": lambda v: isinstance(v, (list, tuple))
     and all(isinstance(s, str) for s in v),
     "a date": lambda v: isinstance(v, (str, datetime)),
@@ -81,25 +88,34 @@ def _plain(value):
     return value
 
 
+def check(value, kind, bound=None, *, what, null=False, error=ConfigError):
+    """`value`, if it is `kind` within `bound`; else `error`, naming it `what`.
+
+    `kind`, `bound` and `null` are written as for `setting`. A numpy scalar
+    is returned as its Python equal, and a list of strings as a tuple.
+    """
+    if value is None and null:
+        return None
+    plain = value.item() if isinstance(value, np.generic) else value
+    nested = isinstance(kind, type)
+    ok = isinstance(plain, kind) if nested else _KINDS[kind](plain)
+    if not ok or (bound and not _within(plain, bound)):
+        noun = f"a {kind.__name__}" if nested else kind
+        raise error(
+            f"{what} must be {noun}{' ' + _phrase(bound) if bound else ''}"
+            f"{' or null' if null else ''}, got {value!r}"
+        )
+    return tuple(plain) if kind == "a list of strings" else plain
+
+
 class Config:
     """Base of the config dataclasses whose fields are declared by `setting`."""
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
             kind, bound, null = f.metadata["kind"], f.metadata["bound"], f.metadata["null"]
-            if value is None and null:
-                continue
-            nested = isinstance(kind, type)
-            ok = isinstance(value, kind) if nested else _KINDS[kind](value)
-            if not ok or (bound and not _within(value, bound)):
-                what = f"a {kind.__name__}" if nested else kind
-                raise ConfigError(
-                    f"{_key(f)} must be {what}{' ' + _phrase(bound) if bound else ''}"
-                    f"{' or null' if null else ''}, got {value!r}"
-                )
-            if kind == "a list of strings":
-                object.__setattr__(self, f.name, tuple(value))
+            value = check(getattr(self, f.name), kind, bound, what=_key(f), null=null)
+            object.__setattr__(self, f.name, value)
 
     @classmethod
     def from_dict(cls, payload):

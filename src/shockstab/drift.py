@@ -9,13 +9,13 @@ DS reaches a domain-informed threshold tau.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check
 from .errors import DomainError, EmptyColumnError
-from .frame import Column, ColumnKind, TabularFrame, union_codes
+from .frame import Column, ColumnKind, TabularFrame
 
 #: Default shock threshold. Observed no-shock splits sit at DS <= 0.005 and
 #: shocked splits at DS >= 0.12, so 0.05 separates the two regimes.
@@ -61,25 +61,25 @@ def tv_distance(p, q, column: str | None = None) -> float:
     """Total variation distance between two empirical categorical samples.
 
     Computes (1/2) * sum_c |p_hat(c) - q_hat(c)| over the union of observed
-    categories, in str order; categories absent from one sample get
-    frequency zero. Missing cells (None, or code -1 of a categorical
-    Column, which either sample may be) are dropped first.
+    categories, keyed and ordered by their text, so 1 and "1" are one
+    category, as they are to `detect_schema` and the model; categories
+    absent from one sample get frequency zero. Missing cells (None, or code
+    -1 of a categorical Column, which either sample may be) are dropped
+    first.
     """
     p, q = (
         s if isinstance(s, Column) else Column(column, ColumnKind.CATEGORICAL, s)
         for s in (p, q)
     )
-    categories, p_codes, q_codes = union_codes(p, q)
-    p_counts, q_counts = (
-        np.bincount(codes + 1, minlength=len(categories) + 1)[1:]
-        for codes in (p_codes, q_codes)
-    )
+    (p_labels, p_counts), (q_labels, q_counts) = p.label_counts(), q.label_counts()
     p_size, q_size = int(p_counts.sum()), int(q_counts.sum())
     if p_size == 0 or q_size == 0:
         raise EmptyColumnError(column)
-    observed = (p_counts + q_counts) > 0
+    labels = np.union1d(p_labels, q_labels)
     # exact integer counts, so the frequencies match adding 1.0 per cell
-    shift = p_counts[observed] / p_size - q_counts[observed] / q_size
+    shift = np.zeros(labels.size)
+    shift[np.searchsorted(labels, p_labels)] += p_counts / p_size
+    shift[np.searchsorted(labels, q_labels)] -= q_counts / q_size
     return float(0.5 * np.abs(shift).sum())
 
 
@@ -112,8 +112,7 @@ def distribution_shift(
     statistic; ds is their arithmetic mean, 0.0 when no columns remain.
     `is_shock` is ds >= tau, for a finite tau >= 0.
     """
-    if not (math.isfinite(tau) and tau >= 0):
-        raise DomainError(f"tau must be a finite number >= 0, got {tau!r}")
+    tau = check(tau, "a number", ">= 0", what="tau", error=DomainError)
     excluded = set(excluded)
     base.require_same_columns(shock, excluded)
     shifts = []

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import check
 from .errors import (
-    ConfigError,
     CsvFormatError,
     EmptyHeaderError,
     EmptyInputError,
@@ -376,11 +376,6 @@ def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
 # Kind inference and CSV loading
 # ---------------------------------------------------------------------------
 
-def _check_override(value: int) -> None:
-    if value < 0:
-        raise ConfigError(f"categorical_override must be an integer >= 0, got {value!r}")
-
-
 def load_csv(
     path,
     missing_tokens=DEFAULT_MISSING_TOKENS,
@@ -393,8 +388,8 @@ def load_csv(
     non-missing cell is numeric (see `_parse_floats`); otherwise it is
     categorical. `categorical_override`, when positive, additionally routes
     numeric columns with at most that many distinct values to categorical;
-    a negative one is a ConfigError. Missing cells are any cell equal to
-    one of `missing_tokens`.
+    one that is not an integer >= 0 is a ConfigError. Missing cells are any
+    cell equal to one of `missing_tokens`.
 
     `text_columns` names the numerical columns that keep their cell text;
     None, the default, keeps every column's, so that `to_csv` writes each
@@ -410,7 +405,7 @@ def load_csv(
     comes first. csv reads in strict mode, so a quote left open is an error
     rather than a cell that swallows the rest of the file.
     """
-    _check_override(categorical_override)
+    check(categorical_override, "an integer", ">= 0", what="categorical_override")
     missing_tokens = frozenset(missing_tokens)
     text_columns = None if text_columns is None else frozenset(text_columns)
     try:
@@ -698,7 +693,7 @@ def detect_schema(frame: TabularFrame, categorical_override: int = 0) -> SchemaR
     numerical columns with at most that many distinct values are reported as
     categorical.
     """
-    _check_override(categorical_override)
+    check(categorical_override, "an integer", ">= 0", what="categorical_override")
     if frame.row_count == 0:
         raise EmptyInputError("cannot detect schema of an empty frame")
     report = SchemaReport(row_count=frame.row_count)

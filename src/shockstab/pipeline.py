@@ -25,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .config import Config, setting
+from .config import Config, check, setting
 from .drift import DEFAULT_TAU, DriftReport, distribution_shift
 from .errors import ConfigError, DataError, ShockStabError
 from .frame import DEFAULT_MISSING_TOKENS, Column, TabularFrame, concat_frames, load_csv
@@ -613,9 +613,7 @@ def _digest_cell(model, row: dict, where: str, cell: dict) -> tuple:
         level_sort_key(level)
     except (TypeError, ValueError):
         raise DataError(f"{where}.outliers_pct is not an outlier level: {level!r}") from None
-    if isinstance(su, bool) or not isinstance(su, (int, float)):
-        raise DataError(f"{where}: su_display must be a number, got {su!r}")
-    return level, model, su
+    return level, model, check(su, "a number", what=f"{where}: su_display", error=DataError)
 
 
 def emit_radial_data(report, nonzero: bool = False) -> dict:

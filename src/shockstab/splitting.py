@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import Config, setting
+from .config import Config, check, setting
 from .errors import (
     ConfigError,
     DateParseError,
@@ -225,11 +225,10 @@ class Aggregate(NamedTuple):
 
 def aggregate(metric_values) -> Aggregate:
     """Median (midpoint of the two central values for even lengths) and range."""
-    values = [float(v) for v in metric_values]
+    values = [float(check(v, "a number", what="aggregate value", error=DomainError))
+              for v in metric_values]
     if not values:
         raise EmptyInputError("aggregate of an empty list")
-    if not all(math.isfinite(v) for v in values):
-        raise DomainError("aggregate requires finite values")
     ordered = sorted(values)
     n = len(ordered)
     if n % 2 == 1:

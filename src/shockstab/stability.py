@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
-from .config import Config, setting
+from .config import Config, check, setting
 from .errors import ConfigError, DomainError, DuplicateKeyError
 
 DEFAULT_EPSILON = 1e-5
@@ -23,29 +23,13 @@ SATURATION_EXPONENT = 700.0
 
 def check_auc(value, what: str = "auc") -> float:
     """`value` as a float in [0, 1], else DomainError naming it `what`."""
-    try:
-        a = float(value)
-    except (TypeError, ValueError, OverflowError):
-        a = None
-    # float() also reads text such as "0.7", and True as 1.0
-    if a is None or isinstance(value, (str, bool)):
-        raise DomainError(f"{what} must be a number, got {value!r}")
-    if not 0.0 <= a <= 1.0:
-        raise DomainError(f"{what} must lie in [0, 1], got {a!r}")
-    return a
+    return float(check(value, "a number", "in [0, 1]", what=what, error=DomainError))
 
 
 def flip_auc(a: float) -> float:
     """Map an AUC below 0.5 to 1 - AUC; idempotent, result in [0.5, 1]."""
     a = check_auc(a)
     return a if a >= 0.5 else 1.0 - a
-
-
-def _check_ds(ds: float) -> float:
-    ds = float(ds)
-    if not (math.isfinite(ds) and ds >= 0):
-        raise DomainError(f"ds must be a finite number >= 0, got {ds!r}")
-    return ds
 
 
 def _sigmoid(z: float) -> float:
@@ -86,10 +70,8 @@ def stabilization_score(
     """
     auc_base = check_auc(auc_base, "auc_base")
     auc_shock = check_auc(auc_shock, "auc_shock")
-    ds = _check_ds(ds)
-    epsilon = float(epsilon)
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise DomainError(f"epsilon must be a finite number > 0, got {epsilon!r}")
+    ds = float(check(ds, "a number", ">= 0", what="ds", error=DomainError))
+    epsilon = float(check(epsilon, "a number", "> 0", what="epsilon", error=DomainError))
     delta = abs(flip_auc(auc_base) - flip_auc(auc_shock))
     ss = 1.0 - delta / (1.0 + math.log1p(ds + epsilon))
     return StabilityRecord(auc_base, auc_shock, ds, epsilon, ss)
@@ -174,15 +156,15 @@ WITHOUT_LEVEL = "without"
 
 
 def normalize_level(level) -> str:
-    """Canonical row label: 'without' or the numeric percentage as text."""
-    if isinstance(level, str) and level.strip().lower() == WITHOUT_LEVEL:
+    """Canonical row label: 'without' or the numeric percentage as text.
+    The percentage may be given as text ("5")."""
+    text = isinstance(level, str)
+    if text and level.strip().lower() == WITHOUT_LEVEL:
         return WITHOUT_LEVEL
     try:
-        value = float(level)
-    except (TypeError, ValueError, OverflowError):
+        value = float(check(float(level) if text else level, "a number", ">= 0", what="level"))
+    except (ConfigError, ValueError):
         raise ConfigError(f"invalid outlier level {level!r}") from None
-    if isinstance(level, bool) or not math.isfinite(value) or value < 0:
-        raise ConfigError(f"invalid outlier level {level!r}")
     return str(int(value)) if value == int(value) else repr(value)
 
 
@@ -248,7 +230,7 @@ def batch_uplift(
     'without' first, columns keep the models' first-appearance order. A
     repeated (model, level) pair raises DuplicateKeyError.
     """
-    ds = _check_ds(ds)
+    ds = float(check(ds, "a number", ">= 0", what="ds", error=DomainError))
     models: list[str] = []
     levels: list[str] = []
     cells: dict = {}

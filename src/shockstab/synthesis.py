@@ -20,7 +20,7 @@ from functools import cache
 
 import numpy as np
 
-from .config import Config, setting
+from .config import Config, check, setting
 from .errors import (
     ConfigError,
     DegenerateMarginalsError,
@@ -180,8 +180,7 @@ def upsample(train: TabularFrame, target_rows: int, seed: int = 0) -> TabularFra
     """Resample rows with replacement until `target_rows`; no-op if already there."""
     if train.row_count == 0:
         raise EmptyInputError("cannot upsample an empty frame")
-    if target_rows < 1:
-        raise ConfigError(f"target_rows must be positive, got {target_rows!r}")
+    target_rows = check(target_rows, "an integer", ">= 1", what="target_rows")
     n = train.row_count
     if n >= target_rows:
         return train
@@ -356,10 +355,7 @@ def mix(
     (already seeded-shuffled) batch; the combined frame is then shuffled
     deterministically under `seed`.
     """
-    if not (0.0 < real_fraction < 1.0):
-        raise ConfigError(
-            f"real_fraction must lie in (0, 1), got {real_fraction!r}"
-        )
+    real_fraction = check(real_fraction, "a number", "in (0, 1)", what="real_fraction")
     synth_frame = synthetic.frame
     n_real = real.row_count
     needed = int(round(n_real * (1.0 - real_fraction) / real_fraction))

@@ -77,20 +77,25 @@ def test_calibrate_validation():
         AnchorPoint(0.8, 0.7, 0.8, 0.7, ds=0.2, target_su=0.0, confidence=0.0)
 
 
+_OVERFLOWS = "confidence-weighted error overflows"
+
+
 @pytest.mark.parametrize(
-    "confidences, targets",
-    [((1e308, 1e308), (-1.0, 1.0)), ((float("inf"),), (0.0,)), ((1.7e308, 9e307), (0.9, 0.7))],
+    "confidences, targets, message",
+    [((1e308, 1e308), (-1.0, 1.0), _OVERFLOWS),
+     ((float("inf"),), (0.0,), "confidence must be a number > 0, got inf"),
+     ((1.7e308, 9e307), (0.9, 0.7), _OVERFLOWS)],
     ids=["error-overflows", "infinite-confidence", "confidence-sum-overflows"],
 )
-def test_calibrate_overflowing_weighted_error_is_domain_error(confidences, targets):
+def test_calibrate_overflowing_weighted_error_is_domain_error(confidences, targets, message):
     # an overflowing objective would leave no finite winner, or a winner
-    # picked by an objective of inf/inf or x/inf
-    anchors = [
-        AnchorPoint(0.8, 0.7, 0.8, 0.7, ds=0.2, target_su=t, confidence=c)
-        for c, t in zip(confidences, targets)
-    ]
-    with pytest.raises(DomainError, match="confidence-weighted error overflows"):
-        calibrate(anchors)
+    # picked by an objective of inf/inf or x/inf; an infinite confidence is
+    # refused as the anchor is built
+    with pytest.raises(DomainError, match=message):
+        calibrate([
+            AnchorPoint(0.8, 0.7, 0.8, 0.7, ds=0.2, target_su=t, confidence=c)
+            for c, t in zip(confidences, targets)
+        ])
 
 
 def test_winner_matches_brute_force():

@@ -680,7 +680,7 @@ def test_su_grid_non_numeric_ds_is_data_error(tmp_path, capsys):
     path.write_text(json.dumps(table))
     code = main(["su-grid", str(path)])
     assert code == 3
-    assert "ds must be a number, got 'abc'" in capsys.readouterr().err
+    assert "ds must be a number >= 0, got 'abc'" in capsys.readouterr().err
 
 
 def _set(config, path, value):
@@ -928,8 +928,9 @@ def test_su_grid_nested_table_aggregates_to_64_cells(tmp_path, capsys):
 @pytest.mark.parametrize("layout", ["flat", "nested"])
 @pytest.mark.parametrize(
     "value, message",
-    [(1.2, "must lie in [0, 1], got 1.2"), ("high", "must be a number, got 'high'"),
-     (None, "must be a number, got None")],
+    [(1.2, "must be a number in [0, 1], got 1.2"),
+     ("high", "must be a number in [0, 1], got 'high'"),
+     (None, "must be a number in [0, 1], got None")],
     ids=["out-of-range", "text", "null"],
 )
 def test_a_bad_auc_names_its_file_record_and_field(
@@ -1360,11 +1361,11 @@ def test_pipeline_real_fraction_beyond_memory_exits_3(tiny_dir, real_fraction):
         ({"ds": 0.1, "models": [{"name": "gbm"}]}, "gbm has no levels"),
         ([{"model": "m", "outliers_pct": 5, "auc_base_a": "0.7", "auc_shock_a": 0.7,
            "auc_base_b": 0.81, "auc_shock_b": 0.76}],
-         "record 0 auc_base_a must be a number, got '0.7'"),
+         "record 0 auc_base_a must be a number in [0, 1], got '0.7'"),
         ([{"model": "m", "outliers_pct": 5, "auc_base_a": 0.8, "auc_shock_a": 0.7,
            "auc_base_b": True, "auc_shock_b": 0.76}],
-         "record 0 auc_base_b must be a number, got True"),
-        ({**_auc_table(), "ds": "0.3"}, "ds must be a number, got '0.3'"),
+         "record 0 auc_base_b must be a number in [0, 1], got True"),
+        ({**_auc_table(), "ds": "0.3"}, "ds must be a number >= 0, got '0.3'"),
     ],
     ids=["flat-empty", "model-without-levels", "quoted-auc", "boolean-auc", "quoted-ds"],
 )
@@ -1377,6 +1378,53 @@ def test_an_auc_file_with_no_record_or_a_number_as_text_is_data_error(
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["su-grid", "sweep"])
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([{"model": None}], "record 0 model must be a non-empty string, got None"),
+        ([{"model": ""}], "record 0 model must be a non-empty string, got ''"),
+        ([{"model": [1]}], "record 0 model must be a non-empty string, got [1]"),
+        ([{"model": {"a": 1}}], "record 0 model must be a non-empty string, got {'a': 1}"),
+        ({"ds": 0.1, "models": [{"name": 5}]}, "model 0 name must be a non-empty string, got 5"),
+        ({"ds": 0.1, "models": [{"levels": []}]},
+         "model 0 name must be a non-empty string, got None"),
+        ({"ds": -0.1, "models": [{"name": "m"}]}, "ds must be a number >= 0, got -0.1"),
+    ],
+    ids=["flat-null", "flat-empty", "flat-list", "flat-object", "nested-int", "nested-missing",
+         "nested-negative-ds"],
+)
+def test_a_model_name_that_is_not_text_is_data_error(tmp_path, capsys, command, payload, message):
+    # str() would score these under "None", "[1]", "5"
+    if isinstance(payload, list):
+        payload = [{**r, "outliers_pct": 5, "auc_base_a": 0.8, "auc_shock_a": 0.7,
+                    "auc_base_b": 0.81, "auc_shock_b": 0.76} for r in payload]
+    path = _write_json(tmp_path, payload)
+    code = main([command, str(path), "--ds", "0.2"] if isinstance(payload, list)
+                else [command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {path}: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [("0.8", "a_base must be a number in [0, 1], got '0.8'"),
+     (True, "a_base must be a number in [0, 1], got True"),
+     (1.2, "a_base must be a number in [0, 1], got 1.2")],
+    ids=["text", "bool", "out-of-range"],
+)
+def test_an_anchor_value_that_is_not_a_number_in_range_exits_3(tmp_path, capsys, value, message):
+    # text once exited 2 with a TypeError's message; a boolean was read as 1
+    path = _write_json(tmp_path, [{**_ANCHOR, "a_base": value}], "anchors.json")
+    code = main(["calibrate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

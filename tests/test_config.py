@@ -1,14 +1,34 @@
-"""The declared config fields: checks at construction, from_dict and to_dict."""
+"""The declared config fields: checks at construction, from_dict and to_dict;
+and `check`, the one rule for what a number is, at every library argument
+and file record that takes one."""
 
+import json
+import math
+from typing import NamedTuple
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shockstab.errors import ConfigError
+from conftest import make_frame
+from shockstab import cli
+from shockstab.calibration import AnchorPoint, calibrate, sensitivity_sweep
+from shockstab.drift import distribution_shift
+from shockstab.errors import ConfigError, DataError, DomainError
+from shockstab.frame import detect_schema, load_csv
 from shockstab.model import TrainConfig
-from shockstab.pipeline import PipelineConfig
-from shockstab.splitting import SplitSpec
-from shockstab.stability import UpliftCoefficients
+from shockstab.pipeline import PipelineConfig, emit_digest
+from shockstab.splitting import SplitSpec, aggregate
+from shockstab.stability import (
+    UpliftCoefficients,
+    batch_uplift,
+    check_auc,
+    normalize_level,
+    stabilization_score,
+)
+from shockstab.synthesis import SyntheticBatch, mix, upsample
 
 VALID = {
     "schema_version": 1,
@@ -154,3 +174,188 @@ def test_keyword_construction_is_checked(build, message):
     with pytest.raises(ConfigError) as err:
         build()
     assert message in str(err.value)
+
+
+def test_numpy_scalars_given_as_keywords_are_written_as_plain_json():
+    coeffs = UpliftCoefficients(k1=np.float32(50.0), k2=np.int64(500), k3=np.float64(2000.0))
+    assert coeffs.to_dict() == {"k1": 50.0, "k2": 500, "k3": 2000.0}
+    assert [type(v) for v in coeffs.to_dict().values()] == [float, int, float]
+    train = TrainConfig(epochs=np.int32(7), seed=np.int64(3))
+    assert json.dumps(train.to_dict()) == (
+        '{"learning_rate": 0.5, "epochs": 7, "l2": 0.0001, "seed": 3}'
+    )
+    with pytest.raises(ConfigError, match="^epochs must be an integer >= 0, got np.float64"):
+        TrainConfig(epochs=np.float64(7.0))
+
+
+# Every library argument and file record that takes a number, called with
+# `value` in its place. `low`..`high` is the range it accepts, `ints` the
+# integers in it (None if there are none, or if it takes only integers).
+_ANCHOR = dict(a_base=0.8, a_shock=0.7, b_base=0.8, b_shock=0.75, ds=0.2, target_su=0.5)
+_ONE = {"k1": [100.0], "k2": [1000.0], "k3": [1000.0]}
+_RECORDS = [("m", 5, 0.8, 0.7, 0.81, 0.76)]
+_FRAME = make_frame(x=[0.1, 0.5, 0.9, 0.3, 0.7, 0.2], c=["a", "b", "a", "b", "a", "c"])
+_BATCH = SyntheticBatch(_FRAME, np.zeros(6, dtype=bool), {})
+
+
+def _anchor_objective(**fields):
+    return calibrate([AnchorPoint(**{**_ANCHOR, **fields})], _ONE).to_dict()
+
+
+def _grid_file(ds):
+    table = {"ds": ds, "models": [{"name": "m", "levels": [{"outliers_pct": 5, "runs": [
+        {"auc_base_a": 0.8, "auc_shock_a": 0.7, "auc_base_b": 0.81, "auc_shock_b": 0.76}]}]}]}
+    with mock.patch.object(cli, "_load_json", lambda path: table):
+        return cli._grid_records("table.json", None)
+
+
+class Site(NamedTuple):
+    call: object  # (value, csv path) -> a result that == compares
+    error: type
+    low: float
+    high: float
+    open_low: bool = False
+    open_high: bool = False
+    ints: tuple | None = None
+    integer: bool = False
+
+
+SITES = {
+    "check_auc": Site(lambda v, _: check_auc(v), DomainError, 0, 1, ints=(0, 1)),
+    "score-ds": Site(lambda v, _: stabilization_score(0.8, 0.7, v), DomainError, 0, 1e6,
+                     ints=(0, 10**6)),
+    "score-epsilon": Site(lambda v, _: stabilization_score(0.8, 0.7, 0.2, v), DomainError,
+                          0, 1e4, open_low=True, ints=(1, 10**4)),
+    "level": Site(lambda v, _: normalize_level(v), ConfigError, 0, 100, ints=(0, 100)),
+    "grid-ds": Site(lambda v, _: batch_uplift(_RECORDS, v).to_dict(), DomainError, 0, 10,
+                    ints=(0, 10)),
+    "tau": Site(lambda v, _: distribution_shift(_FRAME, _FRAME, tau=v), DomainError, 0, 1,
+                ints=(0, 1)),
+    **{
+        f"anchor-{name}": Site(lambda v, _, name=name: _anchor_objective(**{name: v}),
+                               DomainError, 0, 1, ints=(0, 1))
+        for name in ("a_base", "a_shock", "b_base", "b_shock", "ds")
+    },
+    "anchor-target_su": Site(lambda v, _: _anchor_objective(target_su=v), DomainError, -1, 1,
+                             ints=(-1, 1)),
+    "anchor-confidence": Site(lambda v, _: _anchor_objective(confidence=v), DomainError,
+                              0, 1e6, open_low=True, ints=(1, 10**6)),
+    "calibrate-candidate": Site(lambda v, _: calibrate([AnchorPoint(**_ANCHOR)],
+                                                       {**_ONE, "k2": [v]}).to_dict(),
+                                ConfigError, 0, 1e4, open_low=True, ints=(1, 10**4)),
+    "sweep-slope": Site(lambda v, _: sensitivity_sweep(_RECORDS, 0.1, {**_ONE, "k3": [v]})
+                        .to_dict(), ConfigError, 0, 1e6, open_low=True, ints=(1, 10**6)),
+    "config-field": Site(lambda v, _: UpliftCoefficients(k1=v).to_dict(), ConfigError,
+                         0, 1e6, open_low=True, ints=(1, 10**6)),
+    "config-integer": Site(lambda v, _: TrainConfig(epochs=v).to_dict(), ConfigError, 0, 1000,
+                           integer=True),
+    "aggregate": Site(lambda v, _: aggregate([0.5, v]), DomainError, -1e6, 1e6,
+                      ints=(-(10**6), 10**6)),
+    "upsample": Site(lambda v, _: upsample(_FRAME, v, seed=1).column("x").values.tolist(),
+                     ConfigError, 1, 40, integer=True),
+    "mix": Site(lambda v, _: mix(_FRAME, _BATCH, v, seed=1).column("x").values.tolist(),
+                ConfigError, 0.5, 1, open_high=True),
+    "load_csv-override": Site(lambda v, path: [
+        c.kind for c in load_csv(path, categorical_override=v).columns
+    ], ConfigError, 0, 10, integer=True),
+    "schema-override": Site(lambda v, _: detect_schema(_FRAME, v).to_dict(), ConfigError,
+                            0, 10, integer=True),
+    "su_display": Site(lambda v, _: emit_digest({"ds": 0.1, "rows": [
+        {"outliers_pct": "5", "cells": {"m": {"su_display": v}}}
+    ]}), DataError, -10, 10, ints=(-10, 10)),
+    "grid-file-ds": Site(lambda v, _: _grid_file(v), DataError, 0, 1, ints=(0, 1)),
+}
+
+NOT_NUMBERS = st.one_of(
+    st.booleans(),
+    st.text(max_size=6),
+    st.none(),
+    st.lists(st.floats(0, 1), min_size=1, max_size=2),
+    st.sampled_from([
+        "0.3", "1", " 5", "nan", "inf", np.True_, np.str_("0.3"), math.nan, math.inf, -math.inf,
+        10**400, -(10**400), np.float32("nan"), np.float64("inf"), np.array(0.5),
+    ]),
+)
+
+
+def _reads_as_level(value) -> bool:
+    # a level may be given as text, as the --levels flag gives it
+    try:
+        number = float(value)
+    except ValueError:
+        return value.strip().lower() == "without"
+    return math.isfinite(number) and number >= 0
+
+
+@pytest.fixture(scope="module")
+def site_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("sites") / "f.csv"
+    path.write_text("x,c\n1,a\n2,b\n1,a\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", list(SITES))
+@settings(max_examples=60, deadline=None)
+@given(value=NOT_NUMBERS)
+def test_every_number_site_refuses_what_is_not_a_number_with_its_own_error(
+    name, value, site_csv
+):
+    if name == "level" and isinstance(value, str) and _reads_as_level(value):
+        return
+    site = SITES[name]
+    with pytest.raises(site.error) as err:
+        site.call(value, site_csv)
+    assert type(err.value) is site.error
+
+
+def _in_range(site: Site):
+    """The site's Python ints and floats in range, as given and as numpy scalars."""
+    if site.integer:
+        ints = st.integers(int(site.low), int(site.high))
+        return st.one_of(ints, ints.map(np.int64), ints.map(np.int32))
+
+    def floats(width):
+        return st.floats(site.low, site.high, width=width,
+                         exclude_min=site.open_low, exclude_max=site.open_high)
+
+    found = [floats(64), floats(64).map(np.float64), floats(32).map(np.float32)]
+    if site.ints:
+        ints = st.integers(*site.ints)
+        found += [ints, ints.map(np.int64)]
+    return st.one_of(found)
+
+
+@pytest.mark.parametrize("name", list(SITES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_every_number_site_reads_numpy_and_int_as_the_equal_python_number(
+    name, data, site_csv
+):
+    site = SITES[name]
+    value = data.draw(_in_range(site))
+    plain = int(value) if site.integer else float(value)
+    assert site.call(value, site_csv) == site.call(plain, site_csv)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: stabilization_score(0.8, 0.7, "0.3"), DomainError),
+        (lambda: stabilization_score(0.8, 0.7, True), DomainError),
+        (lambda: AnchorPoint(True, 0.7, 0.8, 0.7, ds=0.2, target_su=0.0), DomainError),
+        (lambda: AnchorPoint(0.8, 0.7, 0.8, 0.7, ds=True, target_su=0.0), DomainError),
+        (lambda: calibrate([AnchorPoint(**_ANCHOR)], {**_ONE, "k1": ["100"]}), ConfigError),
+        (lambda: calibrate([AnchorPoint(**_ANCHOR)], {**_ONE, "k2": [True]}), ConfigError),
+        (lambda: sensitivity_sweep(_RECORDS, 0.1, {**_ONE, "k3": ["100"]}), ConfigError),
+        (lambda: distribution_shift(_FRAME, _FRAME, tau="x"), DomainError),
+        (lambda: load_csv("no-such.csv", categorical_override="x"), ConfigError),
+        (lambda: upsample(_FRAME, 2.5), ConfigError),
+        (lambda: aggregate([0.5, "0.7"]), DomainError),
+    ],
+    ids=["score-text-ds", "score-bool-ds", "anchor-bool-auc", "anchor-bool-ds",
+         "calibrate-text-k1", "calibrate-bool-k2", "sweep-text-k3", "tau-text",
+         "override-text", "upsample-float", "aggregate-text"],
+)
+def test_inputs_float_once_read_are_refused_with_the_sites_error(call, error):
+    with pytest.raises(error):
+        call()

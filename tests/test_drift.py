@@ -5,6 +5,8 @@ import pytest
 
 from shockstab.drift import distribution_shift, ks_statistic, tv_distance
 from shockstab.errors import EmptyColumnError, SchemaMismatchError
+from shockstab.fixtures import make_shocked_fixture
+from shockstab.frame import union_codes
 
 from conftest import make_frame
 
@@ -46,6 +48,36 @@ def test_tv_matches_frequency_table_oracle():
         p = [alphabet[i] for i in rng.integers(0, 7, int(rng.integers(1, 50)))]
         q = [alphabet[i] for i in rng.integers(0, 7, int(rng.integers(1, 50)))]
         assert tv_distance(p, q) == pytest.approx(_tv_oracle(p, q), abs=1e-12)
+
+
+def test_tv_keys_categories_by_their_text():
+    # detect_schema and the model read 1 and "1" as one category
+    assert tv_distance([1, 2], ["1", "2"]) == 0.0
+    assert tv_distance([1, "1", 2], ["1", "2", "2"]) == pytest.approx(1 / 3, abs=1e-15)
+
+
+def _tv_by_category(p, q) -> float:
+    """The TV keyed by category value, as it was before it keyed them by text."""
+    categories, p_codes, q_codes = union_codes(p, q)
+    p_counts, q_counts = (
+        np.bincount(codes + 1, minlength=len(categories) + 1)[1:] for codes in (p_codes, q_codes)
+    )
+    observed = (p_counts + q_counts) > 0
+    shift = p_counts[observed] / p_counts.sum() - q_counts[observed] / q_counts.sum()
+    return float(0.5 * np.abs(shift).sum())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tv_of_text_columns_keeps_its_bits(seed):
+    frame = make_shocked_fixture(rows=600, seed=seed)
+    order = np.random.default_rng(seed).permutation(frame.row_count)
+    # taken columns keep every category, held or not
+    pairs = [(frame.take(order[:360]), frame.take(order[360:])),
+             (frame.take(np.arange(480)), frame.take(np.arange(480, 600)))]
+    for first, second in pairs:
+        for name in ("date", "sector"):
+            p, q = first.column(name), second.column(name)
+            assert tv_distance(p, q) == _tv_by_category(p, q)
 
 
 # ---------------------------------------------------------------------------

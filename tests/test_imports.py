@@ -249,6 +249,48 @@ def test_date_decision_check_finds_each_form():
     ]
 
 
+def _bool_tests(source: str) -> list[str]:
+    """`isinstance` calls in `source` that name `bool`, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+        ):
+            kinds = node.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(getattr(n, "id", None) == "bool" for n in names):
+                found.append(ast.unparse(node))
+    return found
+
+
+def test_only_config_decides_what_a_number_is():
+    # config.check is the one rule for what a number is: a bool is not one,
+    # and a module that tests for bool itself restates that rule
+    root = Path(shockstab.__file__).parent
+    found = {
+        p.name: uses
+        for p in sorted(root.glob("*.py"))
+        if p.name != "config.py"
+        if (uses := _bool_tests(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_bool_test_check_finds_each_form():
+    source = (
+        "def f(v, ds):\n"
+        "    if isinstance(v, bool) or not isinstance(v, (int, float)):\n"
+        "        return isinstance(ds, (str, bool))\n"
+        "    return isinstance(v, int), isinstance(v, booleans), v.isinstance(v, bool)\n"
+    )
+    assert _bool_tests(source) == [
+        "isinstance(v, bool)",
+        "isinstance(ds, (str, bool))",
+    ]
+
+
 def _unused_imports(source: str) -> list[str]:
     """Names that `source` imports and never reads. `__future__` imports
     and lines marked `noqa` (an import kept for its side effect) are exempt."""

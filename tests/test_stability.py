@@ -306,10 +306,11 @@ def test_check_auc_refuses_non_numbers_and_values_outside():
     assert check_auc(0.25, "x") == 0.25
     assert check_auc(1, "x") == 1.0
     for value in ("high", None, [0.5], 10**400):
-        with pytest.raises(DomainError, match=r"^run 3 auc_base must be a number, got "):
+        with pytest.raises(DomainError,
+                           match=r"^run 3 auc_base must be a number in \[0, 1\], got "):
             check_auc(value, "run 3 auc_base")
     for value in (-0.1, 1.2, math.nan, math.inf):
-        with pytest.raises(DomainError, match=r"^auc must lie in \[0, 1\], got "):
+        with pytest.raises(DomainError, match=r"^auc must be a number in \[0, 1\], got "):
             check_auc(value)
 
 
@@ -381,7 +382,7 @@ def test_every_cell_ranking_equals_its_reference(cells):
 
 def test_check_auc_refuses_text_and_booleans_that_float_reads():
     for value in ("0.7", True, False):
-        with pytest.raises(DomainError, match=r"^x must be a number, got "):
+        with pytest.raises(DomainError, match=r"^x must be a number in \[0, 1\], got "):
             check_auc(value, "x")
     assert check_auc(np.float64(0.25), "x") == 0.25
     assert check_auc(np.float32(0.5), "x") == 0.5
