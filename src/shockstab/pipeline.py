@@ -401,12 +401,14 @@ def _map_runs(splits: list, config: PipelineConfig) -> dict:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        if any(fn is _run_b for fn, _ in tasks) and any(
-            label != WITHOUT_LEVEL and float(label) > 0 for label in config.levels
+        if (
+            config.family == "levy"
+            and any(fn is _run_b for fn, _ in tasks)
+            and any(label != WITHOUT_LEVEL and float(label) > 0 for label in config.levels)
         ):
-            # B tasks draw tails through scipy.special. Forked workers inherit
-            # the parent's modules, so one import here spares every worker
-            # its own at its first tail draw.
+            # Levy tail draws, alone of the families, load scipy.special.
+            # Forked workers inherit the parent's modules, so one import here
+            # spares every worker its own at its first tail draw.
             import scipy.special  # noqa: F401
 
         with ProcessPoolExecutor(

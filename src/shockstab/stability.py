@@ -228,15 +228,16 @@ def batch_uplift(
     `records` holds tuples/lists (model_name, outlier_pct, auc_base_a,
     auc_shock_a, auc_base_b, auc_shock_b). Rows are outlier levels with
     'without' first, columns keep the models' first-appearance order. A
-    repeated (model, level) pair raises DuplicateKeyError.
+    model name that is not a non-empty string raises DomainError, and a
+    repeated (model, level) pair DuplicateKeyError.
     """
     ds = float(check(ds, "a number", ">= 0", what="ds", error=DomainError))
     models: list[str] = []
     levels: list[str] = []
     cells: dict = {}
-    for rec in records:
+    for i, rec in enumerate(records):
         model, level, ba, sa, bb, sb = rec
-        model = str(model)
+        model = check(model, "a non-empty string", what=f"record {i} model", error=DomainError)
         label = normalize_level(level)
         key = (label, model)
         if key in cells:

@@ -9,14 +9,14 @@ deviations using one of five tail families. Symmetric families (normal,
 Laplace) keep the sign of the underlying draw, the one-sided Gumbel and
 Weibull forms are reflected with probability 1/2 so both tails are
 reachable, and Levy places outliers on its heavy side only. The tail
-draws are written with scipy.special and give the bits scipy.stats'
-distributions give, so drawing a tail never loads scipy.stats.
+draws give the bits scipy.stats' distributions give without loading
+scipy.stats; only Levy's, which need `erfinv`, load scipy.special.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from functools import cache
 
 import numpy as np
 
@@ -189,43 +189,84 @@ def upsample(train: TabularFrame, target_rows: int, seed: int = 0) -> TabularFra
     return train.take(np.concatenate([np.arange(n), extras]))
 
 
-@cache
-def _tail_table() -> dict:
-    """Each family's standard-form (sf, isf), written with scipy.special.
+# Cephes' ndtri coefficients, as scipy.special.ndtri uses them: P0/Q0 for
+# exp(-2) < q <= 1 - exp(-2), P1/Q1 on z = 1/sqrt(-2 log q) for
+# exp(-32) < q <= exp(-2). Q0 and Q1 start with the leading 1 that Cephes'
+# p1evl leaves out; 1.0 * x is x, so polevl gives p1evl's bits.
+_EXP_M2 = 0.13533528323661269189
+_S2PI = 2.50662827463100050242e0
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
 
-    They are the `_sf` and `_isf` expressions of scipy.stats' norm, laplace,
-    gumbel_r, weibull_min and levy, so a tail draw has the bits a
-    scipy.stats draw has: at weibull_min's c = 1 its powers `** 1` are
-    exact, and the frozen wrapper only adds `* 1 + 0`, which changes no
-    finite nonzero value. scipy.stats takes most of a second and
-    about 70 MB to import; scipy.special about a third of that, and it too is
-    loaded on the first tail draw rather than with this module.
-    """
-    from scipy import special as sc
 
-    def laplace_sf(x):
-        y = -x
-        with np.errstate(over="ignore"):
-            return np.where(y > 0, 1.0 - 0.5 * np.exp(-y), 0.5 * np.exp(y))
+def _polevl(x, coeffs):
+    """Cephes' polevl: the polynomial with `coeffs`, highest power first."""
+    total = coeffs[0]
+    for c in coeffs[1:]:
+        total = total * x + c
+    return total
 
-    def laplace_isf(q):
-        return -np.where(q > 0.5, -np.log(2 * (1 - q)), np.log(2 * q))
 
-    return {
-        "normal": (lambda x: sc.ndtr(-x), lambda q: -sc.ndtri(q)),
-        "laplace": (laplace_sf, laplace_isf),
-        "gumbel": (lambda x: -sc.expm1(-np.exp(-x)), lambda q: -np.log(-np.log1p(-q))),
-        "weibull": (lambda x: np.exp(-x), lambda q: -np.log(q)),
-        "levy": (lambda x: sc.erf(np.sqrt(0.5 / x)), lambda q: 1 / (2 * sc.erfinv(q) ** 2)),
-    }
+def _log(x: np.ndarray) -> np.ndarray:
+    """The C library's log of each element, as scipy.special's C code takes
+    it; np.log's own vectorized log rounds some values differently."""
+    return np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+
+
+def _ndtri(q: np.ndarray) -> np.ndarray:
+    """scipy.special.ndtri(q), bit for bit, for 1-d `q` in
+    (exp(-32), 1 - exp(-2)]. The normal tail draws only reach
+    [1e-12 * sf(1), sf(1)), about [1.6e-13, 0.159), so Cephes' branches for
+    q beyond 1 - exp(-2) and q <= exp(-32) are left out."""
+    out = np.empty_like(q)
+    mid = q > _EXP_M2
+    y = q[mid] - 0.5
+    y2 = y * y
+    out[mid] = (y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    x = np.sqrt(-2.0 * _log(q[~mid]))
+    z = 1.0 / x
+    out[~mid] = -(x - _log(x) / x - z * _polevl(z, _P1) / _polevl(z, _Q1))
+    return out
+
+
+def _levy_isf(q):
+    from scipy.special import erfinv  # loaded by Levy draws only
+
+    return 1 / (2 * erfinv(q) ** 2)
+
+
+#: Each family's standard-form tail mass beyond 1 and inverse survival
+#: function, so that a tail draw has the bits a draw from scipy.stats' norm,
+#: laplace, gumbel_r, weibull_min or levy has: each mass is that
+#: distribution's sf(1.0) (a test pins it), and each isf its `_isf`
+#: expression, norm's with `_ndtri` for scipy.special's ndtri. Laplace's keeps
+#: only its branch for q <= 1/2, as q stays below its mass. At weibull_min's
+#: c = 1 its powers `** 1` are exact, and the frozen wrapper only adds
+#: `* 1 + 0`, which changes no finite nonzero value.
+_TAILS = {
+    "normal": (0.15865525393145707, lambda q: -_ndtri(q)),
+    "laplace": (0.18393972058572117, lambda q: -np.log(2 * q)),
+    "gumbel": (0.30779937244465366, lambda q: -np.log(-np.log1p(-q))),
+    "weibull": (0.36787944117144233, lambda q: -np.log(q)),
+    "levy": (0.6826894921370859, _levy_isf),
+}
 
 
 def _tail_magnitudes(family: str, rng, size: int) -> np.ndarray:
     """Standardized draws s >= 1 from the family conditioned on its tail."""
-    sf, isf = _tail_table()[family]
+    mass, isf = _TAILS[family]
     # u bounded away from 0 so heavy-tailed inverse survival stays finite
     u = rng.uniform(1e-12, 1.0, size=size)
-    return isf(u * sf(1.0))
+    return isf(u * mass)
 
 
 def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:

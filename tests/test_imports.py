@@ -1,10 +1,10 @@
 """What the package's modules import.
 
 scipy.stats takes most of a second and about 70 MB to import, so only the
-schema profile uses it; the tail draws need a few scipy.special functions,
-which cost about a third of that, and `import shockstab` loads neither. Each
-command is checked in a fresh interpreter. And no module reaches for
-another's private helpers.
+schema profile uses it. scipy.special costs about a third of that, and only
+the Levy family's tail draws load it, for `erfinv`; `import shockstab`
+loads neither. Each command is checked in a fresh interpreter. And no module
+reaches for another's private helpers.
 """
 
 import ast
@@ -78,6 +78,8 @@ def test_synth_and_train_eval_commands_load_no_scipy_stats(tmp_path):
     synth = ["synth", "f.csv", "--rows", "200", "--outliers-pct", "10", "--family", "levy",
              "--out", "s.csv"]
     assert _command_loads(tmp_path, synth) == {"code": 0, "stats": False, "special": True}
+    synth[synth.index("levy")] = "normal"
+    assert _command_loads(tmp_path, synth) == {"code": 0, "stats": False, "special": False}
     # the A-only pipeline config that replaces the train-eval command
     (tmp_path / "a_only.json").write_text(json.dumps({
         "input": "f.csv", "label": "is_bad", "split": {"mode": "oos", "shock_fraction": 0.2,
@@ -87,16 +89,12 @@ def test_synth_and_train_eval_commands_load_no_scipy_stats(tmp_path):
     assert _command_loads(tmp_path, a_only) == {"code": 0, "stats": False, "special": False}
 
 
-@pytest.mark.parametrize(
-    "workers",
-    [1, pytest.param(2, marks=pytest.mark.skipif(
-        not hasattr(os, "fork"), reason="pipeline workers need fork"))],
-    ids=["serial", "forked"],
-)
-def test_pipeline_loads_scipy_special_and_never_scipy_stats(tmp_path, workers):
-    # every task checks, as it evaluates its model, that its process has not
-    # loaded scipy.stats; a check that fails is a failed cell
-    out = _run(
+def _pipeline_loads(tmp_path, family: str, workers: int, forbidden: tuple) -> dict:
+    """Run a `family` pipeline at levels without and 10 on `workers`
+    processes in a fresh interpreter. Every task checks, as it evaluates its
+    model, that its process has loaded none of the `forbidden` modules; a
+    check that fails is a failed cell, so the report is partial."""
+    return _run(
         "import concurrent.futures, json, sys\n"
         "from shockstab import pipeline\n"
         "from shockstab.errors import DataError\n"
@@ -111,12 +109,13 @@ def test_pipeline_loads_scipy_special_and_never_scipy_stats(tmp_path, workers):
         f"pipeline._worker_count = lambda tasks: {workers}\n"
         "evaluate_pair = pipeline.evaluate_pair\n"
         "def checked_evaluate_pair(*args):\n"
-        "    if 'scipy.stats' in sys.modules:\n"
-        "        raise DataError('scipy.stats is loaded')\n"
+        f"    for module in {forbidden!r}:\n"
+        "        if module in sys.modules:\n"
+        "            raise DataError(f'{module} is loaded')\n"
         "    return evaluate_pair(*args)\n"
         "pipeline.evaluate_pair = checked_evaluate_pair\n"
         "config = pipeline.PipelineConfig(\n"
-        "    input_path='f.csv', label='is_bad', levels=['without', 10], family='levy',\n"
+        f"    input_path='f.csv', label='is_bad', levels=['without', 10], family={family!r},\n"
         "    split=SplitSpec(mode='oot', date_column='date', shock_date='2018-03-22', mc_runs=2),\n"
         ")\n"
         "make_shocked_fixture(rows=300).to_csv('f.csv')\n"
@@ -124,14 +123,42 @@ def test_pipeline_loads_scipy_special_and_never_scipy_stats(tmp_path, workers):
         "report = pipeline.run_pipeline(config)\n"
         "print(json.dumps({'before': before, 'at_pool_start': loaded,\n"
         "                  'partial': report.partial,\n"
-        "                  'stats': 'scipy.stats' in sys.modules}))\n",
+        "                  'stats': 'scipy.stats' in sys.modules,\n"
+        "                  'special': 'scipy.special' in sys.modules}))\n",
         tmp_path,
     )
+
+
+_WORKERS = pytest.mark.parametrize(
+    "workers",
+    [1, pytest.param(2, marks=pytest.mark.skipif(
+        not hasattr(os, "fork"), reason="pipeline workers need fork"))],
+    ids=["serial", "forked"],
+)
+
+
+@_WORKERS
+def test_pipeline_loads_scipy_special_and_never_scipy_stats(tmp_path, workers):
+    out = _pipeline_loads(tmp_path, "levy", workers, ("scipy.stats",))
     assert out == {
         "before": False,
         "at_pool_start": [True] if workers > 1 else [],
         "partial": False,
         "stats": False,
+        "special": True,
+    }
+
+
+@_WORKERS
+def test_normal_family_pipeline_loads_no_scipy_special(tmp_path, workers):
+    # neither the parent, before or after its pool, nor any task loads it
+    out = _pipeline_loads(tmp_path, "normal", workers, ("scipy.stats", "scipy.special"))
+    assert out == {
+        "before": False,
+        "at_pool_start": [False] if workers > 1 else [],
+        "partial": False,
+        "stats": False,
+        "special": False,
     }
 
 

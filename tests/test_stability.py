@@ -232,6 +232,13 @@ def test_batch_duplicate_key():
         batch_uplift(records, ds=0.1)
 
 
+@pytest.mark.parametrize("name", [None, 7, "", [1]], ids=["none", "int", "empty", "list"])
+def test_batch_refuses_a_model_name_that_is_not_text(name):
+    records = [("m", 5, 0.8, 0.7, 0.81, 0.76), (name, 5, 0.8, 0.7, 0.81, 0.76)]
+    with pytest.raises(DomainError, match=r"^record 1 model must be a non-empty string, got "):
+        batch_uplift(records, 0.1)
+
+
 def test_batch_grid_matches_cellwise_recompute():
     rng = np.random.default_rng(10)
     models = [f"model{i}" for i in range(8)]

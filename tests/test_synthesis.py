@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -211,13 +213,54 @@ def test_tail_draws_equal_scipy_stats_bit_for_bit(family, u):
     # the draw is isf(u * sf(1.0)) for u in [1e-12, 1); scipy.stats is the
     # oracle, loaded by this test only
     dist = _scipy_stats_distribution(family)
-    sf, isf = synthesis._tail_table()[family]
+    mass, isf = synthesis._TAILS[family]
     u = np.asarray(u)
-    ours = np.asarray(isf(u * sf(1.0)), dtype=np.float64)
+    ours = np.asarray(isf(u * mass), dtype=np.float64)
     theirs = np.asarray(dist.isf(u * dist.sf(1.0)), dtype=np.float64)
     assert ours.shape == theirs.shape
     assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
     assert np.all(ours >= 1.0)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_tail_mass_is_scipy_stats_sf_at_1_bit_for_bit(family):
+    mass = np.float64(synthesis._TAILS[family][0])
+    theirs = np.float64(_scipy_stats_distribution(family).sf(1.0))
+    assert mass.view(np.uint64) == theirs.view(np.uint64)
+
+
+_NORMAL_MASS = 0.15865525393145707  # scipy.stats.norm.sf(1.0)
+
+
+def _ndtri_bits_differ(q):
+    """Values of `q` where the normal draws' ndtri and scipy.special's differ
+    in any bit; scipy.special is loaded by these tests only."""
+    from scipy.special import ndtri
+
+    q = np.asarray(q, dtype=np.float64)
+    ours = synthesis._ndtri(q)
+    assert ours.dtype == np.float64 and ours.shape == q.shape
+    return q[ours.view(np.uint64) != ndtri(q).view(np.uint64)]
+
+
+def test_ndtri_equals_scipy_special_on_a_dense_grid_of_the_draw_domain():
+    # the normal draws' q = u * sf(1) for u in [1e-12, 1)
+    q = np.geomspace(1e-12 * _NORMAL_MASS, _NORMAL_MASS, 2**20)
+    assert _ndtri_bits_differ(q[q < _NORMAL_MASS]).size == 0
+
+
+def test_ndtri_equals_scipy_special_next_to_its_branch_point_and_domain_ends():
+    lowest = 1e-12 * _NORMAL_MASS
+    edges = [math.exp(-2.0), lowest, _NORMAL_MASS]
+    q = [float(np.nextafter(e, to)) for e in edges for to in (0.0, 1.0)] + edges
+    assert _ndtri_bits_differ(q).size == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.lists(st.floats(1e-12 * _NORMAL_MASS, _NORMAL_MASS, exclude_max=True),
+                  min_size=1, max_size=64))
+def test_ndtri_equals_scipy_special_bit_for_bit(q):
+    assert _ndtri_bits_differ(q).size == 0
 
 
 def test_generate_deterministic():
