@@ -16,6 +16,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 import zlib
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
@@ -60,6 +61,7 @@ from .synthesis import (
     generate,
     mix,
     postprocess,
+    synthetic_rows,
     upsample,
 )
 
@@ -251,56 +253,46 @@ def _snap_labels(batch: SyntheticBatch, label: str, rng) -> SyntheticBatch:
     return replace(batch, frame=TabularFrame(columns))
 
 
-def _run_a(split: ShockSplit, config: PipelineConfig) -> tuple:
-    """A task: train and evaluate one run's A-model on the real rows.
-
-    Returns (pair, None), or (None, error) when the model cannot be trained
-    or evaluated.
-    """
+def _run_a(split: ShockSplit, config: PipelineConfig):
+    """A task: one run's A-model, trained and evaluated on the real rows.
+    Returns its AucPair, or a failure record {"run", "error"}."""
     try:
         a_model = train_baseline(split.train, config.label, config.train)
-        return evaluate_pair(a_model, split, config.label), None
+        return evaluate_pair(a_model, split, config.label)
     except ShockStabError as exc:
-        return None, str(exc)
+        return {"run": split.run_index, "error": str(exc)}
 
 
 def _run_b(split: ShockSplit, config: PipelineConfig) -> list:
     """B task: one run's B-model at every outlier level.
 
     The generator is fitted once per run; each level then generates and
-    mixes with the real rows, every mixed level trains in one
-    `train_baselines` call, and each model is evaluated. Returns cells
-    (level, pair, failure) with exactly one of pair and failure set; a
-    level of None applies the cell to every level. A failure aborts only
-    its cell, except that a training error fails every level not failed
-    before: each mixed frame holds all the run's real rows and 0/1
-    synthetic labels, so training can only fail when the run's A task
-    fails on the same rows, and the report then drops the run's B cells.
+    mixes `synthetic_rows` rows with the real rows, every mixed level trains
+    in one `train_baselines` call, and each model is evaluated. Returns one
+    outcome per level of `config.levels`: an AucPair or a failure record
+    {"run", "error"}. A fit failure fails every level, any other only its
+    own, except that a training error fails every level not failed before:
+    each mixed frame holds all the run's real rows and 0/1 synthetic labels,
+    so training can only fail when the run's A task fails on the same rows,
+    and the report then drops the run's B outcomes.
     """
     run = split.run_index
     train_frame = split.train
-    n_real = train_frame.row_count
-    n_synth = int(
-        round(n_real * (1.0 - config.real_fraction) / config.real_fraction)
-    )
+    n_synth = synthetic_rows(train_frame.row_count, config.real_fraction)
     try:
         source = upsample(
             train_frame, config.upsample_target, seed=level_seed(config.seed, run, "upsample")
         ) if config.upsample_target else train_frame
         generator = fit(source)
     except ShockStabError as exc:
-        return [(None, None, {"run": run, "error": f"fit failed: {exc}"})]
+        return [{"run": run, "error": f"fit failed: {exc}"}] * len(config.levels)
 
-    def failure(label, exc) -> tuple:
-        return (label, None, {"run": run, "error": str(exc)})
-
-    cells = {}
-    trained = []  # the levels whose mixed rows went to training, in order
+    outcomes = [None] * len(config.levels)  # set once a level fails or is evaluated
 
     def mixed_frames():
         # one level's rows at a time: train_baselines encodes each frame as
         # it reads it, so no mixed frame outlives its design
-        for label in config.levels:
+        for i, label in enumerate(config.levels):
             seed = level_seed(config.seed, run, label)
             fraction = 0.0 if label == WITHOUT_LEVEL else float(label) / 100.0
             try:
@@ -316,34 +308,21 @@ def _run_b(split: ShockSplit, config: PipelineConfig) -> list:
                 batch = _snap_labels(batch, config.label, child_rng(seed, 1))
                 frame = mix(train_frame, batch, config.real_fraction, seed=seed)
             except ShockStabError as exc:
-                cells[label] = failure(label, exc)
+                outcomes[i] = {"run": run, "error": str(exc)}
                 continue
-            trained.append(label)
             yield frame
 
     try:
         models = train_baselines(mixed_frames(), config.label, config.train)
     except ShockStabError as exc:
-        cells.update((label, failure(label, exc)) for label in config.levels if label not in cells)
-        models = []
-    for label, model in zip(trained, models):
+        return [outcome or {"run": run, "error": str(exc)} for outcome in outcomes]
+    # train_baselines read every frame: the levels still without an outcome trained
+    for i, model in zip([i for i, o in enumerate(outcomes) if o is None], models):
         try:
-            cells[label] = (label, evaluate_pair(model, split, config.label), None)
+            outcomes[i] = evaluate_pair(model, split, config.label)
         except ShockStabError as exc:
-            cells[label] = failure(label, exc)
-    return [cells[label] for label in config.levels]
-
-
-def _task_list(runs: int, config: PipelineConfig) -> list:
-    """Every (function, run) task of a pipeline, in the order workers take them.
-
-    B tasks come first: each trains a model for every level on real plus
-    synthetic rows, several times the work of an A task, so queueing the
-    short A tasks last lets them fill the workers' idle tail. With
-    real_fraction == 1.0 every level reuses the A pair and no B task runs.
-    """
-    b_tasks = [] if config.real_fraction == 1.0 else [(_run_b, r) for r in range(runs)]
-    return b_tasks + [(_run_a, r) for r in range(runs)]
+            outcomes[i] = {"run": run, "error": str(exc)}
+    return outcomes
 
 
 # (splits, config) in a forked worker. It is set by the worker's
@@ -385,15 +364,20 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(cpus // blas_threads, tasks))
 
 
-def _map_runs(splits: list, config: PipelineConfig) -> dict:
-    """Every task's result, keyed by its (function, run index) task.
+def _map_runs(splits: list, config: PipelineConfig) -> tuple:
+    """Every run's `_run_a` outcome and `_run_b` list, as two lists in run order.
 
-    The tasks of `_task_list` go to `_worker_count` forked worker processes
-    when that is more than one and the platform can fork; otherwise they run
-    serially in this process. Workers keep the parent's BLAS settings, so
-    both ways give the same bits.
+    B tasks are queued first: each trains a model for every level, several
+    times the work of an A task, so the short A tasks fill the workers' idle
+    tail. With real_fraction == 1.0 no B task runs and every level reuses
+    the run's A outcome. The tasks go to `_worker_count` forked worker
+    processes when that is more than one and the platform can fork;
+    otherwise they run serially in this process. Workers keep the parent's
+    BLAS settings, so both ways give the same bits.
     """
-    tasks = _task_list(len(splits), config)
+    runs = range(len(splits))
+    b_runs = () if config.real_fraction == 1.0 else runs
+    tasks = [(_run_b, r) for r in b_runs] + [(_run_a, r) for r in runs]
     workers = _worker_count(len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
         results = [fn(splits[index], config) for fn, index in tasks]
@@ -403,7 +387,7 @@ def _map_runs(splits: list, config: PipelineConfig) -> dict:
 
         if (
             config.family == "levy"
-            and any(fn is _run_b for fn, _ in tasks)
+            and b_runs
             and any(label != WITHOUT_LEVEL and float(label) > 0 for label in config.levels)
         ):
             # Levy tail draws, alone of the families, load scipy.special.
@@ -418,7 +402,17 @@ def _map_runs(splits: list, config: PipelineConfig) -> dict:
             initargs=(splits, config),
         ) as pool:
             results = list(pool.map(_run_in_worker, tasks))
-    return dict(zip(tasks, results))
+    if not b_runs:
+        return results, [[a] * len(config.levels) for a in results]
+    return results[len(b_runs):], results[:len(b_runs)]
+
+
+def _partition(outcomes) -> tuple:
+    """(AucPairs, failure records) of task outcomes, each in their order."""
+    pairs, failures = [], []
+    for outcome in outcomes:
+        (failures if isinstance(outcome, dict) else pairs).append(outcome)
+    return pairs, failures
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineReport:
@@ -429,8 +423,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     affected cell and are recorded in the report. With real_fraction == 1.0
     every level reuses the A-model's AUC pair (SU is identically 0).
     Each run's A-model and its B-models are separate tasks that may execute
-    in parallel processes (see `_map_runs`); the report is byte-identical
-    for every process count.
+    in parallel processes (see `_map_runs`); their outcomes fill the report
+    in one pass, which is byte-identical for every process count.
     """
     frame = load_csv(
         config.input_path,
@@ -460,41 +454,25 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         config=config,
         environment=_environment_stamp(config),
         drift=drift,
+        levels=[LevelResult(label) for label in config.levels],
     )
-    levels = {label: LevelResult(label=label) for label in config.levels}
-    report.levels = [levels[label] for label in config.levels]
 
     if config.output_dir:
-        # made before any training, so a path that cannot be a directory,
-        # or a report file that cannot be a file, stops the run before the
-        # first model rather than after the last
+        # made and probed here, so an output directory or report file that
+        # cannot be written stops the run before the first model trains
         _output_dir(config.output_dir)
-    done = _map_runs(splits, config)
-    for index, split in enumerate(splits):
-        run = split.run_index
-        a_pair, a_error = done[(_run_a, index)]
-        if a_pair is None:
-            # the A failure is recorded at every level; B cells are dropped
-            report.a_failures.append({"run": run, "error": a_error})
-            cells = [(None, None, {"run": run, "error": f"a-model failed: {a_error}"})]
-        else:
-            report.a_runs.append(a_pair)
-            # without a B task every level reuses the A pair
-            cells = done.get((_run_b, index), [(None, a_pair, None)])
-        for label, pair, failure in cells:
-            for result in report.levels if label is None else (levels[label],):
-                if failure is None:
-                    result.b_runs.append(pair)
-                else:
-                    result.failures.append(failure)
-
+    a_outcomes, b_outcomes = _map_runs(splits, config)
+    for a, b in zip(a_outcomes, b_outcomes):
+        if isinstance(a, dict):  # recorded at every level in place of the B outcomes
+            b[:] = [{"run": a["run"], "error": f"a-model failed: {a['error']}"}] * len(b)
+    report.a_runs, report.a_failures = _partition(a_outcomes)
     if report.a_runs:
         report.a_base, report.a_shock, report.a_stability = _score(
             report.a_runs, drift.ds, config.epsilon
         )
-        for result in report.levels:
-            if not result.b_runs:
-                continue
+    for i, result in enumerate(report.levels):
+        result.b_runs, result.failures = _partition(b[i] for b in b_outcomes)
+        if result.b_runs:  # so report.a_runs is not empty either
             result.b_base, result.b_shock, result.stability = _score(
                 result.b_runs, drift.ds, config.epsilon
             )
@@ -522,12 +500,14 @@ _REPORT_FILES = {"report": "report.json", "auc_runs": "auc_runs.csv", "uplift": 
 def _output_dir(path) -> Path:
     """The directory `path`, made if it is missing.
 
-    Raises DataError, as an unreadable input does, when it cannot be made,
-    or when one of `_REPORT_FILES` exists in it and is not a regular file.
+    Raises DataError, as an unreadable input does, when it cannot be made or
+    a temporary file cannot be made in it, or when one of `_REPORT_FILES`
+    exists in it and is not a regular file.
     """
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        tempfile.TemporaryFile(dir=out).close()  # made and removed: a write probe
     except OSError as exc:
         raise DataError(f"cannot write {out}: {exc}") from exc
     for file in map(out.joinpath, _REPORT_FILES.values()):

@@ -24,6 +24,7 @@ from .config import Config, check, setting
 from .errors import (
     ConfigError,
     DegenerateMarginalsError,
+    DomainError,
     EmptyInputError,
     InsufficientDataError,
     InsufficientSyntheticError,
@@ -275,7 +276,8 @@ def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:
     Body rows follow the fitted multivariate normal; each tail row exceeds
     `tail_sigma` fitted standard deviations on at least one numerical
     coordinate before any post-processing. Rows are shuffled; everything is
-    deterministic under `spec.seed`.
+    deterministic under `spec.seed`. Raises DomainError when `tail_sigma`
+    pushes a tail value beyond float's range.
     """
     n_tail = spec.outlier_count
     n_body = spec.total_rows - n_tail
@@ -317,10 +319,13 @@ def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:
             signs = np.where(rng.random(n_tail) < 0.5, -1.0, 1.0)
         else:  # levy: heavy-tail side only
             signs = np.ones(n_tail)
-        rows = np.arange(n_tail)
-        tails[rows, pick] = (
-            gen.means[pick] + signs * spec.tail_sigma * gen.stds[pick] * magnitudes
-        )
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            pushed = gen.means[pick] + signs * spec.tail_sigma * gen.stds[pick] * magnitudes
+        if not np.isfinite(pushed).all():
+            raise DomainError(
+                f"tail_sigma {spec.tail_sigma!r} pushes tail values beyond float's range"
+            )
+        tails[np.arange(n_tail), pick] = pushed
 
     numeric = np.vstack([body, tails]) if d else np.zeros((spec.total_rows, 0))
     # the label positions rng.choice(labels, ...) would draw, as codes
@@ -384,6 +389,16 @@ def postprocess(batch: SyntheticBatch, spec: OutlierSpec) -> SyntheticBatch:
     return replace(batch, frame=TabularFrame(columns))
 
 
+def synthetic_rows(n_real: int, real_fraction: float) -> int:
+    """round(n_real * (1 - f) / f): the synthetic rows that make `n_real`
+    real rows a share f of a mix. A count that is not finite (a subnormal
+    f, say) raises MemoryError, as `generate` does for one no array holds."""
+    count = n_real * (1.0 - real_fraction) / real_fraction
+    if not math.isfinite(count):
+        raise MemoryError(f"cannot hold {count} synthetic rows")
+    return round(count)
+
+
 def mix(
     real: TabularFrame,
     synthetic: SyntheticBatch,
@@ -392,14 +407,14 @@ def mix(
 ) -> TabularFrame:
     """Blend all real rows with synthetic ones at the requested real share.
 
-    The synthetic rows are the first round(n_real * (1 - f) / f) rows of the
-    (already seeded-shuffled) batch; the combined frame is then shuffled
-    deterministically under `seed`.
+    The synthetic rows are the first `synthetic_rows(n_real, f)` rows of the
+    (already seeded-shuffled) batch, a count that raises MemoryError when it
+    is not finite; the combined frame is then shuffled under `seed`.
     """
     real_fraction = check(real_fraction, "a number", "in (0, 1)", what="real_fraction")
     synth_frame = synthetic.frame
     n_real = real.row_count
-    needed = int(round(n_real * (1.0 - real_fraction) / real_fraction))
+    needed = synthetic_rows(n_real, real_fraction)
     if synth_frame.row_count < needed:
         raise InsufficientSyntheticError(needed, synth_frame.row_count)
 

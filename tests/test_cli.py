@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import shockstab
@@ -243,6 +243,17 @@ def test_synth_command(fixture_csv, tmp_path, capsys):
     assert mask["family"] == "gumbel"
     assert len(mask["outlier_rows"]) == 20
     assert out_csv.exists()
+
+
+def test_synth_tail_sigma_beyond_float_range_exits_3(fixture_csv, tmp_path, capsys):
+    out_csv = tmp_path / "synth.csv"
+    code = main(["synth", str(fixture_csv), "--rows", "50", "--outliers-pct", "50",
+                 "--tail-sigma", "1e308", "--out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: tail_sigma 1e+308 pushes tail values beyond float's range\n"
+    assert captured.out == ""
+    assert not out_csv.exists()
 
 
 def test_calibrate_command(tmp_path, capsys):
@@ -786,6 +797,39 @@ def test_pipeline_unwritable_output_dir_stops_before_training(
     assert trained == []
 
 
+def test_pipeline_output_dir_that_cannot_be_written_stops_before_training(
+    fixture_csv, tmp_path, capsys, monkeypatch
+):
+    # chmod denies root nothing, so the write probe's file creation is made
+    # to raise as a read-only directory makes it raise for other users
+    calls = []
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    for name in ("fit", "train_baseline", "train_baselines"):
+        monkeypatch.setattr(pipeline, name, lambda *a, _name=name: calls.append(_name))
+    out = tmp_path / "out"
+    out.mkdir()
+
+    def denied(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(out))
+
+    monkeypatch.setattr(pipeline.tempfile, "TemporaryFile", denied)
+    config = {
+        "input": str(fixture_csv),
+        "label": "is_bad",
+        "split": {"mode": "oos", "shock_fraction": 0.2, "mc_runs": 2},
+        "levels": ["without", 5],
+        "output_dir": str(out),
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    code = main(["pipeline", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: cannot write {out}: [Errno 13] Permission denied: '{out}'\n"
+    assert captured.out == ""
+    assert calls == []
+
+
 @pytest.mark.parametrize(
     "label, report_file, message",
     [
@@ -1324,6 +1368,7 @@ def test_pipeline_property_base_config_runs(tiny_dir):
 
 @settings(max_examples=150, deadline=None)
 @given(draw=_PIPELINE_DRAWS)
+@example(draw=(("tail_sigma", None), 1e308))
 def test_pipeline_config_with_a_drawn_value_exits_with_a_documented_code(tiny_dir, draw):
     (key, sub), value = draw
     assume(not (key == "real_fraction" and isinstance(value, float) and 0 < value < 0.01))
@@ -1340,7 +1385,7 @@ def test_pipeline_config_with_a_drawn_value_exits_with_a_documented_code(tiny_di
         assert one.call_count == many.call_count == 0
 
 
-@pytest.mark.parametrize("real_fraction", [1.6331864357700506e-149, 1e-12])
+@pytest.mark.parametrize("real_fraction", [1.6331864357700506e-149, 1e-12, 5e-324])
 def test_pipeline_real_fraction_beyond_memory_exits_3(tiny_dir, real_fraction):
     config = {**_PIPELINE_BASE, "real_fraction": real_fraction}
     (tiny_dir / "config.json").write_text(json.dumps(config))
@@ -1351,6 +1396,17 @@ def test_pipeline_real_fraction_beyond_memory_exits_3(tiny_dir, real_fraction):
     assert code == 3
     assert err.getvalue().startswith("error: not enough memory: ")
     assert err.getvalue().count("\n") == 1
+
+
+def test_pipeline_tail_sigma_beyond_float_range_fails_its_outlier_level(tiny_dir, tmp_path):
+    config = {**_PIPELINE_BASE, "tail_sigma": 1e308, "output_dir": str(tmp_path / "out")}
+    assert _pipeline_exit(tiny_dir, config) == 4
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    without, ten = report["levels"]
+    assert without["status"] == "ok"
+    assert ten["failures"] == [
+        {"run": 0, "error": "tail_sigma 1e+308 pushes tail values beyond float's range"}
+    ]
 
 
 @pytest.mark.parametrize("command", ["su-grid", "sweep"])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy
 
-from shockstab import pipeline
+from shockstab import pipeline, synthesis
 from shockstab.drift import distribution_shift
 from shockstab.errors import (
     ConfigError,
@@ -169,6 +169,13 @@ def _raises(exc):
 GENERATE_FAULT = {"generate": InsufficientDataError("injected generate fault")}
 
 
+def _generate_outliers_fault(generator, spec):
+    # only the outlier levels meet it: the "without" level keeps its pairs
+    if spec.outlier_fraction > 0:
+        raise InsufficientDataError("injected outlier fault")
+    return synthesis.generate(generator, spec)
+
+
 def _training_fault(exc):
     # the A task's train_baseline and the B task's train_baselines both
     # raise `exc`: the B task must catch it as its A task does
@@ -190,20 +197,32 @@ def _training_fault(exc):
         # before the pipeline checked the label up front, now injected
         ({}, _training_fault(SchemaMismatchError("is_bad", "injected")), "AAAA"),
         ({}, _training_fault(DegenerateLabelsError("injected")), "AAAA"),
+        # per level of ("without", 5, 10): a B outcome out of line with its
+        # level would show at the wrong one
+        ({}, {"generate": _generate_outliers_fault}, ("----", "BBBB", "BBBB")),
+        ({"split": A_FAILS_0_2}, {"generate": _generate_outliers_fault},
+         ("A-A-", "ABAB", "ABAB")),
+        # no B task: every level reuses the A outcomes
+        ({"real_fraction": 1.0}, {}, ""),
+        ({"real_fraction": 1.0, "split": A_FAILS_0_2}, {}, "A-A-"),
     ],
     ids=["ok", "levels-failed", "a-failed", "a-failed-some", "a-and-b-failed",
-         "missing-label", "categorical-label"],
+         "missing-label", "categorical-label", "outlier-levels-failed",
+         "a-and-outlier-levels-failed", "no-b-task", "no-b-task-a-failed-some"],
 )
 def test_serial_and_parallel_reports_byte_identical(
     small_csv, overrides, faults, failures, monkeypatch
 ):
     # failures: per run, "A" for an A-model failure copied to every level,
-    # "B" for a failed B cell and "-" for a B pair. faults maps pipeline
-    # bindings to the error each call of them raises, a fault each cell
+    # "B" for a failed B cell and "-" for a B pair; one string for every
+    # level, or one per level. faults maps pipeline bindings to the error
+    # each call of them raises, or to a stand-in function, a fault each cell
     # meets on its own; forked workers inherit the patches
-    for name, exc in faults.items():
-        monkeypatch.setattr(pipeline, name, _raises(exc))
+    for name, fault in faults.items():
+        monkeypatch.setattr(pipeline, name, fault if callable(fault) else _raises(fault))
     config = _config(small_csv, runs=4, **overrides)
+    per_level = failures if isinstance(failures, tuple) else (failures,) * len(config.levels)
+    b_tasks = 0 if config.real_fraction == 1.0 else 4
     reports = []
     for workers in (1, 2, 3):
         asked = []
@@ -211,37 +230,47 @@ def test_serial_and_parallel_reports_byte_identical(
             pipeline, "_worker_count", lambda tasks, w=workers: asked.append(tasks) or w
         )
         reports.append(run_pipeline(config))
-        assert asked == [8]  # one A task and one B task per run
+        assert asked == [4 + b_tasks]  # one A task per run, and a B task unless f is 1
     serial = reports[0].to_json(strip_timestamp=True)
     for parallel in reports[1:]:
         assert parallel.to_json(strip_timestamp=True) == serial
     report = reports[0]
-    assert report.partial == bool(failures)
-    if not failures:
-        return
-    a_failed = [run for run, kind in enumerate(failures) if kind == "A"]
+    assert report.partial == any(per_level)
+    if not b_tasks:
+        assert all(lvl.b_runs == report.a_runs for lvl in report.levels)
+    a_failed = [run for run, kind in enumerate(per_level[0]) if kind == "A"]
     assert [f["run"] for f in report.a_failures] == a_failed
-    for lvl in report.levels:
+    for lvl, kinds in zip(report.levels, per_level):
+        kinds = kinds or "----"
         assert [f["run"] for f in lvl.failures] == [
-            run for run, kind in enumerate(failures) if kind != "-"
+            run for run, kind in enumerate(kinds) if kind != "-"
         ]
         assert "".join(
             "A" if f["error"].startswith("a-model failed: ") else "B"
             for f in lvl.failures
-        ) == failures.replace("-", "")
+        ) == kinds.replace("-", "")
         assert [p.run_index for p in lvl.b_runs] == [
-            run for run, kind in enumerate(failures) if kind == "-"
+            run for run, kind in enumerate(kinds) if kind == "-"
         ]
 
 
-def test_task_list_queues_b_tasks_first(small_csv):
-    a, b = pipeline._run_a, pipeline._run_b
-    assert pipeline._task_list(3, _config(small_csv, runs=3)) == [
-        (b, 0), (b, 1), (b, 2), (a, 0), (a, 1), (a, 2)
-    ]
+def test_b_tasks_run_before_a_tasks(small_csv, monkeypatch):
+    calls = []
+    for name in ("_run_a", "_run_b"):
+        real = getattr(pipeline, name)
+
+        def record(split, config, _real=real, _kind=name[-1]):
+            calls.append(f"{_kind}{split.run_index}")
+            return _real(split, config)
+
+        monkeypatch.setattr(pipeline, name, record)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    assert not run_pipeline(_config(small_csv, runs=3)).partial
+    assert calls == ["b0", "b1", "b2", "a0", "a1", "a2"]
     # every level reuses the A pair, so there is no B task
-    identity = _config(small_csv, runs=3, real_fraction=1.0)
-    assert pipeline._task_list(3, identity) == [(a, 0), (a, 1), (a, 2)]
+    calls.clear()
+    assert not run_pipeline(_config(small_csv, runs=3, real_fraction=1.0)).partial
+    assert calls == ["a0", "a1", "a2"]
 
 
 # SHA-256 of report.json (timestamp stripped), auc_runs.csv and uplift.csv
@@ -390,9 +419,8 @@ def test_a_b_training_error_fails_every_level_not_failed_before(small_csv, monke
     config = _config(small_csv, runs=1)
     split = model_splits(load_csv(small_csv), config.split, config.label)[0]
     assert pipeline._run_b(split, config) == [
-        (label, None, {"run": split.run_index, "error": "no second class"})
-        for label in config.levels
-    ]
+        {"run": split.run_index, "error": "no second class"}
+    ] * len(config.levels)
 
 
 def test_numerical_dates_split_on_their_text(tmp_path):
