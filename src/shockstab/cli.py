@@ -264,7 +264,7 @@ def _cmd_split(args) -> int:
         mc_runs=args.runs,
         seed=args.seed,
     )
-    frame = load_csv(args.file)  # every cell's text, which the exports write back
+    frame = load_csv(args.file)  # each row's CSV line, which the exports write back
     first = split_once(frame, spec, 0)  # a bad date column stops before any file
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -9,14 +9,19 @@ from these arrays: the NaN mask or code -1.
 
 A categorical column's categories are its cell strings, so a column
 loaded from CSV holds each such cell's text once. A numerical column keeps
-a tuple of its cell strings only where `load_csv` is asked to: by default
-every column keeps its text, so that exporting reproduces every
-non-missing cell byte-equal, and with `text_columns` only the numerical
-columns named there do. `shockstab split`, which exports, keeps all text;
-the pipeline keeps only an OOT date column's (a date such as 20180322
-loads as a number, and is parsed from its text), and `schema`, `ds` and
-`synth` keep none. `Column.raw` gives the text back per cell, or None for
-a column that keeps none.
+a tuple of its cell strings only where `load_csv` names it in
+`text_columns`: the pipeline names an OOT date column (a date such as
+20180322 loads as a number, and is parsed from its text), and `schema`,
+`ds` and `synth` name none. `Column.raw` gives the text back per cell, or
+None for a column that keeps none.
+
+With `text_columns=None`, the export mode of `shockstab split`, no
+numerical column keeps its text; the frame keeps instead each row's CSV
+line exactly as `to_csv` writes it, one string per row. Takes gather the
+lines, and `to_csv` writes them back, so every non-missing input cell is
+exported byte-equal. `TabularFrame.text` reads one column's cells back
+from the lines. A frame built from columns keeps no lines, and `to_csv`
+renders its rows from the columns.
 
 `load_csv` reads a file in chunks of `_CSV_READ_ROWS` (8,192) rows and
 classifies each chunk's cells before it reads the next, so a categorical
@@ -252,7 +257,12 @@ def _gather(items: tuple, positions: list) -> tuple:
 
 
 class TabularFrame:
-    """Immutable ordered collection of equally long, uniquely named columns."""
+    """Immutable ordered collection of equally long, uniquely named columns.
+
+    A frame that `load_csv` exports from also keeps `lines`: each row's CSV
+    line as `to_csv` writes it, with no line end. Any other frame keeps
+    none, and `lines` is None.
+    """
 
     def __init__(self, columns: list[Column]):
         names = [c.name for c in columns]
@@ -265,10 +275,16 @@ class TabularFrame:
         self.columns = tuple(columns)
         self.row_count = lengths.pop() if lengths else 0
         self._by_name = {c.name: c for c in self.columns}
+        self._lines = None
 
     @property
     def column_names(self):
         return [c.name for c in self.columns]
+
+    @property
+    def lines(self) -> tuple | None:
+        """Each row's CSV line as `to_csv` writes it, or None."""
+        return self._lines
 
     def column(self, name: str) -> Column:
         try:
@@ -282,14 +298,37 @@ class TabularFrame:
     def kind_of(self, name: str) -> ColumnKind:
         return self.column(name).kind
 
+    def text(self, name: str) -> tuple | list:
+        """Every cell of column `name` as the text `to_csv` writes: see
+        `Column.text`. A numerical column that keeps no text reads it back
+        from the frame's lines, where it has them."""
+        column = self.column(name)
+        if column.kind is ColumnKind.CATEGORICAL or column.raw is not None or self._lines is None:
+            return column.text()
+        (cells,) = _line_cells(self._lines, [self.column_names.index(name)])
+        return cells
+
     def take(self, indices) -> "TabularFrame":
-        """Row subset in the given order; retains raw text where present."""
+        """Row subset in the given order; retains raw text and lines where
+        present."""
         indices = np.asarray(indices, dtype=np.intp)
-        return TabularFrame([c.take(indices) for c in self.columns])
+        lines = None if self._lines is None else _gather(self._lines, indices.tolist())
+        return _with_lines([c.take(indices) for c in self.columns], lines)
 
     def drop_columns(self, names) -> "TabularFrame":
         names = set(names)
-        return TabularFrame([c for c in self.columns if c.name not in names])
+        columns = [c for c in self.columns if c.name not in names]
+        return _with_lines(columns, self._lines_of([c.name for c in columns]))
+
+    def _lines_of(self, names: list) -> tuple | None:
+        """The frame's lines holding only the columns `names`, in that order;
+        None when the frame keeps no lines or `names` is empty."""
+        if self._lines is None or not names:
+            return None
+        if names == self.column_names:
+            return self._lines
+        positions = list(map(self.column_names.index, names))
+        return tuple(_render_rows(_line_cells(self._lines, positions)))
 
     def require_same_columns(self, other: "TabularFrame", excluded=()) -> None:
         """Raise SchemaMismatchError unless both frames hold the same column
@@ -312,21 +351,30 @@ class TabularFrame:
         as an empty one.
 
         Quoting follows csv's QUOTE_MINIMAL and CRLF line ends. Rows go
-        out in chunks of `_CSV_CHUNK_ROWS`; a chunk of two or more columns
-        with no cell that csv would quote is joined and written directly,
-        which gives the bytes csv.writer would write, at C speed.
+        out in chunks of `_CSV_CHUNK_ROWS`. A frame with lines writes them
+        as they are; any other renders each chunk's rows from its columns'
+        `Column.text` with `_render_rows`.
         """
-        texts = [c.text() for c in self.columns]
+        texts = None if self._lines is not None else [c.text() for c in self.columns]
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.column_names)
+            csv.writer(fh).writerow(self.column_names)
             for start in range(0, self.row_count, _CSV_CHUNK_ROWS):
-                chunk = [t[start : start + _CSV_CHUNK_ROWS] for t in texts]
-                if _writes_verbatim(chunk):
-                    fh.write("\r\n".join(map(",".join, zip(*chunk))))
-                    fh.write("\r\n")
+                stop = start + _CSV_CHUNK_ROWS
+                if texts is None:
+                    lines = self._lines[start:stop]
                 else:
-                    writer.writerows(zip(*chunk))
+                    lines = _render_rows([t[start:stop] for t in texts])
+                fh.write("\r\n".join(lines))
+                fh.write("\r\n")
+
+
+def _with_lines(columns: list[Column], lines: tuple | None) -> TabularFrame:
+    """A frame of `columns` that keeps `lines`, one per row."""
+    frame = TabularFrame(columns)
+    if lines is not None and len(lines) != frame.row_count:
+        raise ValueError(f"{len(lines)} lines for {frame.row_count} rows")
+    frame._lines = lines
+    return frame
 
 
 # Rows per write in TabularFrame.to_csv: enough that the per-chunk overhead
@@ -339,22 +387,44 @@ _CSV_CHUNK_ROWS = 1024
 _CSV_READ_ROWS = 8192
 
 
-def _writes_verbatim(texts) -> bool:
-    """Whether csv's QUOTE_MINIMAL writer leaves every cell of the columns
-    `texts` as is, so that joining the rows with commas gives its bytes.
+class _RowSink(list):
+    """A file for csv.writer that keeps each row it writes as one string."""
 
-    It quotes a cell holding a comma, the quote character or a line break,
-    and the single empty cell of a one-column row.
+    write = list.append
+
+
+def _render_rows(texts) -> list:
+    """Each row of the columns `texts`, sequences of cell strings, as csv's
+    QUOTE_MINIMAL writer writes it, with no line end.
+
+    The writer quotes a cell holding a comma, the quote character or a line
+    break, and the single empty cell of a one-column row. When no cell of
+    two or more columns needs it, joining the cells with commas gives its
+    bytes at C speed; otherwise csv.writer renders the rows.
     """
-    if len(texts) < 2:
-        return False
-    cells = "".join(itertools.chain.from_iterable(texts))
-    return not any(map(cells.__contains__, (",", '"', "\r", "\n")))
+    if len(texts) > 1 and not any(map(_needs_quotes, map("".join, texts))):
+        return list(map(",".join, zip(*texts)))
+    rows = _RowSink()
+    csv.writer(rows).writerows(zip(*texts))
+    return [row[:-2] for row in rows]  # each ends in csv's "\r\n"
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(map(text.__contains__, (",", '"', "\r", "\n")))
+
+
+def _line_cells(lines, positions: list) -> list[tuple]:
+    """The cells at `positions` of each CSV line of `lines`, one tuple per
+    position. Only those cells are kept as the lines are parsed."""
+    picked = map(operator.itemgetter(*positions), csv.reader(lines))
+    if len(positions) == 1:
+        return [tuple(picked)]
+    return list(zip(*picked)) or [()] * len(positions)
 
 
 def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
     """Stack two frames with the same columns, first on top, in the first
-    frame's column order."""
+    frame's column order. The result keeps lines when both frames do."""
     first.require_same_columns(second)
     columns = []
     for a in first.columns:
@@ -369,7 +439,10 @@ def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
         if a.raw is not None and b.raw is not None:
             raw = a.raw + b.raw
         columns.append(Column(a.name, a.kind, np.concatenate([a.values, b.values]), raw))
-    return TabularFrame(columns)
+    lines = None
+    if first.lines is not None and second.lines is not None:
+        lines = first.lines + second._lines_of(first.column_names)
+    return _with_lines(columns, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +464,14 @@ def load_csv(
     one that is not an integer >= 0 is a ConfigError. Missing cells are any
     cell equal to one of `missing_tokens`.
 
-    `text_columns` names the numerical columns that keep their cell text;
-    None, the default, keeps every column's, so that `to_csv` writes each
-    non-missing cell back byte-equal. Any other numerical column keeps no
-    text (its `raw` is None). A categorical column's categories are its
-    text, so it keeps it either way.
+    `text_columns` names the numerical columns that keep their cell text,
+    one string per cell; any other numerical column keeps none (its `raw`
+    is None). A categorical column's categories are its text, so it keeps
+    it either way. None, the default, is the export mode: no numerical
+    column keeps its text, and the frame keeps each row's CSV line as
+    `to_csv` writes it (a missing cell empty, quoted as csv's
+    QUOTE_MINIMAL, no line end), rendered chunk by chunk as the file is
+    read, so that `to_csv` writes each non-missing cell back byte-equal.
 
     Rows are read in chunks of `_CSV_READ_ROWS`, and each chunk's cells are
     classified column by column before the next is read. Errors keep the
@@ -425,13 +501,15 @@ def load_csv(
                 if len(set(header)) != len(header):
                     dup = next(h for h in header if header.count(h) > 1)
                     raise CsvFormatError(f"{path}: duplicate header column {dup!r}")
+                lines = [] if text_columns is None else None
                 columns = [
                     _ColumnReader(
-                        name, missing_tokens, text_columns is None or name in text_columns
+                        name, missing_tokens,
+                        text_columns is not None and name in text_columns, lines, i,
                     )
-                    for name in header
+                    for i, name in enumerate(header)
                 ]
-                error = _read_rows(reader, columns)
+                error = _read_rows(reader, columns, lines)
             except csv.Error as exc:
                 error = CsvFormatError(f"{path}: line {reader.line_num}: {exc}")
             if error is not None:
@@ -444,15 +522,17 @@ def load_csv(
         ) from None
     if error is not None:
         raise error
-    return TabularFrame([c.column(categorical_override) for c in columns])
+    columns = [c.column(categorical_override) for c in columns]
+    return _with_lines(columns, None if lines is None else tuple(lines))
 
 
-def _read_rows(reader, columns: list) -> RaggedRowError | None:
+def _read_rows(reader, columns: list, lines: list | None) -> RaggedRowError | None:
     """Read `reader` to its end in chunks, each column classifying its cells.
 
-    Returns the first ragged row's error, or None; reading stops there. A
-    line that csv cannot parse raises its csv.Error, unless a ragged row
-    comes before it.
+    With a `lines` list, each chunk's rows are rendered onto it as `to_csv`
+    writes them, a missing cell empty. Returns the first ragged row's error,
+    or None; reading stops there. A line that csv cannot parse raises its
+    csv.Error, unless a ragged row comes before it.
     """
     width, offset = len(columns), 0
     # csv.reader's row lists are tracked containers, so a collection would
@@ -474,10 +554,20 @@ def _read_rows(reader, columns: list) -> RaggedRowError | None:
                 return RaggedRowError(offset + i + 1, width, len(chunk[i]))
             if not chunk:
                 return None
+            written = []
             for column, cells in zip(columns, zip(*chunk)):
-                column.add(cells)
+                missing = column.add(cells)
+                if lines is None:
+                    continue
+                if missing.any():
+                    cells = np.array(cells, dtype=object)
+                    cells[missing] = ""
+                    cells = cells.tolist()
+                written.append(cells)
+            if lines is not None:
+                lines += _render_rows(written)
             offset += len(chunk)
-            del chunk, cells  # before the next chunk is read
+            del chunk, cells, written  # before the next chunk is read
     finally:
         if gc_enabled:
             gc.enable()
@@ -488,22 +578,31 @@ class _ColumnReader:
 
     While every cell read is numeric or missing, the column keeps each
     chunk's floats, NaN marking a missing cell, and its cell text: with
-    `keeps_text`, one string per cell, None marking a missing cell;
-    without, one string per chunk, its present cells joined by NUL, which
-    no numeric cell holds (float() refuses it). From the first chunk with
-    another cell it keeps provisional int32 codes by first appearance
-    instead, and one string per distinct cell.
+    `keeps_text`, one string per cell, None marking a missing cell; with
+    `lines`, the rows' CSV lines that load_csv renders, none of its own,
+    since cell `position` of each line holds it; with neither, one string
+    per chunk, its present cells joined by NUL, which no numeric cell
+    holds (float() refuses it). From the first chunk with another cell it
+    keeps provisional int32 codes by first appearance instead, and one
+    string per distinct cell.
     """
 
-    __slots__ = ("name", "missing_tokens", "keeps_text", "floats", "text", "codes", "lookup")
+    __slots__ = (
+        "name", "missing_tokens", "keeps_text", "lines", "position",
+        "floats", "text", "codes", "lookup",
+    )
 
-    def __init__(self, name: str, missing_tokens: frozenset, keeps_text: bool):
+    def __init__(
+        self, name: str, missing_tokens: frozenset, keeps_text: bool,
+        lines: list | None, position: int,
+    ):
         self.name, self.missing_tokens, self.keeps_text = name, missing_tokens, keeps_text
+        self.lines, self.position = lines, position
         self.floats, self.text = [], []
         self.codes = self.lookup = None
 
-    def add(self, cells: tuple) -> None:
-        """Classify one chunk of cells."""
+    def add(self, cells: tuple) -> np.ndarray:
+        """Classify one chunk of cells; returns which of them are missing."""
         missing = np.fromiter(
             map(self.missing_tokens.__contains__, cells), dtype=bool, count=len(cells)
         )
@@ -517,11 +616,12 @@ class _ColumnReader:
                 self.floats.append(values)
                 if self.keeps_text:
                     self.text += text.tolist()
-                else:
+                elif self.lines is None:
                     self.text.append("\0".join(text[~missing].tolist()))
-                return
+                return missing
             self._to_codes()
         self._encode(text.tolist())
+        return missing
 
     def _to_codes(self) -> None:
         """Switch to provisional codes, encoding the text kept so far."""
@@ -531,6 +631,14 @@ class _ColumnReader:
         self.floats = self.text = None
         if self.keeps_text:
             self._encode(text)
+            return
+        if self.lines is not None:
+            # the lines rendered so far are those of the rows read so far
+            (cells,) = _line_cells(self.lines, [self.position])
+            cells = np.array(cells, dtype=object)
+            if floats:
+                cells[np.isnan(np.concatenate(floats))] = None
+            self._encode(cells.tolist())
             return
         # a chunk's NUL-joined text goes back to its present cells
         for values, joined in zip(floats, text):

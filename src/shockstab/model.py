@@ -9,6 +9,7 @@ those `train_baseline` gives it alone; `train_baseline` says why.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -163,16 +164,17 @@ def extract_labels(frame: TabularFrame, label: str) -> np.ndarray:
 
 
 def build_encoding(train: TabularFrame, label: str) -> FeatureEncoding:
+    """The imputation means, scales and one-hot categories of `train`'s
+    features. A numerical column whose mean or standard deviation is not
+    finite (values past about 1e154 overflow its squares) raises
+    DomainError, naming it."""
     numerical = {}
     categorical = {}
     for col in train.columns:
         if col.name == label:
             continue
         if col.kind is ColumnKind.NUMERICAL:
-            present = col.non_missing()
-            mean = float(np.mean(present)) if present.size else 0.0
-            std = float(np.std(present)) if present.size else 0.0
-            numerical[col.name] = (mean, std if std > 0 else 1.0)
+            numerical[col.name] = _scale(col)
         else:
             # the categories the rows hold: a taken column may list more
             held = col.counts() > 0
@@ -181,6 +183,22 @@ def build_encoding(train: TabularFrame, label: str) -> FeatureEncoding:
                 cats.append(MISSING_CATEGORY)
             categorical[col.name] = tuple(cats)
     return FeatureEncoding(numerical=numerical, categorical=categorical)
+
+
+def _scale(col) -> tuple[float, float]:
+    """(mean, std) of a numerical column's present values, std 1.0 for a
+    constant or empty column."""
+    present = col.non_missing()
+    if not present.size:
+        return 0.0, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        mean, std = float(np.mean(present)), float(np.std(present))
+    if not (math.isfinite(mean) and math.isfinite(std)):
+        raise DomainError(
+            f"column {col.name!r} spreads beyond float's range: its "
+            "standard deviation cannot be computed"
+        )
+    return mean, std if std > 0 else 1.0
 
 
 def _design(train: TabularFrame, label: str) -> tuple:

@@ -100,11 +100,14 @@ class ShockSplit:
     run_index: int
 
 
-def _date_text(dates: Column) -> Column:
-    """A date column as the text its dates parse from: a date such as
-    20180322 loads as a number, which would read back as 20180322.0."""
+def _date_text(frame: TabularFrame, name: str) -> Column:
+    """The date column `name` as the text its dates parse from: a date such
+    as 20180322 loads as a number, which would read back as 20180322.0.
+    Without the column's own text, `TabularFrame.text` reads it back from
+    the frame's lines, as an exported frame keeps them."""
+    dates = frame.column(name)
     if dates.kind is ColumnKind.NUMERICAL:
-        return Column(dates.name, ColumnKind.CATEGORICAL, np.array(dates.text(), dtype=object))
+        return Column(name, ColumnKind.CATEGORICAL, np.array(frame.text(name), dtype=object))
     return dates
 
 
@@ -127,7 +130,7 @@ def oot_partition(frame: TabularFrame, spec: SplitSpec):
     key = (spec.date_column, spec.shock_date)
     known = _PARTITIONS.setdefault(frame, {})
     if key not in known:
-        dates = _date_text(frame.column(spec.date_column))
+        dates = _date_text(frame, spec.date_column)
         codes = dates.codes
         shocked = np.zeros(len(dates.categories), dtype=bool)
         # each category the rows hold is parsed once, at its first row and in
@@ -208,7 +211,8 @@ def model_splits(frame: TabularFrame, spec: SplitSpec, label: str) -> list[Shock
     """
     dates = set(text_columns(spec))
     frame = TabularFrame(
-        [(_date_text(c) if c.name in dates else c).without_text() for c in frame.columns]
+        [(_date_text(frame, c.name) if c.name in dates else c).without_text()
+         for c in frame.columns]
     )
     drop = dates - {label}
     return [

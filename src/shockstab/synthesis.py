@@ -277,7 +277,8 @@ def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:
     `tail_sigma` fitted standard deviations on at least one numerical
     coordinate before any post-processing. Rows are shuffled; everything is
     deterministic under `spec.seed`. Raises DomainError when `tail_sigma`
-    pushes a tail value beyond float's range.
+    pushes a tail value beyond float's range, or a column's standard
+    deviation over the batch, by which a model scales it, beyond it.
     """
     n_tail = spec.outlier_count
     n_body = spec.total_rows - n_tail
@@ -328,6 +329,17 @@ def generate(gen: FittedGenerator, spec: OutlierSpec) -> SyntheticBatch:
         tails[np.arange(n_tail), pick] = pushed
 
     numeric = np.vstack([body, tails]) if d else np.zeros((spec.total_rows, 0))
+    if n_tail:
+        # a model scales each column by its standard deviation, whose
+        # squares overflow once values pass about 1e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(np.std(numeric, axis=0))
+        if not finite.all():
+            name = gen.numerical_names[int(np.argmin(finite))]
+            raise DomainError(
+                f"tail_sigma {spec.tail_sigma!r} pushes column {name!r} beyond "
+                "the spread a model can scale"
+            )
     # the label positions rng.choice(labels, ...) would draw, as codes
     categorical = {
         name: rng.choice(len(labels), size=spec.total_rows, p=probs)

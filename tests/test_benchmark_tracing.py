@@ -3,7 +3,9 @@
 `perfbench/tracing.py` patches `shockstab.<module>.<function>` (or a class
 method) by name for `--trace 1` runs. A refactor that renames, moves or
 drops one of them would only show up there; this test catches it in the
-tier-1 suite instead.
+tier-1 suite instead, and so does a split that stops calling `split_once`
+once per run or `to_csv` once per file, the counts `perfbench/selftest.py`
+expects.
 """
 
 import importlib
@@ -14,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from shockstab.cli import main
+from shockstab.fixtures import make_shocked_fixture
 from shockstab.frame import Column, load_csv
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -61,10 +65,30 @@ def test_tracer_installs_and_restores_every_layer(tracing, write_csv):
 
 def test_take_counts_read_each_columns_raw_text(tracing, write_csv):
     assert isinstance(inspect.getattr_static(Column, "raw"), property)
-    frame = load_csv(write_csv("t.csv", "a,b\n1.5,x\nNA,\n3,z\n"))
-    taken = frame.take([2, 0])
-    assert tracing._take_counts((frame, [2, 0]), {}, taken) == {
-        "frame.take.rows": 2,
-        "frame.take.raw_cells": 4,
-    }
+    path = write_csv("t.csv", "a,b\n1.5,x\nNA,\n3,z\n")
+    # the export load keeps the numerical column's text in its lines, so
+    # only the categorical column's cells count
+    for text_columns, raw_cells in [(None, 2), (["a"], 4)]:
+        frame = load_csv(path, text_columns=text_columns)
+        taken = frame.take([2, 0])
+        assert tracing._take_counts((frame, [2, 0]), {}, taken) == {
+            "frame.take.rows": 2,
+            "frame.take.raw_cells": raw_cells,
+        }
     assert frame.column("b").without_text().raw is None
+
+
+def test_split_calls_split_once_per_run_and_to_csv_per_file(tracing, tmp_path, capsys):
+    # perfbench/selftest.py expects these counts of the traced split workload
+    make_shocked_fixture(rows=200).to_csv(tmp_path / "f.csv")
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        code = main([
+            "split", str(tmp_path / "f.csv"), "--mode", "oot", "--date-col", "date",
+            "--shock-date", "2018-03-22", "--runs", "3", "--out", str(tmp_path / "splits"),
+        ])
+    capsys.readouterr()
+    assert code == 0
+    counts = tracer.pass_metrics(0)
+    assert counts["splitting.split_once.calls"] == 3
+    assert counts["frame.to_csv.calls"] == 9

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -1409,6 +1410,33 @@ def test_pipeline_tail_sigma_beyond_float_range_fails_its_outlier_level(tiny_dir
     ]
 
 
+def test_pipeline_tail_sigma_beyond_a_models_scale_fails_its_outlier_level(
+    tmp_path, capsys, monkeypatch
+):
+    # tail values near 1e200 are finite, but their squares overflow the
+    # standard deviation a model scales the column by
+    make_shocked_fixture(rows=300).to_csv(tmp_path / "f.csv")
+    config = {
+        **_PIPELINE_BASE, "input": str(tmp_path / "f.csv"), "levels": ["without", 50],
+        "tail_sigma": 1e200, "output_dir": str(tmp_path / "out"),
+    }
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["pipeline", str(_write_json(tmp_path, config))])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert all(line.startswith("error: ") for line in captured.err.splitlines())
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    without, fifty = report["levels"]
+    assert without["status"] == "ok" and without["failures"] == []
+    assert fifty["status"] == "failed"
+    assert fifty["failures"] == [
+        {"run": 0, "error": "tail_sigma 1e+200 pushes column 'rate' beyond the spread "
+                            "a model can scale"}
+    ]
+
+
 @pytest.mark.parametrize("command", ["su-grid", "sweep"])
 @pytest.mark.parametrize(
     "payload, message",
@@ -1493,7 +1521,7 @@ def test_an_anchor_value_that_is_not_a_number_in_range_exits_3(tmp_path, capsys,
         (("pipeline", "{oot}"), {"date"}),
         (("pipeline", "{oos}"), set()),
         (("split", "{csv}", "--mode", "oos", "--shock-fraction", "0.2", "--runs", "1",
-          "--out", "{tmp}/s"), {"date", "rate", "volume", "score", "price", "is_bad"}),
+          "--out", "{tmp}/s"), set()),
     ],
     ids=["schema", "ds", "synth", "pipeline-oot", "pipeline-oos", "split"],
 )
@@ -1501,7 +1529,8 @@ def test_only_split_and_an_oot_date_keep_numerical_text(
     tmp_path, capsys, monkeypatch, argv, kept
 ):
     # the dates load as numbers such as 20180322, which an OOT split parses
-    # from their text; no other command reads a numerical column's text
+    # from their text; no other command reads a numerical column's text.
+    # split, which exports, keeps each row's CSV line instead
     csv_path = tmp_path / "shocked.csv"
     with_compact_dates(make_shocked_fixture(rows=300)).to_csv(csv_path)
     configs = {}
@@ -1531,3 +1560,4 @@ def test_only_split_and_an_oot_date_keep_numerical_text(
             c.name for c in frame.columns
             if c.kind is ColumnKind.NUMERICAL and c.raw is not None
         } == kept
+        assert (frame.lines is not None) == (argv[0] == "split")

@@ -261,12 +261,37 @@ def test_moments_match_pandas_conventions():
 
 def test_take_and_concat_preserve_raw(write_csv, tmp_path):
     path = write_csv("raw.csv", "a,b\n1.50,x\n2.25,y\n3.00,z\n")
+    # a numerical column named in text_columns keeps its cells' text
+    kept = load_csv(path, text_columns=["a"])
+    assert kept.lines is None
+    assert kept.take([2, 0]).column("a").raw == ("3.00", "1.50")
+    assert concat_frames(kept.take([2]), kept.take([0])).column("a").raw == ("3.00", "1.50")
+    # the export load keeps each row's line in its place
     frame = load_csv(path)
     sub = frame.take([2, 0])
-    assert sub.column("a").raw == ("3.00", "1.50")
+    assert sub.column("a").raw is None
+    assert sub.lines == ("3.00,z", "1.50,x")
+    assert concat_frames(sub, frame.take([1])).lines == ("3.00,z", "1.50,x", "2.25,y")
     out = tmp_path / "sub.csv"
     sub.to_csv(out)
-    assert "3.00" in out.read_text()
+    assert out.read_bytes() == b"a,b\r\n3.00,z\r\n1.50,x\r\n"
+
+
+def test_dropped_and_reordered_columns_keep_the_exported_bytes(write_csv, tmp_path):
+    path = write_csv("q.csv", 'a,b,c\n1.50,"x,y",NA\n2.0e1,z,7\n')
+    frame = load_csv(path)
+    dropped = frame.drop_columns(["c"])
+    assert dropped.lines == ('1.50,"x,y"', "2.0e1,z")
+    assert frame.drop_columns(["a", "b", "c"]).lines is None
+    reordered = TabularFrame([frame.column(n) for n in ("c", "a", "b")])
+    assert reordered.lines is None
+    # the second frame's lines follow the first frame's column order
+    swapped = load_csv(write_csv("swapped.csv", "b,c,a\nw,8,3.25\n"))
+    assert concat_frames(frame, swapped).lines == (
+        '1.50,"x,y",', "2.0e1,z,7", "3.25,w,8"
+    )
+    dropped.to_csv(tmp_path / "dropped.csv")
+    assert (tmp_path / "dropped.csv").read_bytes() == b'a,b\r\n1.50,"x,y"\r\n2.0e1,z\r\n'
 
 
 def test_take_accepts_list_range_and_array(write_csv):
@@ -286,13 +311,22 @@ def test_take_accepts_list_range_and_array(write_csv):
                 assert x.values.dtype == y.values.dtype
                 assert repr(x.values.tolist()) == repr(y.values.tolist())
                 assert x.raw == y.raw
-    assert loaded.take(range(1, 4)).column("a").raw == (None, "3.00", "4.5")
+            assert other.lines == takes[0].lines
+    assert loaded.take(range(1, 4)).lines == (",,8", "3.00,z,9", "4.5,w,")
+    assert loaded.take(range(1, 4)).column("a").raw is None
     assert loaded.take(np.array([], dtype=int)).row_count == 0
     assert all(c.raw is None for c in plain.take(range(2)).columns)
-    # zero, one and repeated indices all gather the raw text as a tuple
-    assert [c.raw for c in loaded.take([]).columns] == [(), (), ()]
-    assert [c.raw for c in loaded.take([2]).columns] == [("3.00",), ("z",), ("9",)]
-    assert [c.raw for c in loaded.take(np.array([3, 1, 3])).columns] == [
+    assert plain.take(range(2)).lines is None
+    # zero, one and repeated indices all gather the lines as a tuple
+    assert loaded.take([]).lines == ()
+    assert loaded.take([2]).lines == ("3.00,z,9",)
+    assert loaded.take(np.array([3, 1, 3])).lines == ("4.5,w,", ",,8", "4.5,w,")
+    # and so the raw text of the columns that keep it
+    kept = load_csv(path, text_columns=["a", "c"])
+    assert kept.take(range(1, 4)).column("a").raw == (None, "3.00", "4.5")
+    assert [c.raw for c in kept.take([]).columns] == [(), (), ()]
+    assert [c.raw for c in kept.take([2]).columns] == [("3.00",), ("z",), ("9",)]
+    assert [c.raw for c in kept.take(np.array([3, 1, 3])).columns] == [
         ("4.5", None, "4.5"),
         ("w", None, "w"),
         (None, "8", None),
@@ -439,45 +473,53 @@ def test_load_csv_error_precedence_holds_for_every_chunk_size(
     assert message in str(err.value)
 
 
-def test_load_csv_peaks_near_what_its_frame_keeps(tmp_path):
-    path = tmp_path / "fixture.csv"
-    make_shocked_fixture(rows=20_000).to_csv(path)
+def _traced_load(path, **kwargs) -> tuple[int, int]:
+    """(bytes kept, peak bytes) of load_csv(path, **kwargs), by tracemalloc."""
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        frame = load_csv(path)
+        frame = load_csv(path, **kwargs)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert frame.row_count == 20_000
+    return kept - before, peak - before
+
+
+@pytest.fixture(scope="module")
+def fixture_20k(tmp_path_factory):
+    """A 20k-row fixture CSV and its header names."""
+    path = tmp_path_factory.mktemp("memory") / "fixture.csv"
+    frame = make_shocked_fixture(rows=20_000)
+    frame.to_csv(path)
+    return path, frame.column_names
+
+
+def test_load_csv_peaks_near_what_its_frame_keeps(fixture_20k):
+    path, names = fixture_20k
+    kept, peak = _traced_load(path, text_columns=names)
     # a whole-file read peaked at 1.67 times what its frame keeps
-    assert (peak - before) <= 1.4 * (kept - before)
+    assert peak <= 1.4 * kept
 
 
-def test_load_csv_without_text_keeps_and_peaks_less(tmp_path):
-    path = tmp_path / "fixture.csv"
-    make_shocked_fixture(rows=20_000).to_csv(path)
-
-    def traced_load(**kwargs):
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            frame = load_csv(path, **kwargs)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert frame.row_count == 20_000
-        return kept - before, peak - before
-
-    text_kept, text_peak = traced_load()
-    lean_kept, lean_peak = traced_load(text_columns=())
-    # measured: 0.96 MiB kept against 7.77 MiB, a peak of 7.15 MiB against 9.71
+def test_load_csv_without_text_keeps_and_peaks_less(fixture_20k):
+    path, names = fixture_20k
+    text_kept, text_peak = _traced_load(path, text_columns=names)
+    lean_kept, lean_peak = _traced_load(path, text_columns=())
+    # measured: 0.96 MiB kept against 7.77 MiB, a peak of 7.13 MiB against 9.71
     assert lean_kept <= 0.2 * text_kept
     assert lean_peak < text_peak
+
+
+def test_load_csv_export_lines_keep_less_than_cell_text_and_peak_no_higher(fixture_20k):
+    path, names = fixture_20k
+    text_kept, text_peak = _traced_load(path, text_columns=names)
+    lines_kept, lines_peak = _traced_load(path)
+    # measured: 3.85 MiB kept against 7.77 MiB, a peak of 8.05 MiB against 9.71
+    assert lines_kept <= 0.6 * text_kept
+    assert lines_peak <= text_peak
 
 
 _FULL_READ = 8192  # rows per chunk: more than any drawn file holds
@@ -508,7 +550,9 @@ def test_load_csv_keeps_numerical_text_only_for_text_columns(
     data, names = drawn
     path = tmp_path_factory.getbasetemp() / "text.csv"
     path.write_bytes(data)
-    whole = _loaded(path, _FULL_READ, categorical_override=categorical_override)
+    whole = _loaded(
+        path, _FULL_READ, categorical_override=categorical_override, text_columns=names
+    )
     if isinstance(whole, list):
         # the same kinds, values, codes and categories; a numerical column
         # outside `kept` keeps no text
@@ -522,6 +566,9 @@ def test_load_csv_keeps_numerical_text_only_for_text_columns(
             path, chunk_rows, categorical_override=categorical_override, text_columns=kept
         )
         assert lean == whole
+        # the export load keeps no numerical text in its columns
+        if not kept:
+            assert _loaded(path, chunk_rows, categorical_override=categorical_override) == lean
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 8192])

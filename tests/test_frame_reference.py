@@ -1,6 +1,9 @@
-"""load_csv's kind inference and to_csv's writer against per-cell references."""
+"""load_csv's kind inference, to_csv's writer and `shockstab split`'s
+export against per-cell references."""
 
+import contextlib
 import csv
+import io
 import math
 from unittest import mock
 
@@ -10,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shockstab import frame as frame_module
+from shockstab.cli import main
 from shockstab.frame import Column, ColumnKind, TabularFrame, load_csv
+from shockstab.splitting import SplitSpec, split_once
 
 
 # The per-cell kind inference that load_csv replaced with whole-column
@@ -93,9 +98,15 @@ def test_load_csv_matches_per_cell_reference(tmp_path_factory, cells, categorica
         writer.writerow(["row", "cell"])
         writer.writerows(enumerate(cells))
     kind, values, raw = _reference_column(cells, ("", "NA", "null"), categorical_override)
-    col = load_csv(path, categorical_override=categorical_override).column("cell")
+    col = load_csv(
+        path, categorical_override=categorical_override, text_columns=["row", "cell"]
+    ).column("cell")
     assert col.kind is kind
     assert col.raw == raw
+    # the export load gives the same text back from its lines
+    exported = load_csv(path, categorical_override=categorical_override)
+    assert exported.kind_of("cell") is kind
+    assert list(exported.text("cell")) == ["" if r is None else r for r in raw]
     assert col.values.dtype == values.dtype
     if kind is ColumnKind.NUMERICAL:
         assert col.values.tobytes() == values.tobytes()
@@ -175,3 +186,83 @@ def test_to_csv_quotes_a_lone_empty_cell(tmp_path, raw):
     two = TabularFrame([*frame.columns, _text_column("b", ["", "y"])])
     two.to_csv(tmp_path / "two.csv")
     assert (tmp_path / "two.csv").read_bytes() == b"a,b\r\n,\r\nx,y\r\n"
+
+
+# `shockstab split` against the per-cell column path: load_csv with every
+# header name in text_columns keeps each cell's text in its column, and
+# to_csv renders the rows from it.
+
+_export_cells = st.one_of(
+    st.sampled_from(["", "NA", "null", "0", "-0.0", "1e3", " 2.5 ", "x", "a,b", 'say "hi"',
+                     "two\nlines", "cr\r", "crlf\r\n"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é", "1", "."]), max_size=4),
+)
+
+
+@st.composite
+def _export_files(draw):
+    """(file text, split arguments): a CSV file of 2 to 7 rows, in OOT mode
+    with an ISO or a numerical date column, or in OOS mode, possibly with
+    one column only."""
+    rows = draw(st.integers(2, 7))
+    mode = draw(st.sampled_from(["oot", "oos"]))
+    width = draw(st.integers(0 if mode == "oot" else 1, 3))
+    names = [f"c{i}" for i in range(width)]
+    columns = [draw(st.lists(_export_cells, min_size=rows, max_size=rows)) for _ in names]
+    train_fraction = draw(st.sampled_from([0.2, 0.5, 0.8]))
+    args = ["--mode", mode, "--train-fraction", str(train_fraction)]
+    if mode == "oot":
+        # at least one row on each side of the shock date
+        days = draw(st.lists(st.integers(20, 24), min_size=rows, max_size=rows))
+        days[0], days[-1] = 20, 22
+        iso = draw(st.booleans())
+        dates = [f"2018-03-{d}" if iso else f"201803{d}" for d in days]
+        names, columns = ["date", *names], [dates, *columns]
+        args += ["--date-col", "date", "--shock-date", "2018-03-22"]
+    else:
+        args += ["--shock-fraction", "0.3"]
+    buffer = io.StringIO(newline="")
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    writer = csv.writer(buffer, quoting=quoting, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(names)
+    writer.writerows(zip(*columns))
+    return buffer.getvalue(), args
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drawn=_export_files(),
+    read_rows=st.sampled_from([1, 2, 3, 8192]),
+    write_rows=st.sampled_from([1, 2, 8192]),
+)
+def test_split_export_equals_the_per_cell_reference(tmp_path_factory, drawn, read_rows, write_rows):
+    text, args = drawn
+    base = tmp_path_factory.mktemp("export")
+    path = base / "in.csv"
+    path.write_bytes(text.encode("utf-8"))
+    runs = 2
+    with mock.patch.object(frame_module, "_CSV_READ_ROWS", read_rows), \
+            mock.patch.object(frame_module, "_CSV_CHUNK_ROWS", write_rows), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(["split", str(path), *args, "--runs", str(runs), "--seed", "5",
+                     "--out", str(base / "split")])
+    assert code == 0
+    parsed = dict(zip(args[::2], args[1::2]))
+    spec = SplitSpec(
+        mode=parsed["--mode"], date_column=parsed.get("--date-col"),
+        shock_date=parsed.get("--shock-date"),
+        shock_fraction=float(parsed["--shock-fraction"]) if "--shock-fraction" in parsed else None,
+        train_fraction=float(parsed["--train-fraction"]), mc_runs=runs, seed=5,
+    )
+    with open(path, encoding="utf-8", newline="") as fh:
+        header = [h.strip() for h in next(csv.reader(fh))]
+    frame = load_csv(path, text_columns=header)
+    assert frame.lines is None
+    for run in range(runs):
+        split = split_once(frame, spec, run)
+        for name, part in (("train", split.train), ("test", split.test),
+                           ("shock", split.shocked_test)):
+            part.to_csv(base / "expected.csv")
+            got = (base / "split" / f"{name}_{run:03d}.csv").read_bytes()
+            assert got == (base / "expected.csv").read_bytes()

@@ -385,6 +385,25 @@ def test_a_diverging_fit_raises_a_named_error_and_no_warning(learning_rate):
     assert f"learning_rate {learning_rate!r}" in str(err.value)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_a_column_whose_spread_overflows_is_refused_by_name(scale):
+    # np.std squares the deviations, which overflow past about 1e154
+    frame = make_shocked_fixture(rows=300)
+    rate = frame.column("rate").values
+    signs = np.where(np.arange(rate.size) % 2 == 0, -1.0, 1.0)
+    huge = TabularFrame(
+        [num_col("rate", signs * scale) if c.name == "rate" else c for c in frame.columns]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            train_baseline(huge, "is_bad", TrainConfig(epochs=5))
+    assert str(err.value) == (
+        "column 'rate' spreads beyond float's range: "
+        "its standard deviation cannot be computed"
+    )
+
+
 def test_a_large_learning_rate_that_converges_is_kept():
     model = train_baseline(
         make_shocked_fixture(rows=300), "is_bad", TrainConfig(learning_rate=1e3, epochs=20)

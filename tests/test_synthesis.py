@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from shockstab import synthesis
 from shockstab.errors import (
     ConfigError,
     DegenerateMarginalsError,
+    DomainError,
     InsufficientDataError,
     InsufficientSyntheticError,
     SchemaMismatchError,
@@ -168,6 +171,26 @@ def test_generate_exact_outlier_count_and_certification():
     ok, tails = _tail_certified(batch, gen)
     assert tails == 100
     assert ok == 100
+
+
+@pytest.mark.parametrize("tail_sigma", [1e160, 1e200, 1e300])
+def test_generate_refuses_tails_whose_column_spread_overflows(tail_sigma):
+    # finite tail values whose squares overflow: a model could not scale the
+    # column by its standard deviation
+    gen = fit(_train_frame())
+    spec = OutlierSpec("normal", 0.5, total_rows=200, seed=2, tail_sigma=tail_sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError) as err:
+            generate(gen, spec)
+    assert re.fullmatch(
+        re.escape(f"tail_sigma {tail_sigma!r}")
+        + " pushes column '[xy]' beyond the spread a model can scale",
+        str(err.value),
+    )
+    # the largest tail_sigma whose squares stay finite is kept
+    spec = OutlierSpec("normal", 0.5, total_rows=200, seed=2, tail_sigma=1e140)
+    assert np.isfinite(np.std(generate(gen, spec).frame.column("x").values))
 
 
 @pytest.mark.parametrize("pct", [1, 3, 5, 7, 10, 50, 100])
