@@ -8,16 +8,16 @@ an object array with None for missing cells. Missingness is always read
 from these arrays: the NaN mask or code -1.
 
 A categorical column's categories are its cell strings, so a column
-loaded from CSV holds each such cell's text once. A numerical column keeps
-a tuple of its cell strings only where `load_csv` names it in
-`text_columns`: the pipeline names an OOT date column (a date such as
-20180322 loads as a number, and is parsed from its text), and `schema`,
-`ds` and `synth` name none. `Column.raw` gives the text back per cell, or
-None for a column that keeps none.
+loaded from CSV holds each such cell's text once, and `Column.raw` gives
+it back per cell. A numerical column holds its floats and no text. A
+column that `load_csv` names in `text_columns` loads as categorical,
+whatever its cells hold: the pipeline names an OOT date column, since a
+date such as 20180322 would load as a number and is parsed from its text.
+`schema`, `ds` and `synth` name none.
 
-With `text_columns=None`, the export mode of `shockstab split`, no
-numerical column keeps its text; the frame keeps instead each row's CSV
-line exactly as `to_csv` writes it, one string per row. Takes gather the
+With `text_columns=None`, the export mode of `shockstab split`, the frame
+also keeps each row's CSV line exactly as `to_csv` writes it, one string
+per row, so its numerical cells keep their text there. Takes gather the
 lines, and `to_csv` writes them back, so every non-missing input cell is
 exported byte-equal. `TabularFrame.text` reads one column's cells back
 from the lines. A frame built from columns keeps no lines, and `to_csv`
@@ -78,40 +78,37 @@ def _parse_floats(cells) -> np.ndarray | None:
 
 
 class Column:
-    """One named column: typed values plus, for a loaded column, its CSV text.
+    """One named column: typed values, and for a loaded categorical column
+    a mark that its categories are its cells' CSV text.
 
-    A numerical column holds float64 values, NaN marking a missing cell. A
-    categorical column holds int32 `codes` into `categories`, its distinct
-    values sorted by str, with -1 marking a missing cell; `values` decodes
-    them into an object array with None for missing cells.
+    A numerical column holds float64 values, NaN marking a missing cell,
+    and no text. A categorical column holds int32 `codes` into
+    `categories`, its distinct values sorted by str, with -1 marking a
+    missing cell; `values` decodes them into an object array with None for
+    missing cells.
 
-    `Column(name, kind, values, raw=None)` builds a column from an array of
-    values, encoding a categorical one there, once. `raw` is the cells'
-    text, None marking a missing cell. A categorical cell's text is str() of
-    its category, so a `raw` given for a categorical column must equal that
-    text, and only marks it as kept. Columns are not modified once built.
+    `Column(name, kind, values)` builds a column from an array of values,
+    encoding a categorical one there, once. Columns are not modified once
+    built.
     """
 
-    __slots__ = ("name", "kind", "codes", "categories", "_floats", "_raw")
+    __slots__ = ("name", "kind", "codes", "categories", "_floats", "_keeps_text")
 
-    def __init__(self, name: str, kind: ColumnKind, values, raw: tuple | None = None):
+    def __init__(self, name: str, kind: ColumnKind, values):
         self.name = name
         self.kind = kind
+        self._keeps_text = False
         if kind is ColumnKind.NUMERICAL:
             values = np.asarray(values, dtype=np.float64)
             if not (np.isfinite(values) | np.isnan(values)).all():
                 raise ValueError(f"column {name!r} contains non-finite values")
             values.setflags(write=False)
-            if raw is not None and len(raw) != len(values):
-                raise ValueError(f"column {name!r}: raw/value length mismatch")
             self.codes = self.categories = None
-            self._floats, self._raw = values, raw
+            self._floats = values
             return
         codes, self.categories = _encode(np.asarray(values, dtype=object).tolist())
         codes.setflags(write=False)
-        self.codes, self._floats, self._raw = codes, None, raw is not None
-        if raw is not None and tuple(raw) != self.raw:
-            raise ValueError(f"column {name!r}: raw text differs from the values")
+        self.codes, self._floats = codes, None
 
     @classmethod
     def from_codes(
@@ -130,7 +127,7 @@ class Column:
         column = cls.__new__(cls)
         column.name, column.kind = name, ColumnKind.CATEGORICAL
         column.codes, column.categories = codes, tuple(categories)
-        column._floats, column._raw = None, keeps_text
+        column._floats, column._keeps_text = None, keeps_text
         return column
 
     def __len__(self):
@@ -154,10 +151,8 @@ class Column:
     @property
     def raw(self) -> tuple | None:
         """The cells' CSV text, None marking a missing cell; None when the
-        column keeps no text."""
-        if self.kind is ColumnKind.NUMERICAL:
-            return self._raw
-        if not self._raw:
+        column keeps no text, as a numerical column never does."""
+        if not self._keeps_text:
             return None
         return _gather((*map(str, self.categories), None), self.codes.tolist())
 
@@ -191,21 +186,14 @@ class Column:
         return labels[held], totals[held]
 
     def text(self) -> tuple | list:
-        """Every cell as text: the retained raw string, the repr() of a
-        number or the str() of a category, and "" for a missing cell, read
-        from the NaN mask or code -1.
-
-        A numerical column whose raw text has no missing cell returns that
-        tuple itself.
-        """
+        """Every cell as text: the repr() of a number or the str() of a
+        category, and "" for a missing cell, read from the NaN mask or
+        code -1."""
         if self.kind is ColumnKind.CATEGORICAL:
             table = (*map(str, self.categories), "")
             return _gather(table, self.codes.tolist())
-        missing = np.flatnonzero(np.isnan(self._floats)).tolist()
-        if self._raw is not None and not missing:
-            return self._raw
-        cells = list(self._raw or map(repr, self._floats.tolist()))
-        for i in missing:
+        cells = list(map(repr, self._floats.tolist()))
+        for i in np.flatnonzero(np.isnan(self._floats)).tolist():
             cells[i] = ""
         return cells
 
@@ -213,16 +201,15 @@ class Column:
         indices = np.asarray(indices, dtype=np.intp)
         if self.kind is ColumnKind.CATEGORICAL:
             return Column.from_codes(
-                self.name, self.codes[indices], self.categories, self._raw
+                self.name, self.codes[indices], self.categories, self._keeps_text
             )
-        raw = None if self._raw is None else _gather(self._raw, indices.tolist())
-        return Column(self.name, self.kind, self._floats[indices], raw)
+        return Column(self.name, self.kind, self._floats[indices])
 
     def without_text(self) -> "Column":
         """The same column, keeping no CSV text."""
-        if self.kind is ColumnKind.CATEGORICAL:
-            return Column.from_codes(self.name, self.codes, self.categories)
-        return Column(self.name, self.kind, self._floats)
+        if not self._keeps_text:
+            return self
+        return Column.from_codes(self.name, self.codes, self.categories)
 
 
 def _encode(cells: list) -> tuple[np.ndarray, tuple]:
@@ -300,16 +287,16 @@ class TabularFrame:
 
     def text(self, name: str) -> tuple | list:
         """Every cell of column `name` as the text `to_csv` writes: see
-        `Column.text`. A numerical column that keeps no text reads it back
-        from the frame's lines, where it has them."""
+        `Column.text`. A numerical column reads it back from the frame's
+        lines, where it has them."""
         column = self.column(name)
-        if column.kind is ColumnKind.CATEGORICAL or column.raw is not None or self._lines is None:
+        if column.kind is ColumnKind.CATEGORICAL or self._lines is None:
             return column.text()
         (cells,) = _line_cells(self._lines, [self.column_names.index(name)])
         return cells
 
     def take(self, indices) -> "TabularFrame":
-        """Row subset in the given order; retains raw text and lines where
+        """Row subset in the given order; retains CSV text and lines where
         present."""
         indices = np.asarray(indices, dtype=np.intp)
         lines = None if self._lines is None else _gather(self._lines, indices.tolist())
@@ -432,13 +419,10 @@ def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
         if a.kind is ColumnKind.CATEGORICAL:
             categories, a_codes, b_codes = union_codes(a, b)
             codes = np.concatenate([a_codes, b_codes])
-            keeps_text = a._raw and b._raw
+            keeps_text = a._keeps_text and b._keeps_text
             columns.append(Column.from_codes(a.name, codes, categories, keeps_text))
             continue
-        raw = None
-        if a.raw is not None and b.raw is not None:
-            raw = a.raw + b.raw
-        columns.append(Column(a.name, a.kind, np.concatenate([a.values, b.values]), raw))
+        columns.append(Column(a.name, a.kind, np.concatenate([a.values, b.values])))
     lines = None
     if first.lines is not None and second.lines is not None:
         lines = first.lines + second._lines_of(first.column_names)
@@ -462,16 +446,17 @@ def load_csv(
     categorical. `categorical_override`, when positive, additionally routes
     numeric columns with at most that many distinct values to categorical;
     one that is not an integer >= 0 is a ConfigError. Missing cells are any
-    cell equal to one of `missing_tokens`.
+    cell equal to one of `missing_tokens`, a list of strings.
 
-    `text_columns` names the numerical columns that keep their cell text,
-    one string per cell; any other numerical column keeps none (its `raw`
-    is None). A categorical column's categories are its text, so it keeps
-    it either way. None, the default, is the export mode: no numerical
-    column keeps its text, and the frame keeps each row's CSV line as
-    `to_csv` writes it (a missing cell empty, quoted as csv's
-    QUOTE_MINIMAL, no line end), rendered chunk by chunk as the file is
-    read, so that `to_csv` writes each non-missing cell back byte-equal.
+    `text_columns`, a list of strings, names the columns that load as
+    categorical whatever their cells hold, their distinct cell strings
+    their categories. A categorical column keeps its text as its
+    categories; a numerical column keeps none. None, the default, is the
+    export mode: the frame keeps each row's CSV line as `to_csv` writes it
+    (a missing cell empty, quoted as csv's QUOTE_MINIMAL, no line end),
+    rendered chunk by chunk as the file is read, so that `to_csv` writes
+    each non-missing cell back byte-equal. A UTF-8 byte-order mark at the
+    start of the file is skipped.
 
     Rows are read in chunks of `_CSV_READ_ROWS`, and each chunk's cells are
     classified column by column before the next is read. Errors keep the
@@ -482,10 +467,10 @@ def load_csv(
     rather than a cell that swallows the rest of the file.
     """
     check(categorical_override, "an integer", ">= 0", what="categorical_override")
-    missing_tokens = frozenset(missing_tokens)
-    text_columns = None if text_columns is None else frozenset(text_columns)
+    missing_tokens = frozenset(check(missing_tokens, "a list of strings", what="missing_tokens"))
+    text_columns = check(text_columns, "a list of strings", what="text_columns", null=True)
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
     try:
@@ -504,8 +489,7 @@ def load_csv(
                 lines = [] if text_columns is None else None
                 columns = [
                     _ColumnReader(
-                        name, missing_tokens,
-                        text_columns is not None and name in text_columns, lines, i,
+                        name, missing_tokens, name in (text_columns or ()), lines, i
                     )
                     for i, name in enumerate(header)
                 ]
@@ -578,28 +562,26 @@ class _ColumnReader:
 
     While every cell read is numeric or missing, the column keeps each
     chunk's floats, NaN marking a missing cell, and its cell text: with
-    `keeps_text`, one string per cell, None marking a missing cell; with
     `lines`, the rows' CSV lines that load_csv renders, none of its own,
-    since cell `position` of each line holds it; with neither, one string
-    per chunk, its present cells joined by NUL, which no numeric cell
-    holds (float() refuses it). From the first chunk with another cell it
-    keeps provisional int32 codes by first appearance instead, and one
-    string per distinct cell.
+    since cell `position` of each line holds it; without, one string per
+    chunk, its present cells joined by NUL, which no numeric cell holds
+    (float() refuses it). From the first chunk with another cell, or from
+    the start for a column built `categorical`, it keeps provisional int32
+    codes by first appearance instead, and one string per distinct cell.
     """
 
-    __slots__ = (
-        "name", "missing_tokens", "keeps_text", "lines", "position",
-        "floats", "text", "codes", "lookup",
-    )
+    __slots__ = ("name", "missing_tokens", "lines", "position", "floats", "text", "codes", "lookup")
 
     def __init__(
-        self, name: str, missing_tokens: frozenset, keeps_text: bool,
+        self, name: str, missing_tokens: frozenset, categorical: bool,
         lines: list | None, position: int,
     ):
-        self.name, self.missing_tokens, self.keeps_text = name, missing_tokens, keeps_text
+        self.name, self.missing_tokens = name, missing_tokens
         self.lines, self.position = lines, position
         self.floats, self.text = [], []
         self.codes = self.lookup = None
+        if categorical:
+            self._to_codes()
 
     def add(self, cells: tuple) -> np.ndarray:
         """Classify one chunk of cells; returns which of them are missing."""
@@ -614,9 +596,7 @@ class _ColumnReader:
                 values = np.full(len(cells), np.nan)
                 values[~missing] = numbers
                 self.floats.append(values)
-                if self.keeps_text:
-                    self.text += text.tolist()
-                elif self.lines is None:
+                if self.lines is None:
                     self.text.append("\0".join(text[~missing].tolist()))
                 return missing
             self._to_codes()
@@ -629,9 +609,6 @@ class _ColumnReader:
         # column() concatenates the codes, which a file with no rows has none of
         self.codes, self.lookup = [np.empty(0, dtype=np.int32)], {None: -1}
         self.floats = self.text = None
-        if self.keeps_text:
-            self._encode(text)
-            return
         if self.lines is not None:
             # the lines rendered so far are those of the rows read so far
             (cells,) = _line_cells(self.lines, [self.position])
@@ -665,8 +642,7 @@ class _ColumnReader:
             if numeric and categorical_override > 0:
                 numeric = np.unique(present).size > categorical_override
             if numeric:
-                raw = tuple(self.text) if self.keeps_text else None
-                return Column(self.name, ColumnKind.NUMERICAL, values, raw)
+                return Column(self.name, ColumnKind.NUMERICAL, values)
             self._to_codes()
         # the lookup lists None, then each cell by its provisional code; its
         # codes into the categories sorted by str remap every cell's code

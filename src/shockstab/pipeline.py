@@ -436,8 +436,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     # split is made
     extract_labels(frame, config.label)
     splits = model_splits(frame, config.split, config.label)
-    # the splits keep no CSV text, so the frame and the text it keeps (an
-    # OOT date column's, read from its text) are freed before any model trains
+    # the splits keep no CSV text, so the frame and the text its categorical
+    # columns keep, an OOT date column's among it, go before any model trains
     del frame
 
     # DS compares run 0's pre-shock rows with its shocked rows: in OOT mode

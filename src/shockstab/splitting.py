@@ -101,10 +101,10 @@ class ShockSplit:
 
 
 def _date_text(frame: TabularFrame, name: str) -> Column:
-    """The date column `name` as the text its dates parse from: a date such
-    as 20180322 loads as a number, which would read back as 20180322.0.
-    Without the column's own text, `TabularFrame.text` reads it back from
-    the frame's lines, as an exported frame keeps them."""
+    """The date column `name` as the text its dates parse from. A column
+    named in load_csv's `text_columns` is that text already; a numerical one
+    (20180322 would read back as 20180322.0) is read back from the frame's
+    lines by `TabularFrame.text`, as an exported frame keeps them."""
     dates = frame.column(name)
     if dates.kind is ColumnKind.NUMERICAL:
         return Column(name, ColumnKind.CATEGORICAL, np.array(frame.text(name), dtype=object))
@@ -197,8 +197,8 @@ def monte_carlo(frame: TabularFrame, spec: SplitSpec) -> list[ShockSplit]:
 
 
 def text_columns(spec: SplitSpec) -> tuple[str, ...]:
-    """The columns whose CSV text `model_splits` reads: an OOT date column,
-    which can load as a number such as 20180322 and is parsed from its text."""
+    """The columns load_csv loads as categorical for `model_splits`: an OOT
+    date column, parsed from its text (20180322 would load as a number)."""
     return (spec.date_column,) if spec.mode == OOT else ()
 
 

@@ -1513,7 +1513,7 @@ def test_an_anchor_value_that_is_not_a_number_in_range_exits_3(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "argv, kept",
+    "argv, named",
     [
         (("schema", "{csv}"), set()),
         (("ds", "{csv}", "{csv}"), set()),
@@ -1526,11 +1526,12 @@ def test_an_anchor_value_that_is_not_a_number_in_range_exits_3(tmp_path, capsys,
     ids=["schema", "ds", "synth", "pipeline-oot", "pipeline-oos", "split"],
 )
 def test_only_split_and_an_oot_date_keep_numerical_text(
-    tmp_path, capsys, monkeypatch, argv, kept
+    tmp_path, capsys, monkeypatch, argv, named
 ):
-    # the dates load as numbers such as 20180322, which an OOT split parses
-    # from their text; no other command reads a numerical column's text.
-    # split, which exports, keeps each row's CSV line instead
+    # the dates are numbers such as 20180322, which an OOT split parses from
+    # their text: the OOT pipeline loads its date column as categorical
+    # text, and no loaded frame keeps a numerical column's text. split,
+    # which exports, keeps each row's CSV line instead
     csv_path = tmp_path / "shocked.csv"
     with_compact_dates(make_shocked_fixture(rows=300)).to_csv(csv_path)
     configs = {}
@@ -1555,9 +1556,59 @@ def test_only_split_and_an_oot_date_keep_numerical_text(
     capsys.readouterr()
     assert frames
     for frame in frames:
-        assert frame.kind_of("date") is frame.kind_of("rate") is ColumnKind.NUMERICAL
-        assert {
-            c.name for c in frame.columns
-            if c.kind is ColumnKind.NUMERICAL and c.raw is not None
-        } == kept
+        assert frame.kind_of("rate") is ColumnKind.NUMERICAL
+        categorical = {c.name for c in frame.columns if c.kind is ColumnKind.CATEGORICAL}
+        assert categorical == {"sector", *named}
+        assert all(c.raw is None for c in frame.columns if c.name not in categorical)
         assert (frame.lines is not None) == (argv[0] == "split")
+
+
+def test_pipeline_whose_label_is_its_oot_date_column_exits_3_before_training(
+    tmp_path, capsys, monkeypatch
+):
+    # is_bad holds 0 and 1, a label but not a date: named as the OOT date
+    # column, it loads as categorical text, which extract_labels refuses
+    # before any split is made or model trains
+    calls = []
+    for name in ("model_splits", "fit", "train_baseline", "train_baselines"):
+        monkeypatch.setattr(pipeline, name, lambda *a, _name=name: calls.append(_name))
+    csv_path = tmp_path / "small.csv"
+    make_shocked_fixture(rows=300).to_csv(csv_path)
+    cfg = _write_json(tmp_path, {
+        "input": str(csv_path), "label": "is_bad", "levels": ["without"],
+        "split": {"mode": "oot", "date_column": "is_bad", "shock_date": "2018-03-22",
+                  "mc_runs": 1},
+    }, name="config.json")
+    code = main(["pipeline", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: label column 'is_bad' must be numerical 0/1\n"
+    assert captured.out == ""
+    assert calls == []
+
+
+def test_a_utf8_byte_order_mark_is_not_read_into_the_first_column_name(tmp_path, capsys):
+    # a CSV saved as "utf-8-sig" starts with a byte-order mark; the first
+    # column is still "date", and split writes no mark
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    make_shocked_fixture(rows=300).to_csv(plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_csv(marked).column_names == load_csv(plain).column_names
+    assert load_csv(marked).column_names[0] == "date"
+    for path in (plain, marked):
+        code = main(["split", str(path), "--mode", "oot", "--date-col", "date",
+                     "--shock-date", "2018-03-22", "--runs", "1",
+                     "--out", str(tmp_path / path.stem)])
+        assert code == 0
+    for name in ("train_000.csv", "test_000.csv", "shock_000.csv"):
+        exported = (tmp_path / "marked" / name).read_bytes()
+        assert exported.startswith(b"date,")
+        assert exported == (tmp_path / "plain" / name).read_bytes()
+    cfg = _write_json(tmp_path, {
+        "input": str(marked), "label": "is_bad", "levels": ["without"],
+        "split": {"mode": "oot", "date_column": "date", "shock_date": "2018-03-22",
+                  "mc_runs": 2},
+    }, name="config.json")
+    capsys.readouterr()
+    assert main(["pipeline", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""

