@@ -202,8 +202,7 @@ def _cmd_schema(args) -> int:
         categorical_override=args.categorical_override,
         text_columns=(),
     )
-    report = detect_schema(frame, categorical_override=args.categorical_override)
-    _emit(report.to_dict(), args.json)
+    _emit(detect_schema(frame).to_dict(), args.json)
     return EXIT_OK
 
 

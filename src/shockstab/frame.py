@@ -26,7 +26,9 @@ renders its rows from the columns.
 `load_csv` reads a file in chunks of `_CSV_READ_ROWS` (8,192) rows and
 classifies each chunk's cells before it reads the next, so a categorical
 column's cell strings are dropped with their chunk and only its distinct
-values stay. The pipeline drops the loaded frame once
+values stay. It decides each column's kind once: a column found
+categorical after it held a number keeps nothing, and is read again from
+the file's start as text. The pipeline drops the loaded frame once
 `splitting.model_splits` has split it, and the splits keep no text, so the
 frame is freed before any model trains. Files are read and written
 comma-separated.
@@ -37,9 +39,12 @@ from __future__ import annotations
 import csv
 import enum
 import gc
+import io
 import itertools
 import math
 import operator
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -459,20 +464,32 @@ def load_csv(
     start of the file is skipped.
 
     Rows are read in chunks of `_CSV_READ_ROWS`, and each chunk's cells are
-    classified column by column before the next is read. Errors keep the
-    precedence of a whole-file read: text that is not UTF-8 anywhere in the
-    file wins, then the first ragged row or line that csv cannot parse (a
-    field longer than csv's field limit, or a quote never closed), whichever
-    comes first. csv reads in strict mode, so a quote left open is an error
-    rather than a cell that swallows the rest of the file.
+    classified column by column before the next is read. A column found
+    categorical after it held a number, by a later cell or by the override,
+    keeps nothing, and the file is read again with it loaded as if named in
+    `text_columns`; a file that cannot seek, such as a pipe, is first copied
+    to an anonymous temporary file. Errors keep the precedence of a
+    whole-file read: text that is not UTF-8 anywhere in the file wins, then
+    the first ragged row or line that csv cannot parse (a field longer than
+    csv's field limit, or a quote never closed), whichever comes first. csv
+    reads in strict mode, so a quote left open is an error rather than a
+    cell that swallows the rest of the file.
     """
     check(categorical_override, "an integer", ">= 0", what="categorical_override")
     missing_tokens = frozenset(check(missing_tokens, "a list of strings", what="missing_tokens"))
     text_columns = check(text_columns, "a list of strings", what="text_columns", null=True)
+    categorical = set(text_columns or ())
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
+        raw = open(path, "rb")
+        if not raw.seekable():  # a pipe: spooled, so that it can be read again
+            with raw:
+                spool = tempfile.TemporaryFile()
+                shutil.copyfileobj(raw, spool)
+            spool.seek(0)
+            raw = spool
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise CsvFormatError(f"cannot read {path}: {exc}") from exc
+    fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
     try:
         with fh:
             reader = csv.reader(fh, strict=True)
@@ -486,14 +503,21 @@ def load_csv(
                 if len(set(header)) != len(header):
                     dup = next(h for h in header if header.count(h) > 1)
                     raise CsvFormatError(f"{path}: duplicate header column {dup!r}")
-                lines = [] if text_columns is None else None
-                columns = [
-                    _ColumnReader(
-                        name, missing_tokens, name in (text_columns or ()), lines, i
-                    )
-                    for i, name in enumerate(header)
-                ]
-                error = _read_rows(reader, columns, lines)
+                while True:
+                    lines = [] if text_columns is None else None
+                    readers = [_ColumnReader(n, missing_tokens, n in categorical) for n in header]
+                    error = _read_rows(reader, readers, lines)
+                    if error is not None:
+                        break
+                    columns = [r.column(categorical_override) for r in readers]
+                    late = {r.name for r, c in zip(readers, columns) if c is None}
+                    if not late:
+                        break
+                    categorical |= late
+                    del readers, columns, lines  # before the file is read again
+                    fh.seek(0)
+                    reader = csv.reader(fh, strict=True)
+                    next(reader)
             except csv.Error as exc:
                 error = CsvFormatError(f"{path}: line {reader.line_num}: {exc}")
             if error is not None:
@@ -506,7 +530,6 @@ def load_csv(
         ) from None
     if error is not None:
         raise error
-    columns = [c.column(categorical_override) for c in columns]
     return _with_lines(columns, None if lines is None else tuple(lines))
 
 
@@ -561,33 +584,31 @@ class _ColumnReader:
     """One CSV column as load_csv reads it, a chunk of cells at a time.
 
     While every cell read is numeric or missing, the column keeps each
-    chunk's floats, NaN marking a missing cell, and its cell text: with
-    `lines`, the rows' CSV lines that load_csv renders, none of its own,
-    since cell `position` of each line holds it; without, one string per
-    chunk, its present cells joined by NUL, which no numeric cell holds
-    (float() refuses it). From the first chunk with another cell, or from
-    the start for a column built `categorical`, it keeps provisional int32
-    codes by first appearance instead, and one string per distinct cell.
+    chunk's floats, NaN marking a missing cell, and no text. Built
+    `categorical`, or from a cell that is not numeric after only missing
+    ones, it keeps provisional int32 codes by first appearance instead, and
+    one string per distinct cell. Meeting such a cell after a number, it is
+    `late`: it keeps nothing more, and load_csv reads the file again with
+    it built `categorical`.
     """
 
-    __slots__ = ("name", "missing_tokens", "lines", "position", "floats", "text", "codes", "lookup")
+    __slots__ = ("name", "missing_tokens", "floats", "codes", "lookup", "late")
 
-    def __init__(
-        self, name: str, missing_tokens: frozenset, categorical: bool,
-        lines: list | None, position: int,
-    ):
+    def __init__(self, name: str, missing_tokens: frozenset, categorical: bool):
         self.name, self.missing_tokens = name, missing_tokens
-        self.lines, self.position = lines, position
-        self.floats, self.text = [], []
-        self.codes = self.lookup = None
-        if categorical:
-            self._to_codes()
+        self.floats, self.late = [], False
+        # column() concatenates the codes, which a file with no rows has none of
+        self.codes, self.lookup = (
+            ([np.empty(0, dtype=np.int32)], {None: -1}) if categorical else (None, None)
+        )
 
     def add(self, cells: tuple) -> np.ndarray:
         """Classify one chunk of cells; returns which of them are missing."""
         missing = np.fromiter(
             map(self.missing_tokens.__contains__, cells), dtype=bool, count=len(cells)
         )
+        if self.late:
+            return missing
         text = np.array(cells, dtype=object)
         text[missing] = None
         if self.codes is None:
@@ -596,34 +617,15 @@ class _ColumnReader:
                 values = np.full(len(cells), np.nan)
                 values[~missing] = numbers
                 self.floats.append(values)
-                if self.lines is None:
-                    self.text.append("\0".join(text[~missing].tolist()))
                 return missing
-            self._to_codes()
+            if not all(np.isnan(values).all() for values in self.floats):
+                self.late, self.floats = True, None
+                return missing
+            # every cell read so far is missing: code -1
+            self.codes = [np.full(sum(map(len, self.floats)), -1, dtype=np.int32)]
+            self.lookup, self.floats = {None: -1}, None
         self._encode(text.tolist())
         return missing
-
-    def _to_codes(self) -> None:
-        """Switch to provisional codes, encoding the text kept so far."""
-        floats, text = self.floats, self.text
-        # column() concatenates the codes, which a file with no rows has none of
-        self.codes, self.lookup = [np.empty(0, dtype=np.int32)], {None: -1}
-        self.floats = self.text = None
-        if self.lines is not None:
-            # the lines rendered so far are those of the rows read so far
-            (cells,) = _line_cells(self.lines, [self.position])
-            cells = np.array(cells, dtype=object)
-            if floats:
-                cells[np.isnan(np.concatenate(floats))] = None
-            self._encode(cells.tolist())
-            return
-        # a chunk's NUL-joined text goes back to its present cells
-        for values, joined in zip(floats, text):
-            cells = np.full(values.size, None, dtype=object)
-            present = ~np.isnan(values)
-            if present.any():
-                cells[present] = joined.split("\0")
-            self._encode(cells.tolist())
 
     def _encode(self, cells: list) -> None:
         lookup = self.lookup
@@ -633,17 +635,20 @@ class _ColumnReader:
             np.fromiter(map(lookup.__getitem__, cells), dtype=np.int32, count=len(cells))
         )
 
-    def column(self, categorical_override: int) -> Column:
-        """The loaded column, its kind decided on all of its cells."""
+    def column(self, categorical_override: int) -> Column | None:
+        """The loaded column, its kind decided on all of its cells; None for
+        a late one, as `categorical_override` can also make it."""
+        if self.late:
+            return None
         if self.codes is None:
             values = np.concatenate(self.floats) if self.floats else np.empty(0)
             present = values[~np.isnan(values)]
-            numeric = present.size > 0
-            if numeric and categorical_override > 0:
-                numeric = np.unique(present).size > categorical_override
-            if numeric:
+            if present.size:
+                if categorical_override and np.unique(present).size <= categorical_override:
+                    return None
                 return Column(self.name, ColumnKind.NUMERICAL, values)
-            self._to_codes()
+            # no cell is present
+            return Column.from_codes(self.name, np.full(values.size, -1), (), keeps_text=True)
         # the lookup lists None, then each cell by its provisional code; its
         # codes into the categories sorted by str remap every cell's code
         remap, categories = _encode(list(self.lookup))
@@ -714,8 +719,8 @@ class SchemaReport:
 
 
 def _finite_or_none(x) -> float | None:
-    x = float(x)
-    return x if math.isfinite(x) else None
+    """x as a float, or None where x is None or not finite."""
+    return None if x is None or not math.isfinite(x) else float(x)
 
 
 def _numerical_summary(name, values, missing_count) -> ColumnSummary:
@@ -724,31 +729,22 @@ def _numerical_summary(name, values, missing_count) -> ColumnSummary:
 
     values = np.sort(values)  # moments become exactly row-order invariant
     n = values.size
-    q25, med, q75 = np.percentile(values, [25.0, 50.0, 75.0])
-    std = np.std(values, ddof=1) if n > 1 else 0.0
-    if n >= 3 and std > 0:
-        skew = _finite_or_none(sps.skew(values, bias=False))
-    else:
-        skew = None
-    if n >= 4 and std > 0:
-        kurt = _finite_or_none(sps.kurtosis(values, fisher=True, bias=False))
-    else:
-        kurt = None
+    # finite values can have moments beyond float's range: those are None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q25, med, q75 = np.percentile(values, [25.0, 50.0, 75.0])
+        std = np.std(values, ddof=1) if n > 1 else 0.0
+        moments = (
+            np.mean(values), std,
+            sps.skew(values, bias=False) if n >= 3 and std > 0 else None,
+            sps.kurtosis(values, fisher=True, bias=False) if n >= 4 and std > 0 else None,
+            np.min(values), q25, med, q75, np.max(values), q75 - q25,
+        )
     return ColumnSummary(
         name=name,
         kind=ColumnKind.NUMERICAL,
         missing_count=missing_count,
         unique_count=int(np.unique(values).size),
-        mean=float(np.mean(values)),
-        std=float(std),
-        skewness=skew,
-        kurtosis=kurt,
-        min=float(np.min(values)),
-        q25=float(q25),
-        median=float(med),
-        q75=float(q75),
-        max=float(np.max(values)),
-        iqr=float(q75 - q25),
+        **dict(zip(_NUMERICAL_STATS, map(_finite_or_none, moments))),
     )
 
 
@@ -768,16 +764,14 @@ def _categorical_summary(name, labels, counts, missing_count) -> ColumnSummary:
     )
 
 
-def detect_schema(frame: TabularFrame, categorical_override: int = 0) -> SchemaReport:
+def detect_schema(frame: TabularFrame) -> SchemaReport:
     """Summarise every column: kind, missingness and distribution statistics.
 
     Numerical moments use the adjusted Fisher-Pearson estimators (excess
     kurtosis) and ignore missing cells; undefined moments (constant or
-    too-short samples) are reported as None. With `categorical_override` > 0,
-    numerical columns with at most that many distinct values are reported as
-    categorical.
+    too-short samples) and moments beyond float's range are None. Each
+    column keeps the kind `load_csv` gave it, under its override.
     """
-    check(categorical_override, "an integer", ">= 0", what="categorical_override")
     if frame.row_count == 0:
         raise EmptyInputError("cannot detect schema of an empty frame")
     report = SchemaReport(row_count=frame.row_count)
@@ -786,16 +780,7 @@ def detect_schema(frame: TabularFrame, categorical_override: int = 0) -> SchemaR
         if missing == len(col):
             raise UndeterminableColumnError(col.name)
         if col.kind is ColumnKind.NUMERICAL:
-            present = col.non_missing()
-            as_categories = (
-                categorical_override > 0
-                and np.unique(present).size <= categorical_override
-            )
-            if not as_categories:
-                report.columns.append(_numerical_summary(col.name, present, missing))
-                continue
-            # under the override, numbers are reported as categories, by repr
-            col = Column(col.name, ColumnKind.CATEGORICAL, list(map(repr, present.tolist())))
-        labels, counts = col.label_counts()
-        report.columns.append(_categorical_summary(col.name, labels, counts, missing))
+            report.columns.append(_numerical_summary(col.name, col.non_missing(), missing))
+        else:
+            report.columns.append(_categorical_summary(col.name, *col.label_counts(), missing))
     return report

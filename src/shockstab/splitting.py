@@ -205,18 +205,17 @@ def text_columns(spec: SplitSpec) -> tuple[str, ...]:
 def model_splits(frame: TabularFrame, spec: SplitSpec, label: str) -> list[ShockSplit]:
     """The Monte Carlo splits a model trains and is evaluated on.
 
-    No column keeps its CSV text. An OOT date column is parsed from its text
-    and is neither a feature nor a DS column, so it is dropped from every
-    split unless it is the label.
+    No split keeps CSV text or lines. An OOT date column, which
+    `oot_partition` parses from its text, is neither a feature nor a DS
+    column, so it is dropped from every split unless it is the label.
     """
-    dates = set(text_columns(spec))
-    frame = TabularFrame(
-        [(_date_text(frame, c.name) if c.name in dates else c).without_text()
-         for c in frame.columns]
-    )
-    drop = dates - {label}
+    drop = set(text_columns(spec)) - {label}
+
+    def bare(part: TabularFrame) -> TabularFrame:
+        return TabularFrame([c.without_text() for c in part.columns if c.name not in drop])
+
     return [
-        ShockSplit(*(f.drop_columns(drop) for f in (s.train, s.test, s.shocked_test)), s.run_index)
+        ShockSplit(bare(s.train), bare(s.test), bare(s.shocked_test), s.run_index)
         for s in monte_carlo(frame, spec)
     ]
 

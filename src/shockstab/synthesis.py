@@ -116,7 +116,9 @@ def fit(train: TabularFrame) -> FittedGenerator:
     The covariance is estimated on complete numerical rows, falling back to
     pairwise-complete estimates when fewer than two complete rows exist, and
     is then shifted along the diagonal to be positive semidefinite: by
-    1e-8 * trace / dim plus the magnitude of any negative eigenvalue.
+    1e-8 * trace / dim plus the magnitude of any negative eigenvalue. A
+    numerical column whose mean, standard deviation or covariance lies
+    beyond float's range is refused by name with a DomainError.
     """
     if train.row_count < 2:
         raise InsufficientDataError(
@@ -128,33 +130,40 @@ def fit(train: TabularFrame) -> FittedGenerator:
 
     means, stds = [], []
     degenerate = []
-    for col in num_cols:
-        present = col.non_missing()
-        if present.size < 2:
-            raise InsufficientDataError(
-                f"column {col.name!r} has {present.size} non-missing values; need >= 2"
-            )
-        means.append(float(np.mean(present)))
-        stds.append(float(np.std(present, ddof=1)))
-        if stds[-1] == 0.0:
-            degenerate.append(col.name)
-    means = np.asarray(means)
-    stds = np.asarray(stds)
-
     d = len(num_cols)
+    cov = np.zeros((0, 0))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for col in num_cols:
+            present = col.non_missing()
+            if present.size < 2:
+                raise InsufficientDataError(
+                    f"column {col.name!r} has {present.size} non-missing values; need >= 2"
+                )
+            means.append(float(np.mean(present)))
+            stds.append(float(np.std(present, ddof=1)))
+            if stds[-1] == 0.0:
+                degenerate.append(col.name)
+        means = np.asarray(means)
+        stds = np.asarray(stds)
+        if d > 0:
+            matrix = np.column_stack([c.values for c in num_cols])
+            complete = ~np.isnan(matrix).any(axis=1)
+            if complete.sum() >= 2:
+                cov = np.atleast_2d(np.cov(matrix[complete], rowvar=False))
+            else:
+                cov = _pairwise_covariance(matrix)
+            cov = 0.5 * (cov + cov.T)
+    # a covariance entry is bounded by the variances of its two columns
+    finite = np.isfinite(means) & np.isfinite(stds) & np.isfinite(np.diagonal(cov))
+    if not finite.all():
+        raise DomainError(
+            f"column {num_cols[int(np.argmin(finite))].name!r} spreads beyond "
+            "float's range: its standard deviation cannot be computed"
+        )
     if d > 0:
-        matrix = np.column_stack([c.values for c in num_cols])
-        complete = ~np.isnan(matrix).any(axis=1)
-        if complete.sum() >= 2:
-            cov = np.atleast_2d(np.cov(matrix[complete], rowvar=False))
-        else:
-            cov = _pairwise_covariance(matrix)
-        cov = 0.5 * (cov + cov.T)
-        min_eig = float(np.linalg.eigvalsh(cov).min()) if d > 0 else 0.0
+        min_eig = float(np.linalg.eigvalsh(cov).min())
         shift = 1e-8 * float(np.trace(cov)) / d + max(0.0, -min_eig)
         cov = cov + shift * np.eye(d)
-    else:
-        cov = np.zeros((0, 0))
 
     frequencies = {}
     for col in cat_cols:

@@ -21,7 +21,7 @@ import shockstab
 from shockstab import cli, pipeline
 from shockstab.cli import main
 from shockstab.fixtures import make_shocked_fixture
-from shockstab.frame import ColumnKind, load_csv
+from shockstab.frame import Column, ColumnKind, TabularFrame, load_csv
 from shockstab.model import TrainConfig, evaluate_pair, train_baseline
 from shockstab.splitting import SplitSpec, model_splits
 from shockstab.stability import normalize_level, stabilization_uplift
@@ -1163,6 +1163,63 @@ def test_csv_with_a_quote_never_closed_is_data_error(tmp_path, capsys, argv):
     assert code == 3
     assert err == f"error: {csv_path}: line 3: unexpected end of data\n"
     assert out == ""
+
+
+_BEYOND = "column 'price' spreads beyond float's range: its standard deviation cannot be computed"
+
+
+@_CSV_COMMANDS
+@pytest.mark.parametrize("big", [1e308, 1e155])
+def test_finite_cells_whose_moments_overflow_keep_the_exit_contract(
+    tmp_path, capsys, monkeypatch, argv, big
+):
+    # every cell is finite, but price's variance (and at 1e308 its mean)
+    # lies beyond float's range
+    frame = make_shocked_fixture(rows=400)
+    price = frame.column("price").values.copy()
+    price[::7] = big
+    csv_path = tmp_path / "overflow.csv"
+    TabularFrame(
+        [Column("price", ColumnKind.NUMERICAL, price) if c.name == "price" else c
+         for c in frame.columns]
+    ).to_csv(csv_path)
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run_on_csv(tmp_path, capsys, argv, csv_path)
+    command = argv[0]
+    if command == "synth":
+        assert (code, out, err) == (3, "", f"error: {_BEYOND}\n")
+        return
+    assert "Traceback" not in err
+    if command == "pipeline":
+        assert code == 4
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert {f["error"] for f in report["a_model"]["failures"]} == {_BEYOND}
+        return
+    assert (code, err) == (0, "")
+    if command == "schema":
+        (summary,) = [c for c in json.loads(out)["columns"] if c["name"] == "price"]
+        assert summary["std"] is None and summary["max"] == big
+        assert (summary["mean"] is None) == (big == 1e308)
+
+
+def test_schema_of_a_pipe_equals_the_schema_of_its_file(tmp_path):
+    # a pipe cannot seek: load_csv spools it to read it again for g, whose
+    # two numbers put it under the override, its categories its cell text
+    path = tmp_path / "g.csv"
+    path.write_text("g,x\n0,1.5\n1,2.5\n1.0,3.5\n0,NA\n", encoding="utf-8")
+    argv = [sys.executable, "-m", "shockstab", "schema", "--categorical-override", "2"]
+    env = {**os.environ, "PYTHONPATH": str(Path(shockstab.__file__).parents[1])}
+    piped = subprocess.run(
+        [*argv, "/dev/stdin"], input=path.read_bytes(), capture_output=True, timeout=120,
+        env=env,
+    )
+    direct = subprocess.run([*argv, str(path)], capture_output=True, timeout=120, env=env)
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == direct.stdout
+    g = json.loads(piped.stdout)["columns"][0]
+    assert (g["kind"], g["unique_count"]) == ("categorical", 3)
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from shockstab import cli
 from shockstab.calibration import AnchorPoint, calibrate, sensitivity_sweep
 from shockstab.drift import distribution_shift
 from shockstab.errors import ConfigError, DataError, DomainError
-from shockstab.frame import detect_schema, load_csv
+from shockstab.frame import load_csv
 from shockstab.model import TrainConfig
 from shockstab.pipeline import PipelineConfig, emit_digest
 from shockstab.splitting import SplitSpec, aggregate
@@ -258,8 +258,6 @@ SITES = {
     "load_csv-override": Site(lambda v, path: [
         c.kind for c in load_csv(path, categorical_override=v).columns
     ], ConfigError, 0, 10, integer=True),
-    "schema-override": Site(lambda v, _: detect_schema(_FRAME, v).to_dict(), ConfigError,
-                            0, 10, integer=True),
     "su_display": Site(lambda v, _: emit_digest({"ds": 0.1, "rows": [
         {"outliers_pct": "5", "cells": {"m": {"su_display": v}}}
     ]}), DataError, -10, 10, ints=(-10, 10)),

@@ -139,12 +139,3 @@ def test_tv_distance_of_columns_matches_the_per_cell_reference(p, q):
     p_col = wide.take(range(len(p)))
     q_col = wide.take(range(len(p), len(p) + len(q)))
     assert tv_distance(p_col, q_col, column="s") == expected
-
-
-def test_schema_override_labels_each_number_by_its_repr():
-    frame = TabularFrame([num_col("g", [0.0, -0.0, 1.0, 1.0, np.nan])])
-    summary = detect_schema(frame, categorical_override=2).column("g")
-    assert summary.kind is ColumnKind.CATEGORICAL
-    assert summary.missing_count == 1
-    assert summary.unique_count == 3  # "-0.0", "0.0" and "1.0"
-    assert (summary.top, summary.top_frequency) == ("1.0", 2)

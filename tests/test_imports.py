@@ -305,6 +305,44 @@ def test_only_config_decides_what_a_number_is():
     assert found == {}
 
 
+def _override_calls(source: str) -> list[str]:
+    """Calls in `source` that pass `categorical_override=` to anything but
+    `load_csv`."""
+    return [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and any(k.arg == "categorical_override" for k in node.keywords)
+        and ast.unparse(node.func).rsplit(".", 1)[-1] != "load_csv"
+    ]
+
+
+def test_only_load_csv_decides_a_column_by_the_override():
+    # load_csv decides each column's kind once, the override included; a
+    # summary or a model that applied it again would restate that rule
+    root = Path(shockstab.__file__).parent
+    found = {
+        p.name: calls
+        for p in sorted(root.glob("*.py"))
+        if (calls := _override_calls(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_override_call_check_finds_each_form():
+    source = (
+        "load_csv(p, categorical_override=2)\n"
+        "frame.load_csv(p, categorical_override=n)\n"
+        "detect_schema(f, categorical_override=2)\n"
+        "frame.detect_schema(f, categorical_override=n, x=1)\n"
+        "detect_schema(f)\n"
+    )
+    assert _override_calls(source) == [
+        "detect_schema(f, categorical_override=2)",
+        "frame.detect_schema(f, categorical_override=n, x=1)",
+    ]
+
+
 def test_bool_test_check_finds_each_form():
     source = (
         "def f(v, ds):\n"
