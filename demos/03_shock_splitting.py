@@ -2,7 +2,8 @@
 
 The bundled fixture has a real temporal boundary; this walks through the
 OOT split geometry, the per-run reshuffling of the pre-shock 80/20 cut, and
-the median/range aggregation over runs.
+the median/range aggregation over runs. A split holds row indices into the
+frame it was split from; `frame.take(rows)` gives a part's rows.
 """
 
 from shockstab import SplitSpec, aggregate, make_shocked_fixture, monte_carlo, split_once
@@ -21,36 +22,32 @@ spec = SplitSpec(
 )
 split = split_once(frame, spec, run_index=0)
 print(
-    f"OOT split: train={split.train.row_count} test={split.test.row_count} "
-    f"shocked_test={split.shocked_test.row_count}"
+    f"OOT split: train={split.train.size} test={split.test.size} "
+    f"shocked_test={split.shocked_test.size}"
 )
 print("rows dated on/after 2018-03-22 form the shocked segment\n")
 
 # --- Monte Carlo ------------------------------------------------------------
 splits = monte_carlo(frame, spec)
 print(f"{len(splits)} Monte Carlo runs")
-first_shock = [v for v in splits[0].shocked_test.column("rate").values[:5]]
-last_shock = [v for v in splits[-1].shocked_test.column("rate").values[:5]]
-print("shocked segment identical across runs:", first_shock == last_shock)
-first_train = list(splits[0].train.column("rate").values[:5])
-second_train = list(splits[1].train.column("rate").values[:5])
-print("train shuffles differ between runs:  ", first_train != second_train)
+
+def rates(rows):
+    return list(frame.take(rows).column("rate").values)
+
+
+print("shocked segment identical across runs:",
+      rates(splits[0].shocked_test) == rates(splits[-1].shocked_test))
+print("train shuffles differ between runs:  ",
+      rates(splits[0].train[:5]) != rates(splits[1].train[:5]))
 
 # same seed + run index -> byte-identical assignment
 again = split_once(frame, spec, run_index=1)
-print(
-    "deterministic re-split:",
-    list(again.train.column("rate").values)
-    == list(splits[1].train.column("rate").values),
-)
+print("deterministic re-split:", rates(again.train) == rates(splits[1].train))
 
 # --- OOS pseudo-shock -------------------------------------------------------
 oos = SplitSpec(mode="oos", shock_fraction=0.2, mc_runs=5, seed=9)
 oos_splits = monte_carlo(frame, oos)
-sizes = {
-    (s.train.row_count, s.test.row_count, s.shocked_test.row_count)
-    for s in oos_splits
-}
+sizes = {(s.train.size, s.test.size, s.shocked_test.size) for s in oos_splits}
 print(f"\nOOS: sizes constant across runs {sizes}, membership resampled per run")
 
 # --- aggregation ------------------------------------------------------------

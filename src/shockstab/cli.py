@@ -238,16 +238,13 @@ def _cmd_su_grid(args) -> int:
     return EXIT_OK
 
 
-def _write_split(split, out: Path) -> list[str]:
-    """Write one run's train, test and shock CSVs; returns their paths."""
+def _write_split(frame, split, out: Path) -> list[str]:
+    """Write one run's train, test and shock CSVs; returns their paths. Each
+    part's rows are taken from `frame` just before it is written."""
     written = []
-    for name, part in (
-        ("train", split.train),
-        ("test", split.test),
-        ("shock", split.shocked_test),
-    ):
+    for name, rows in ("train", split.train), ("test", split.test), ("shock", split.shocked_test):
         path = out / f"{name}_{split.run_index:03d}.csv"
-        part.to_csv(path)
+        frame.take(rows).to_csv(path)
         written.append(str(path))
     return written
 
@@ -264,14 +261,14 @@ def _cmd_split(args) -> int:
         seed=args.seed,
     )
     frame = load_csv(args.file)  # each row's CSV line, which the exports write back
-    first = split_once(frame, spec, 0)  # a bad date column stops before any file
+    first = split_once(frame, spec, 0)  # a bad date or cut stops before any file
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     # one run is held at a time: each is written before the next is split
-    written = _write_split(first, out)
+    written = _write_split(frame, first, out)
     del first
     for run in range(1, spec.mc_runs):
-        written += _write_split(split_once(frame, spec, run), out)
+        written += _write_split(frame, split_once(frame, spec, run), out)
     _emit(
         {
             "runs": spec.mc_runs,

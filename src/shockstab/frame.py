@@ -28,10 +28,10 @@ classifies each chunk's cells before it reads the next, so a categorical
 column's cell strings are dropped with their chunk and only its distinct
 values stay. It decides each column's kind once: a column found
 categorical after it held a number keeps nothing, and is read again from
-the file's start as text. The pipeline drops the loaded frame once
-`splitting.model_splits` has split it, and the splits keep no text, so the
-frame is freed before any model trains. Files are read and written
-comma-separated.
+the file's start as text. `splitting.model_splits` builds the pipeline's
+one model frame from the loaded frame, keeping no text, and its splits are
+row indices into it, so the loaded frame is freed before any model trains.
+Files are read and written comma-separated.
 """
 
 from __future__ import annotations

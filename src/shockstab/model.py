@@ -22,7 +22,6 @@ from .errors import (
     SchemaMismatchError,
 )
 from .frame import ColumnKind, TabularFrame
-from .splitting import ShockSplit
 
 MISSING_CATEGORY = "__missing__"
 
@@ -319,15 +318,17 @@ def _descend(xs, y: np.ndarray, config: TrainConfig) -> list:
     return [(0.0 - v_i, 0.0 - c_i) for v_i, c_i in zip(v, c)]
 
 
-def evaluate_pair(model: BaselineModel, split: ShockSplit, label: str) -> AucPair:
-    """AUC on the pre-shock test set and on the shocked test set."""
+def evaluate_pair(
+    model: BaselineModel, test: TabularFrame, shocked: TabularFrame, label: str, run_index: int
+) -> AucPair:
+    """Run `run_index`'s AUC on the pre-shock test set and on the shocked test set."""
     pairs = []
-    for frame in (split.test, split.shocked_test):
+    for frame in (test, shocked):
         if frame.row_count == 0:
             raise EmptyInputError("evaluation frame is empty")
         y = extract_labels(frame, label)
         if not (0 < y.sum() < y.size):
             raise DegenerateLabelsError("evaluation labels contain a single class")
         pairs.append(auc(model.predict_scores(frame), y))
-    return AucPair(auc_base=pairs[0], auc_shock=pairs[1], run_index=split.run_index)
+    return AucPair(auc_base=pairs[0], auc_shock=pairs[1], run_index=run_index)
 

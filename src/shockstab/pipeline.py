@@ -29,7 +29,7 @@ from . import __version__
 from .config import Config, check, setting
 from .drift import DEFAULT_TAU, DriftReport, distribution_shift
 from .errors import ConfigError, DataError, ShockStabError
-from .frame import DEFAULT_MISSING_TOKENS, Column, TabularFrame, concat_frames, load_csv
+from .frame import DEFAULT_MISSING_TOKENS, Column, TabularFrame, load_csv
 from .model import TrainConfig, evaluate_pair, extract_labels, train_baseline, train_baselines
 from .splitting import (
     Aggregate,
@@ -253,18 +253,19 @@ def _snap_labels(batch: SyntheticBatch, label: str, rng) -> SyntheticBatch:
     return replace(batch, frame=TabularFrame(columns))
 
 
-def _run_a(split: ShockSplit, config: PipelineConfig):
-    """A task: one run's A-model, trained and evaluated on the real rows.
-    Returns its AucPair, or a failure record {"run", "error"}."""
+def _run_a(frame: TabularFrame, split: ShockSplit, config: PipelineConfig):
+    """A task: one run's A-model, trained and evaluated on `split`'s rows of
+    `frame`. Returns its AucPair, or a failure record {"run", "error"}."""
+    train, test, shocked = map(frame.take, (split.train, split.test, split.shocked_test))
     try:
-        a_model = train_baseline(split.train, config.label, config.train)
-        return evaluate_pair(a_model, split, config.label)
+        a_model = train_baseline(train, config.label, config.train)
+        return evaluate_pair(a_model, test, shocked, config.label, split.run_index)
     except ShockStabError as exc:
         return {"run": split.run_index, "error": str(exc)}
 
 
-def _run_b(split: ShockSplit, config: PipelineConfig) -> list:
-    """B task: one run's B-model at every outlier level.
+def _run_b(frame: TabularFrame, split: ShockSplit, config: PipelineConfig) -> list:
+    """B task: one run's B-model at every outlier level, on `split`'s rows.
 
     The generator is fitted once per run; each level then generates and
     mixes `synthetic_rows` rows with the real rows, every mixed level trains
@@ -277,12 +278,12 @@ def _run_b(split: ShockSplit, config: PipelineConfig) -> list:
     and the report then drops the run's B outcomes.
     """
     run = split.run_index
-    train_frame = split.train
-    n_synth = synthetic_rows(train_frame.row_count, config.real_fraction)
+    train, test, shocked = map(frame.take, (split.train, split.test, split.shocked_test))
+    n_synth = synthetic_rows(train.row_count, config.real_fraction)
     try:
         source = upsample(
-            train_frame, config.upsample_target, seed=level_seed(config.seed, run, "upsample")
-        ) if config.upsample_target else train_frame
+            train, config.upsample_target, seed=level_seed(config.seed, run, "upsample")
+        ) if config.upsample_target else train
         generator = fit(source)
     except ShockStabError as exc:
         return [{"run": run, "error": f"fit failed: {exc}"}] * len(config.levels)
@@ -306,11 +307,11 @@ def _run_b(split: ShockSplit, config: PipelineConfig) -> list:
                 )
                 batch = postprocess(generate(generator, spec), spec)
                 batch = _snap_labels(batch, config.label, child_rng(seed, 1))
-                frame = mix(train_frame, batch, config.real_fraction, seed=seed)
+                mixed = mix(train, batch, config.real_fraction, seed=seed)
             except ShockStabError as exc:
                 outcomes[i] = {"run": run, "error": str(exc)}
                 continue
-            yield frame
+            yield mixed
 
     try:
         models = train_baselines(mixed_frames(), config.label, config.train)
@@ -319,27 +320,27 @@ def _run_b(split: ShockSplit, config: PipelineConfig) -> list:
     # train_baselines read every frame: the levels still without an outcome trained
     for i, model in zip([i for i, o in enumerate(outcomes) if o is None], models):
         try:
-            outcomes[i] = evaluate_pair(model, split, config.label)
+            outcomes[i] = evaluate_pair(model, test, shocked, config.label, run)
         except ShockStabError as exc:
             outcomes[i] = {"run": run, "error": str(exc)}
     return outcomes
 
 
-# (splits, config) in a forked worker. It is set by the worker's
-# initializer, whose arguments a fork hands over without pickling, so frames
-# never travel through pickle and the parent's module state is untouched.
+# (frame, splits, config) in a forked worker. It is set by the worker's
+# initializer, whose arguments a fork hands over without pickling, so the
+# frame never travels through pickle and the parent's state is untouched.
 _WORKER_RUNS = None
 
 
-def _init_worker(splits: list, config: PipelineConfig) -> None:
+def _init_worker(frame: TabularFrame, splits: list, config: PipelineConfig) -> None:
     global _WORKER_RUNS
-    _WORKER_RUNS = (splits, config)
+    _WORKER_RUNS = (frame, splits, config)
 
 
 def _run_in_worker(task: tuple):
     fn, index = task
-    splits, config = _WORKER_RUNS
-    return fn(splits[index], config)
+    frame, splits, config = _WORKER_RUNS
+    return fn(frame, splits[index], config)
 
 
 # Variables a BLAS library reads its thread count from at start-up.
@@ -364,7 +365,7 @@ def _worker_count(tasks: int) -> int:
     return max(1, min(cpus // blas_threads, tasks))
 
 
-def _map_runs(splits: list, config: PipelineConfig) -> tuple:
+def _map_runs(frame: TabularFrame, splits: list, config: PipelineConfig) -> tuple:
     """Every run's `_run_a` outcome and `_run_b` list, as two lists in run order.
 
     B tasks are queued first: each trains a model for every level, several
@@ -380,7 +381,7 @@ def _map_runs(splits: list, config: PipelineConfig) -> tuple:
     tasks = [(_run_b, r) for r in b_runs] + [(_run_a, r) for r in runs]
     workers = _worker_count(len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
-        results = [fn(splits[index], config) for fn, index in tasks]
+        results = [fn(frame, splits[index], config) for fn, index in tasks]
     else:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -399,7 +400,7 @@ def _map_runs(splits: list, config: PipelineConfig) -> tuple:
             workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=(splits, config),
+            initargs=(frame, splits, config),
         ) as pool:
             results = list(pool.map(_run_in_worker, tasks))
     if not b_runs:
@@ -435,17 +436,17 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     # a label that is missing or not numerical 0/1 stops the run before any
     # split is made
     extract_labels(frame, config.label)
-    splits = model_splits(frame, config.split, config.label)
-    # the splits keep no CSV text, so the frame and the text its categorical
-    # columns keep, an OOT date column's among it, go before any model trains
-    del frame
+    # the splits are row indices into one model frame that keeps no CSV
+    # text, so the loaded frame, an OOT date column among its columns, goes
+    # before any model trains; each task takes its own run's rows
+    frame, splits = model_splits(frame, config.split, config.label)
 
     # DS compares run 0's pre-shock rows with its shocked rows: in OOT mode
     # the partition's two segments, in OOS mode the run-0 pseudo-shock split
     first = splits[0]
     drift = distribution_shift(
-        concat_frames(first.train, first.test),
-        first.shocked_test,
+        frame.take(np.concatenate((first.train, first.test))),
+        frame.take(first.shocked_test),
         config.tau,
         {config.label, *config.exclude_from_ds},
     )
@@ -461,7 +462,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         # made and probed here, so an output directory or report file that
         # cannot be written stops the run before the first model trains
         _output_dir(config.output_dir)
-    a_outcomes, b_outcomes = _map_runs(splits, config)
+    a_outcomes, b_outcomes = _map_runs(frame, splits, config)
     for a, b in zip(a_outcomes, b_outcomes):
         if isinstance(a, dict):  # recorded at every level in place of the B outcomes
             b[:] = [{"run": a["run"], "error": f"a-model failed: {a['error']}"}] * len(b)

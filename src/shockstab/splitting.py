@@ -94,9 +94,12 @@ class SplitSpec(Config):
 
 @dataclass(frozen=True)
 class ShockSplit:
-    train: TabularFrame
-    test: TabularFrame
-    shocked_test: TabularFrame
+    """One Monte Carlo run's parts: disjoint read-only np.intp arrays of row
+    indices that cover the frame split; `frame.take(split.train)` is a part."""
+
+    train: np.ndarray
+    test: np.ndarray
+    shocked_test: np.ndarray
     run_index: int
 
 
@@ -151,13 +154,14 @@ def oot_partition(frame: TabularFrame, spec: SplitSpec):
 
 
 def split_once(frame: TabularFrame, spec: SplitSpec, run_index: int = 0) -> ShockSplit:
-    """One deterministic split.
+    """One deterministic split, as row indices into `frame`; no row is taken.
 
     OOT: rows dated >= shock_date form shocked_test (identical for every
     run); the remainder is shuffled by a (seed, run_index)-keyed generator
     and cut at train_fraction (train gets the floor). OOS: ceil(fraction * n)
     rows are held out as the pseudo-shock set, resampled per run, and the
-    rest is cut the same way.
+    rest is cut the same way. A cut that leaves train empty raises
+    DegenerateSplitError; test never is, as floor(f * n) < n for f < 1.
     """
     if frame.row_count == 0:
         raise EmptyInputError("cannot split an empty frame")
@@ -180,12 +184,13 @@ def split_once(frame: TabularFrame, spec: SplitSpec, run_index: int = 0) -> Shoc
         shocked = np.sort(perm[:n_shock])
         pre = perm[n_shock:]
     n_train = math.floor(spec.train_fraction * pre.size)
-    return ShockSplit(
-        train=frame.take(pre[:n_train]),
-        test=frame.take(pre[n_train:]),
-        shocked_test=frame.take(shocked),
-        run_index=run_index,
-    )
+    if not n_train:
+        raise DegenerateSplitError(f"train_fraction {spec.train_fraction} leaves no "
+                                   f"training rows of the {pre.size} pre-shock rows")
+    parts = (pre[:n_train], pre[n_train:], shocked)
+    for part in parts:
+        part.setflags(write=False)
+    return ShockSplit(*parts, run_index=run_index)
 
 
 def monte_carlo(frame: TabularFrame, spec: SplitSpec) -> list[ShockSplit]:
@@ -202,22 +207,17 @@ def text_columns(spec: SplitSpec) -> tuple[str, ...]:
     return (spec.date_column,) if spec.mode == OOT else ()
 
 
-def model_splits(frame: TabularFrame, spec: SplitSpec, label: str) -> list[ShockSplit]:
-    """The Monte Carlo splits a model trains and is evaluated on.
+def model_splits(frame: TabularFrame, spec: SplitSpec, label: str) -> tuple:
+    """The frame a model trains and is evaluated on, and its Monte Carlo splits.
 
-    No split keeps CSV text or lines. An OOT date column, which
-    `oot_partition` parses from its text, is neither a feature nor a DS
-    column, so it is dropped from every split unless it is the label.
+    The model frame holds `frame`'s rows in their order, so each split's
+    row indices point into both. It keeps no CSV text or lines. An OOT date
+    column, which `oot_partition` parses from its text, is neither a
+    feature nor a DS column, so it is dropped unless it is the label.
     """
     drop = set(text_columns(spec)) - {label}
-
-    def bare(part: TabularFrame) -> TabularFrame:
-        return TabularFrame([c.without_text() for c in part.columns if c.name not in drop])
-
-    return [
-        ShockSplit(bare(s.train), bare(s.test), bare(s.shocked_test), s.run_index)
-        for s in monte_carlo(frame, spec)
-    ]
+    columns = [c.without_text() for c in frame.columns if c.name not in drop]
+    return TabularFrame(columns), monte_carlo(frame, spec)
 
 
 class Aggregate(NamedTuple):

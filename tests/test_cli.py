@@ -227,6 +227,49 @@ def test_split_writes_each_run_before_the_next(fixture_csv, tmp_path, capsys, mo
     ]
 
 
+_NO_TRAINING_ROWS = "error: train_fraction 0.001 leaves no training rows of the 240 pre-shock rows\n"
+
+
+def test_split_whose_train_fraction_leaves_no_training_rows_exits_3(tmp_path, capsys):
+    # 240 of the 300 rows are dated before the shock: floor(0.001 * 240) is 0
+    csv_path = tmp_path / "small.csv"
+    make_shocked_fixture(rows=300).to_csv(csv_path)
+    out_dir = tmp_path / "splits"
+    code = main([
+        "split", str(csv_path), "--mode", "oot", "--date-col", "date",
+        "--shock-date", "2018-03-22", "--train-fraction", "0.001", "--runs", "2",
+        "--out", str(out_dir),
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == _NO_TRAINING_ROWS
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+def test_pipeline_whose_train_fraction_leaves_no_training_rows_exits_3_before_training(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    for name in ("train_baseline", "train_baselines"):
+        monkeypatch.setattr(pipeline, name, lambda *a, _name=name, **k: calls.append(_name))
+    csv_path = tmp_path / "small.csv"
+    make_shocked_fixture(rows=300).to_csv(csv_path)
+    cfg = _write_json(tmp_path, {
+        "input": str(csv_path), "label": "is_bad", "levels": ["without"],
+        "split": {"mode": "oot", "date_column": "date", "shock_date": "2018-03-22",
+                  "train_fraction": 0.001, "mc_runs": 2},
+        "output_dir": str(tmp_path / "out"),
+    }, name="config.json")
+    code = main(["pipeline", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == _NO_TRAINING_ROWS
+    assert captured.out == ""
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_command(fixture_csv, tmp_path, capsys):
     out_csv = tmp_path / "synth.csv"
     mask_json = tmp_path / "mask.json"
@@ -341,9 +384,13 @@ def test_train_eval_runs_equal_the_pipeline_a_model_runs(tmp_path, capsys, monke
     code, out = _run(capsys, "pipeline", tmp_path / "a_only.json")
     assert code == 0
     spec = SplitSpec.from_dict(config["split"])
+    frame, splits = model_splits(load_csv(path), spec, "is_bad")
     reference = [
-        evaluate_pair(train_baseline(split.train, "is_bad", TrainConfig(epochs=60)), split, "is_bad")
-        for split in model_splits(load_csv(path), spec, "is_bad")
+        evaluate_pair(
+            train_baseline(frame.take(split.train), "is_bad", TrainConfig(epochs=60)),
+            frame.take(split.test), frame.take(split.shocked_test), "is_bad", split.run_index,
+        )
+        for split in splits
     ]
     assert out["a_model"]["runs"] == [p.to_dict() for p in reference]
     assert out["a_model"]["auc_shock"]["median"] < out["a_model"]["auc_base"]["median"]

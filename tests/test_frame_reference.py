@@ -207,26 +207,30 @@ _export_cells = st.one_of(
 
 @st.composite
 def _export_files(draw):
-    """(file text, split arguments): a CSV file of 2 to 7 rows, in OOT mode
+    """(file text, split arguments): a CSV file of 3 to 7 rows, in OOT mode
     with an ISO or a numerical date column, or in OOS mode, possibly with
-    one column only."""
-    rows = draw(st.integers(2, 7))
+    one column only. Each run's train part holds a row: `split` refuses a
+    cut that leaves it none."""
+    rows = draw(st.integers(3, 7))
     mode = draw(st.sampled_from(["oot", "oos"]))
     width = draw(st.integers(0 if mode == "oot" else 1, 3))
     names = [f"c{i}" for i in range(width)]
     columns = [draw(st.lists(_export_cells, min_size=rows, max_size=rows)) for _ in names]
-    train_fraction = draw(st.sampled_from([0.2, 0.5, 0.8]))
-    args = ["--mode", mode, "--train-fraction", str(train_fraction)]
+    args = ["--mode", mode]
     if mode == "oot":
-        # at least one row on each side of the shock date
+        # at least two rows before the shock date and one at or after it
         days = draw(st.lists(st.integers(20, 24), min_size=rows, max_size=rows))
-        days[0], days[-1] = 20, 22
+        days[0], days[1], days[-1] = 20, 21, 22
+        pre = sum(d < 22 for d in days)
         iso = draw(st.booleans())
         dates = [f"2018-03-{d}" if iso else f"201803{d}" for d in days]
         names, columns = ["date", *names], [dates, *columns]
         args += ["--date-col", "date", "--shock-date", "2018-03-22"]
     else:
+        pre = rows - math.ceil(0.3 * rows)
         args += ["--shock-fraction", "0.3"]
+    fractions = [f for f in (0.2, 0.5, 0.8) if math.floor(f * pre)]
+    args += ["--train-fraction", str(draw(st.sampled_from(fractions)))]
     quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     # before Python 3.13, csv.writer quotes a cell holding "\r" or "\n" only
@@ -276,8 +280,8 @@ def test_split_export_equals_the_per_cell_reference(tmp_path_factory, drawn, rea
     assert frame.lines is None
     for run in range(runs):
         split = split_once(frame, spec, run)
-        for name, part in (("train", split.train), ("test", split.test),
-                           ("shock", split.shocked_test)):
+        for name, part in (("train", frame.take(split.train)), ("test", frame.take(split.test)),
+                           ("shock", frame.take(split.shocked_test))):
             part.to_csv(base / "expected.csv")
             got = (base / "split" / f"{name}_{run:03d}.csv").read_bytes()
             assert got == (base / "expected.csv").read_bytes()

@@ -4,7 +4,8 @@ scipy.stats takes most of a second and about 70 MB to import, so only the
 schema profile uses it. scipy.special costs about a third of that, and only
 the Levy family's tail draws load it, for `erfinv`; `import shockstab`
 loads neither. Each command is checked in a fresh interpreter. And no module
-reaches for another's private helpers.
+reaches for another's private helpers, and only the modules that make or
+read splits name `ShockSplit`.
 """
 
 import ast
@@ -273,6 +274,48 @@ def test_date_decision_check_finds_each_form():
         "config.split.date_column",
         "oot_partition(frame, config.split)",
         "splitting.oot_partition(frame, spec)",
+    ]
+
+
+def _shock_split_names(source: str) -> list[str]:
+    """Names and attributes `ShockSplit` in `source`, and imports of it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"import {a.name}" for a in node.names if a.name == "ShockSplit"]
+        elif isinstance(node, ast.Name) and node.id == "ShockSplit":
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "ShockSplit":
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_only_the_split_owners_name_shock_split():
+    # a split is row indices into the model frame: splitting makes it, the
+    # pipeline and the split command take its rows, and the package exports
+    # it; a model or a metric takes frames
+    root = Path(shockstab.__file__).parent
+    owners = {"splitting.py", "pipeline.py", "cli.py", "__init__.py"}
+    found = {
+        p.name: names
+        for p in sorted(root.glob("*.py"))
+        if p.name not in owners
+        if (names := _shock_split_names(p.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
+def test_shock_split_check_finds_each_form():
+    source = (
+        "from .splitting import ShockSplit, SplitSpec\n"
+        "from . import splitting\n"
+        "def f(split: ShockSplit, spec: SplitSpec):\n"
+        "    return splitting.ShockSplit, split.train, 'ShockSplit'\n"
+    )
+    assert _shock_split_names(source) == [
+        "import ShockSplit",
+        "ShockSplit",
+        "splitting.ShockSplit",
     ]
 
 

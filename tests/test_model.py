@@ -23,7 +23,6 @@ from shockstab.model import (
     train_baseline,
     train_baselines,
 )
-from shockstab.splitting import ShockSplit
 
 from conftest import cat_col, make_frame, num_col
 
@@ -302,8 +301,7 @@ def test_missing_values_imputed_and_no_leakage():
 def test_evaluate_pair_identical_frames():
     frame = _separable_frame(seed=5)
     model = train_baseline(frame, "label")
-    split = ShockSplit(train=frame, test=frame, shocked_test=frame, run_index=2)
-    pair = evaluate_pair(model, split, "label")
+    pair = evaluate_pair(model, frame, frame, "label", 2)
     assert pair.auc_base == pair.auc_shock
     assert pair.run_index == 2
 
@@ -312,9 +310,8 @@ def test_evaluate_pair_empty_shock_errors():
     frame = _separable_frame(seed=6)
     empty = frame.take([])
     model = train_baseline(frame, "label")
-    split = ShockSplit(train=frame, test=frame, shocked_test=empty, run_index=0)
     with pytest.raises(EmptyInputError):
-        evaluate_pair(model, split, "label")
+        evaluate_pair(model, frame, empty, "label", 0)
 
 
 def test_schema_mismatch_at_evaluation():

@@ -153,9 +153,10 @@ def small_csv(tmp_path_factory):
     return path
 
 
-# OOS splits of the 300-row fixture whose A-model fails in every run, and
-# in runs 0 and 2 only (a single-class evaluation set)
-A_FAILS = SplitSpec(mode="oos", shock_fraction=0.995, mc_runs=4, seed=5)
+# OOS splits of the 300-row fixture whose A-model fails in every run (its
+# one training row holds one class), and in runs 0 and 2 only (a
+# single-class evaluation set)
+A_FAILS = SplitSpec(mode="oos", shock_fraction=0.993, mc_runs=4, seed=5)
 A_FAILS_0_2 = SplitSpec(mode="oos", shock_fraction=0.96, mc_runs=4, seed=1)
 
 
@@ -259,9 +260,9 @@ def test_b_tasks_run_before_a_tasks(small_csv, monkeypatch):
     for name in ("_run_a", "_run_b"):
         real = getattr(pipeline, name)
 
-        def record(split, config, _real=real, _kind=name[-1]):
+        def record(frame, split, config, _real=real, _kind=name[-1]):
             calls.append(f"{_kind}{split.run_index}")
-            return _real(split, config)
+            return _real(frame, split, config)
 
         monkeypatch.setattr(pipeline, name, record)
     monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
@@ -313,9 +314,9 @@ def test_the_loaded_frame_is_freed_before_any_task_runs(small_csv, monkeypatch):
         loaded.append(weakref.ref(frame))
         return frame
 
-    def map_runs(splits, config):
+    def map_runs(frame, splits, config):
         alive_at_tasks.append(loaded[0]() is not None)
-        return real_map_runs(splits, config)
+        return real_map_runs(frame, splits, config)
 
     monkeypatch.setattr(pipeline, "load_csv", load)
     monkeypatch.setattr(pipeline, "_map_runs", map_runs)
@@ -323,6 +324,32 @@ def test_the_loaded_frame_is_freed_before_any_task_runs(small_csv, monkeypatch):
     report = run_pipeline(_config(small_csv, runs=2, levels=("without",)))
     assert not report.partial
     assert alive_at_tasks == [False]
+
+
+def test_the_parent_takes_no_rows_per_run(small_csv, monkeypatch):
+    # splits are row indices: before the tasks start, the parent takes only
+    # DS's two frames, however many runs there are
+    takes, at_tasks = [], []
+    real_take = TabularFrame.take
+
+    def take(frame, indices):
+        takes.append(len(indices))
+        return real_take(frame, indices)
+
+    class Stop(Exception):
+        pass
+
+    def map_runs(*args):
+        at_tasks.append(len(takes))
+        raise Stop
+
+    monkeypatch.setattr(TabularFrame, "take", take)
+    monkeypatch.setattr(pipeline, "_map_runs", map_runs)
+    for runs in (2, 5):
+        takes.clear()
+        with pytest.raises(Stop):
+            run_pipeline(_config(small_csv, runs=runs))
+    assert at_tasks[0] == at_tasks[1]
 
 
 def test_pipeline_frames_carry_no_raw_text(small_csv, monkeypatch):
@@ -337,15 +364,14 @@ def test_pipeline_frames_carry_no_raw_text(small_csv, monkeypatch):
 
         monkeypatch.setattr(pipeline, name, record)
 
-    real_model_splits = pipeline.model_splits
+    real_take = TabularFrame.take
 
-    def record_splits(frame, spec, label):
-        splits = real_model_splits(frame, spec, label)
-        for s in splits:
-            seen.extend(("split", f) for f in (s.train, s.test, s.shocked_test))
-        return splits
+    def record_take(frame, indices):
+        taken = real_take(frame, indices)
+        seen.append(("take", taken))
+        return taken
 
-    monkeypatch.setattr(pipeline, "model_splits", record_splits)
+    monkeypatch.setattr(TabularFrame, "take", record_take)
     for name in ("distribution_shift", "fit", "train_baseline"):
         recording(name)
     real_train_baselines = pipeline.train_baselines
@@ -360,7 +386,7 @@ def test_pipeline_frames_carry_no_raw_text(small_csv, monkeypatch):
     report = run_pipeline(_config(small_csv, runs=2))
     assert not report.partial
     assert {name for name, _ in seen} == {
-        "split", "distribution_shift", "fit", "train_baseline", "train_baselines"
+        "take", "distribution_shift", "fit", "train_baseline", "train_baselines"
     }
     for name, frame in seen:
         assert all(c.raw is None for c in frame.columns), name
@@ -417,8 +443,9 @@ def test_a_b_training_error_fails_every_level_not_failed_before(small_csv, monke
 
     monkeypatch.setattr(pipeline, "train_baselines", failing)
     config = _config(small_csv, runs=1)
-    split = model_splits(load_csv(small_csv), config.split, config.label)[0]
-    assert pipeline._run_b(split, config) == [
+    frame, splits = model_splits(load_csv(small_csv), config.split, config.label)
+    split = splits[0]
+    assert pipeline._run_b(frame, split, config) == [
         {"run": split.run_index, "error": "no second class"}
     ] * len(config.levels)
 
