@@ -200,15 +200,15 @@ def _cmd_schema(args) -> int:
         args.file,
         missing_tokens=tuple(args.missing_tokens),
         categorical_override=args.categorical_override,
-        text_columns=(),
+        lines=False,
     )
     _emit(detect_schema(frame).to_dict(), args.json)
     return EXIT_OK
 
 
 def _cmd_ds(args) -> int:
-    base = load_csv(args.base, text_columns=())
-    shock = load_csv(args.shock, text_columns=())
+    base = load_csv(args.base, lines=False)
+    shock = load_csv(args.shock, lines=False)
     excluded = _split_list(args.exclude) if args.exclude else []
     report = distribution_shift(base, shock, tau=args.tau, excluded=excluded)
     _emit(report.to_dict(), args.json)
@@ -281,7 +281,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    frame = load_csv(args.file, text_columns=())
+    frame = load_csv(args.file, lines=False)
     generator = fit(frame)
     spec = OutlierSpec(
         family=args.family,

@@ -9,29 +9,25 @@ from these arrays: the NaN mask or code -1.
 
 A categorical column's categories are its cell strings, so a column
 loaded from CSV holds each such cell's text once, and `Column.raw` gives
-it back per cell. A numerical column holds its floats and no text. A
-column that `load_csv` names in `text_columns` loads as categorical,
-whatever its cells hold: the pipeline names an OOT date column, since a
-date such as 20180322 would load as a number and is parsed from its text.
-`schema`, `ds` and `synth` name none.
+it back per cell. A numerical column holds its floats and no text. Each
+column's kind comes from its cells and `categorical_override` alone: a
+date such as 20180322 loads as a number, and `splitting` writes its text
+back from the value.
 
-With `text_columns=None`, the export mode of `shockstab split`, the frame
-also keeps each row's CSV line exactly as `to_csv` writes it, one string
-per row, so its numerical cells keep their text there. Takes gather the
-lines, and `to_csv` writes them back, so every non-missing input cell is
-exported byte-equal. `TabularFrame.text` reads one column's cells back
-from the lines. A frame built from columns keeps no lines, and `to_csv`
-renders its rows from the columns.
+With `lines=True`, the default and the export mode of `shockstab split`,
+the frame also keeps each row's CSV line exactly as `to_csv` writes it.
+The lines are only loaded, gathered by `take` and written back by
+`to_csv`, so every non-missing input cell is exported byte-equal; nothing
+reads a cell from them. Any other frame keeps none, and `to_csv` renders
+its rows from its columns. The pipeline, `schema`, `ds` and `synth` load
+with `lines=False`.
 
 `load_csv` reads a file in chunks of `_CSV_READ_ROWS` (8,192) rows and
 classifies each chunk's cells before it reads the next, so a categorical
 column's cell strings are dropped with their chunk and only its distinct
 values stay. It decides each column's kind once: a column found
 categorical after it held a number keeps nothing, and is read again from
-the file's start as text. `splitting.model_splits` builds the pipeline's
-one model frame from the loaded frame, keeping no text, and its splits are
-row indices into it, so the loaded frame is freed before any model trains.
-Files are read and written comma-separated.
+the file's start as text. Files are read and written comma-separated.
 """
 
 from __future__ import annotations
@@ -290,37 +286,12 @@ class TabularFrame:
     def kind_of(self, name: str) -> ColumnKind:
         return self.column(name).kind
 
-    def text(self, name: str) -> tuple | list:
-        """Every cell of column `name` as the text `to_csv` writes: see
-        `Column.text`. A numerical column reads it back from the frame's
-        lines, where it has them."""
-        column = self.column(name)
-        if column.kind is ColumnKind.CATEGORICAL or self._lines is None:
-            return column.text()
-        (cells,) = _line_cells(self._lines, [self.column_names.index(name)])
-        return cells
-
     def take(self, indices) -> "TabularFrame":
         """Row subset in the given order; retains CSV text and lines where
         present."""
         indices = np.asarray(indices, dtype=np.intp)
         lines = None if self._lines is None else _gather(self._lines, indices.tolist())
         return _with_lines([c.take(indices) for c in self.columns], lines)
-
-    def drop_columns(self, names) -> "TabularFrame":
-        names = set(names)
-        columns = [c for c in self.columns if c.name not in names]
-        return _with_lines(columns, self._lines_of([c.name for c in columns]))
-
-    def _lines_of(self, names: list) -> tuple | None:
-        """The frame's lines holding only the columns `names`, in that order;
-        None when the frame keeps no lines or `names` is empty."""
-        if self._lines is None or not names:
-            return None
-        if names == self.column_names:
-            return self._lines
-        positions = list(map(self.column_names.index, names))
-        return tuple(_render_rows(_line_cells(self._lines, positions)))
 
     def require_same_columns(self, other: "TabularFrame", excluded=()) -> None:
         """Raise SchemaMismatchError unless both frames hold the same column
@@ -405,18 +376,9 @@ def _needs_quotes(text: str) -> bool:
     return any(map(text.__contains__, (",", '"', "\r", "\n")))
 
 
-def _line_cells(lines, positions: list) -> list[tuple]:
-    """The cells at `positions` of each CSV line of `lines`, one tuple per
-    position. Only those cells are kept as the lines are parsed."""
-    picked = map(operator.itemgetter(*positions), csv.reader(lines))
-    if len(positions) == 1:
-        return [tuple(picked)]
-    return list(zip(*picked)) or [()] * len(positions)
-
-
 def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
     """Stack two frames with the same columns, first on top, in the first
-    frame's column order. The result keeps lines when both frames do."""
+    frame's column order. The result keeps no lines."""
     first.require_same_columns(second)
     columns = []
     for a in first.columns:
@@ -428,10 +390,7 @@ def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
             columns.append(Column.from_codes(a.name, codes, categories, keeps_text))
             continue
         columns.append(Column(a.name, a.kind, np.concatenate([a.values, b.values])))
-    lines = None
-    if first.lines is not None and second.lines is not None:
-        lines = first.lines + second._lines_of(first.column_names)
-    return _with_lines(columns, lines)
+    return TabularFrame(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -442,33 +401,27 @@ def load_csv(
     path,
     missing_tokens=DEFAULT_MISSING_TOKENS,
     categorical_override: int = 0,
-    text_columns=None,
+    lines: bool = True,
 ) -> TabularFrame:
     """Load a comma-separated file with a header row into a TabularFrame.
 
     A column is numerical when it has a non-missing cell and every
     non-missing cell is numeric (see `_parse_floats`); otherwise it is
-    categorical. `categorical_override`, when positive, additionally routes
-    numeric columns with at most that many distinct values to categorical;
-    one that is not an integer >= 0 is a ConfigError. Missing cells are any
-    cell equal to one of `missing_tokens`, a list of strings.
-
-    `text_columns`, a list of strings, names the columns that load as
-    categorical whatever their cells hold, their distinct cell strings
-    their categories. A categorical column keeps its text as its
-    categories; a numerical column keeps none. None, the default, is the
-    export mode: the frame keeps each row's CSV line as `to_csv` writes it
-    (a missing cell empty, quoted as csv's QUOTE_MINIMAL, no line end),
-    rendered chunk by chunk as the file is read, so that `to_csv` writes
-    each non-missing cell back byte-equal. A UTF-8 byte-order mark at the
-    start of the file is skipped.
+    categorical, its distinct cell strings its categories. Its cells and
+    `categorical_override` alone decide its kind: when positive, the
+    override routes numeric columns with at most that many distinct values
+    to categorical; one that is not an integer >= 0 is a ConfigError.
+    Missing cells are any cell equal to one of `missing_tokens`, a list of
+    strings. With `lines`, the frame also keeps each row's CSV line as
+    `to_csv` writes it (a missing cell empty, no line end), rendered chunk
+    by chunk. A UTF-8 byte-order mark at the start of the file is skipped.
 
     Rows are read in chunks of `_CSV_READ_ROWS`, and each chunk's cells are
     classified column by column before the next is read. A column found
     categorical after it held a number, by a later cell or by the override,
-    keeps nothing, and the file is read again with it loaded as if named in
-    `text_columns`; a file that cannot seek, such as a pipe, is first copied
-    to an anonymous temporary file. Errors keep the precedence of a
+    keeps nothing, and the file is read again with it loaded as categorical
+    from its first cell; a file that cannot seek, such as a pipe, is first
+    copied to an anonymous temporary file. Errors keep the precedence of a
     whole-file read: text that is not UTF-8 anywhere in the file wins, then
     the first ragged row or line that csv cannot parse (a field longer than
     csv's field limit, or a quote never closed), whichever comes first. csv
@@ -477,8 +430,7 @@ def load_csv(
     """
     check(categorical_override, "an integer", ">= 0", what="categorical_override")
     missing_tokens = frozenset(check(missing_tokens, "a list of strings", what="missing_tokens"))
-    text_columns = check(text_columns, "a list of strings", what="text_columns", null=True)
-    categorical = set(text_columns or ())
+    categorical = set()
     try:
         raw = open(path, "rb")
         if not raw.seekable():  # a pipe: spooled, so that it can be read again
@@ -504,9 +456,9 @@ def load_csv(
                     dup = next(h for h in header if header.count(h) > 1)
                     raise CsvFormatError(f"{path}: duplicate header column {dup!r}")
                 while True:
-                    lines = [] if text_columns is None else None
+                    rendered = [] if lines else None
                     readers = [_ColumnReader(n, missing_tokens, n in categorical) for n in header]
-                    error = _read_rows(reader, readers, lines)
+                    error = _read_rows(reader, readers, rendered)
                     if error is not None:
                         break
                     columns = [r.column(categorical_override) for r in readers]
@@ -514,7 +466,7 @@ def load_csv(
                     if not late:
                         break
                     categorical |= late
-                    del readers, columns, lines  # before the file is read again
+                    del readers, columns, rendered  # before the file is read again
                     fh.seek(0)
                     reader = csv.reader(fh, strict=True)
                     next(reader)
@@ -530,7 +482,7 @@ def load_csv(
         ) from None
     if error is not None:
         raise error
-    return _with_lines(columns, None if lines is None else tuple(lines))
+    return _with_lines(columns, None if rendered is None else tuple(rendered))
 
 
 def _read_rows(reader, columns: list, lines: list | None) -> RaggedRowError | None:

@@ -29,7 +29,7 @@ from . import __version__
 from .config import Config, check, setting
 from .drift import DEFAULT_TAU, DriftReport, distribution_shift
 from .errors import ConfigError, DataError, ShockStabError
-from .frame import DEFAULT_MISSING_TOKENS, Column, TabularFrame, load_csv
+from .frame import DEFAULT_MISSING_TOKENS, Column, ColumnKind, TabularFrame, load_csv
 from .model import TrainConfig, evaluate_pair, extract_labels, train_baseline, train_baselines
 from .splitting import (
     Aggregate,
@@ -38,7 +38,6 @@ from .splitting import (
     aggregate,
     child_rng,
     model_splits,
-    text_columns,
 )
 from .stability import (
     DEFAULT_COEFFICIENTS,
@@ -116,6 +115,11 @@ class PipelineConfig(Config):
             if label != WITHOUT_LEVEL and float(label) > 100.0:
                 raise ConfigError(f"outlier level {label}% exceeds 100%")
         self.levels = labels
+        # each stops a run that can never succeed before the CSV is read
+        self.split.check_label(self.label)
+        if (override := self.categorical_override) >= 2:
+            raise ConfigError(f"categorical_override must be 0 or 1, got {override}: at 2 or "
+                              f"more it loads the 0/1 label {self.label!r} as categorical")
         # no file system accepts a path with a NUL byte; caught here, it
         # stops the run before any training rather than at write_report
         if self.output_dir is not None and "\0" in self.output_dir:
@@ -431,7 +435,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
         config.input_path,
         missing_tokens=config.missing_tokens,
         categorical_override=config.categorical_override,
-        text_columns=text_columns(config.split),
+        lines=False,
     )
     # a label that is missing or not numerical 0/1 stops the run before any
     # split is made
@@ -440,6 +444,11 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     # text, so the loaded frame, an OOT date column among its columns, goes
     # before any model trains; each task takes its own run's rows
     frame, splits = model_splits(frame, config.split, config.label)
+    # each synthetic frame holds the model frame's columns: a nonneg column
+    # is checked here, before any fit, and not in every cell
+    for name in config.nonneg_columns:
+        if name not in frame or frame.kind_of(name) is not ColumnKind.NUMERICAL:
+            raise ConfigError(f"nonneg column {name!r} is not a numerical model column")
 
     # DS compares run 0's pre-shock rows with its shocked rows: in OOT mode
     # the partition's two segments, in OOS mode the run-0 pseudo-shock split

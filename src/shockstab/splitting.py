@@ -91,6 +91,12 @@ class SplitSpec(Config):
             # an OOS split has no shock date, so none is kept or reported
             object.__setattr__(self, "shock_date", None)
 
+    def check_label(self, label: str) -> None:
+        """Raise ConfigError if an OOT split's date column is the 0/1 `label`."""
+        if self.mode == OOT and self.date_column == label:
+            raise ConfigError(f"date_column {label!r} is the label: an OOT split needs "
+                              "its dates in a column apart from the 0/1 label")
+
 
 @dataclass(frozen=True)
 class ShockSplit:
@@ -103,21 +109,27 @@ class ShockSplit:
     run_index: int
 
 
-def _date_text(frame: TabularFrame, name: str) -> Column:
-    """The date column `name` as the text its dates parse from. A column
-    named in load_csv's `text_columns` is that text already; a numerical one
-    (20180322 would read back as 20180322.0) is read back from the frame's
-    lines by `TabularFrame.text`, as an exported frame keeps them."""
-    dates = frame.column(name)
-    if dates.kind is ColumnKind.NUMERICAL:
-        return Column(name, ColumnKind.CATEGORICAL, np.array(frame.text(name), dtype=object))
-    return dates
+def _date_text(dates: Column) -> tuple[np.ndarray, list]:
+    """Each row's code into the texts its dates parse from, and those texts;
+    code -1 or text None marks a missing date. A categorical column's
+    categories are that text. A numerical column's is written from its
+    values: an integer in [0, 99999999] with eight digits (20180322.0 gives
+    "20180322"), any other value as its repr, which parses as no date. Eight
+    digits are the one numeric form that parses as ISO-8601, so a date
+    parses to the same instant whichever kind its column loads as."""
+    if dates.kind is ColumnKind.CATEGORICAL:
+        return dates.codes, list(map(str, dates.categories))
+    values, codes = np.unique(dates.values, return_inverse=True)
+    return codes.reshape(-1), [
+        None if math.isnan(v)
+        else f"{int(v):08d}" if v.is_integer() and 0 <= v <= 99_999_999
+        else repr(v)
+        for v in values.tolist()
+    ]
 
 
-# Partitions computed so far, per frame and (date column, shock date). A
-# frame is split once per Monte Carlo run through split_once(frame, spec,
-# run_index), and its dates do not change between runs, so they are parsed
-# once per frame rather than once per run.
+# Partitions computed so far, per frame and (date column, shock date): a
+# frame is split once per Monte Carlo run, and its dates are parsed once.
 _PARTITIONS = weakref.WeakKeyDictionary()
 
 
@@ -133,18 +145,16 @@ def oot_partition(frame: TabularFrame, spec: SplitSpec):
     key = (spec.date_column, spec.shock_date)
     known = _PARTITIONS.setdefault(frame, {})
     if key not in known:
-        dates = _date_text(frame, spec.date_column)
-        codes = dates.codes
-        shocked = np.zeros(len(dates.categories), dtype=bool)
-        # each category the rows hold is parsed once, at its first row and in
-        # row order, so the first bad or missing date raises with its own row
+        codes, texts = _date_text(frame.column(spec.date_column))
+        shocked = np.zeros(len(texts), dtype=bool)
+        # each text the rows hold is parsed once, at its first row and in row
+        # order, so the first bad or missing date raises with its own row
         first_rows = np.sort(np.unique(codes, return_index=True)[1])
         for i, k in zip(first_rows.tolist(), codes[first_rows].tolist()):
-            text = str(dates.categories[k]) if k >= 0 else ""
-            if text == "":
+            if k < 0 or not texts[k]:
                 raise DateParseError(i, None)
             # the boundary row belongs to the shocked regime
-            shocked[k] = parse_timestamp(text, i) >= spec.shock_date
+            shocked[k] = parse_timestamp(texts[k], i) >= spec.shock_date
         shocked = shocked[codes]
         parts = (np.flatnonzero(~shocked), np.flatnonzero(shocked))
         for part in parts:
@@ -201,21 +211,15 @@ def monte_carlo(frame: TabularFrame, spec: SplitSpec) -> list[ShockSplit]:
     return [split_once(frame, spec, r) for r in range(spec.mc_runs)]
 
 
-def text_columns(spec: SplitSpec) -> tuple[str, ...]:
-    """The columns load_csv loads as categorical for `model_splits`: an OOT
-    date column, parsed from its text (20180322 would load as a number)."""
-    return (spec.date_column,) if spec.mode == OOT else ()
-
-
 def model_splits(frame: TabularFrame, spec: SplitSpec, label: str) -> tuple:
     """The frame a model trains and is evaluated on, and its Monte Carlo splits.
 
     The model frame holds `frame`'s rows in their order, so each split's
     row indices point into both. It keeps no CSV text or lines. An OOT date
-    column, which `oot_partition` parses from its text, is neither a
-    feature nor a DS column, so it is dropped unless it is the label.
+    column, which `oot_partition` parses, is neither a feature nor a DS
+    column, so it is dropped unless it is the label.
     """
-    drop = set(text_columns(spec)) - {label}
+    drop = {spec.date_column} - {label} if spec.mode == OOT else set()
     columns = [c.without_text() for c in frame.columns if c.name not in drop]
     return TabularFrame(columns), monte_carlo(frame, spec)
 

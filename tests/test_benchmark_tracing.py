@@ -67,9 +67,10 @@ def test_take_counts_read_each_columns_raw_text(tracing, write_csv):
     assert isinstance(inspect.getattr_static(Column, "raw"), property)
     path = write_csv("t.csv", "a,b\n1.5,x\nNA,\n3,z\n")
     # the export load keeps the numerical column's text in its lines, so
-    # only the categorical column's cells count
-    for text_columns, raw_cells in [(None, 2), (["a"], 4)]:
-        frame = load_csv(path, text_columns=text_columns)
+    # only the categorical column's cells count; under the override, a's
+    # two numbers load as categorical text, and its cells count too
+    for kwargs, raw_cells in [({}, 2), ({"categorical_override": 2, "lines": False}, 4)]:
+        frame = load_csv(path, **kwargs)
         taken = frame.take([2, 0])
         assert tracing._take_counts((frame, [2, 0]), {}, taken) == {
             "frame.take.rows": 2,

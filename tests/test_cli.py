@@ -1617,25 +1617,24 @@ def test_an_anchor_value_that_is_not_a_number_in_range_exits_3(tmp_path, capsys,
 
 
 @pytest.mark.parametrize(
-    "argv, named",
+    "argv",
     [
-        (("schema", "{csv}"), set()),
-        (("ds", "{csv}", "{csv}"), set()),
-        (("synth", "{csv}", "--rows", "5", "--out", "{tmp}/syn.csv"), set()),
-        (("pipeline", "{oot}"), {"date"}),
-        (("pipeline", "{oos}"), set()),
-        (("split", "{csv}", "--mode", "oos", "--shock-fraction", "0.2", "--runs", "1",
-          "--out", "{tmp}/s"), set()),
+        ("schema", "{csv}"),
+        ("ds", "{csv}", "{csv}"),
+        ("synth", "{csv}", "--rows", "5", "--out", "{tmp}/syn.csv"),
+        ("pipeline", "{oot}"),
+        ("pipeline", "{oos}"),
+        ("split", "{csv}", "--mode", "oos", "--shock-fraction", "0.2", "--runs", "1",
+         "--out", "{tmp}/s"),
     ],
     ids=["schema", "ds", "synth", "pipeline-oot", "pipeline-oos", "split"],
 )
-def test_only_split_and_an_oot_date_keep_numerical_text(
-    tmp_path, capsys, monkeypatch, argv, named
-):
-    # the dates are numbers such as 20180322, which an OOT split parses from
-    # their text: the OOT pipeline loads its date column as categorical
-    # text, and no loaded frame keeps a numerical column's text. split,
-    # which exports, keeps each row's CSV line instead
+def test_only_split_and_an_oot_date_keep_numerical_text(tmp_path, capsys, monkeypatch, argv):
+    # the dates are numbers such as 20180322. Each column's kind comes from
+    # its cells, so every command loads the date column as numerical, and
+    # no loaded frame keeps a numerical column's text: the OOT split writes
+    # each date's text from its value. split, which exports, keeps each
+    # row's CSV line instead
     csv_path = tmp_path / "shocked.csv"
     with_compact_dates(make_shocked_fixture(rows=300)).to_csv(csv_path)
     configs = {}
@@ -1662,19 +1661,19 @@ def test_only_split_and_an_oot_date_keep_numerical_text(
     for frame in frames:
         assert frame.kind_of("rate") is ColumnKind.NUMERICAL
         categorical = {c.name for c in frame.columns if c.kind is ColumnKind.CATEGORICAL}
-        assert categorical == {"sector", *named}
+        assert frame.kind_of("date") is ColumnKind.NUMERICAL
+        assert categorical == {"sector"}
         assert all(c.raw is None for c in frame.columns if c.name not in categorical)
         assert (frame.lines is not None) == (argv[0] == "split")
 
 
-def test_pipeline_whose_label_is_its_oot_date_column_exits_3_before_training(
+def test_pipeline_whose_label_is_its_oot_date_column_exits_2_before_reading(
     tmp_path, capsys, monkeypatch
 ):
-    # is_bad holds 0 and 1, a label but not a date: named as the OOT date
-    # column, it loads as categorical text, which extract_labels refuses
-    # before any split is made or model trains
+    # is_bad holds 0 and 1, a label but not a date: the config that names it
+    # as the OOT date column can never run, and stops before the CSV is read
     calls = []
-    for name in ("model_splits", "fit", "train_baseline", "train_baselines"):
+    for name in ("load_csv", "model_splits", "fit", "train_baseline", "train_baselines"):
         monkeypatch.setattr(pipeline, name, lambda *a, _name=name: calls.append(_name))
     csv_path = tmp_path / "small.csv"
     make_shocked_fixture(rows=300).to_csv(csv_path)
@@ -1685,10 +1684,135 @@ def test_pipeline_whose_label_is_its_oot_date_column_exits_3_before_training(
     }, name="config.json")
     code = main(["pipeline", str(cfg)])
     captured = capsys.readouterr()
-    assert code == 3
-    assert captured.err == "error: label column 'is_bad' must be numerical 0/1\n"
+    assert code == 2
+    assert captured.err == (
+        "error: date_column 'is_bad' is the label: an OOT split needs its dates in a "
+        "column apart from the 0/1 label\n"
+    )
     assert captured.out == ""
     assert calls == []
+
+
+def _dated_csv(path, form) -> dict:
+    """Write a 300-row fixture whose ISO dates are written by `form` to
+    `path`; returns each written date's ISO text."""
+    frame = make_shocked_fixture(rows=300)
+    iso = frame.column("date").values.tolist()
+    written = [form(d) for d in iso]
+    dates = Column("date", ColumnKind.CATEGORICAL, np.array(written, dtype=object))
+    TabularFrame([dates if c.name == "date" else c for c in frame.columns]).to_csv(path)
+    return dict(zip(written, iso))
+
+
+_DATE_FORMS = {
+    "iso": lambda d: d,
+    "integer": lambda d: d.replace("-", ""),
+    "float": lambda d: d.replace("-", "") + ".0",
+    "signed": lambda d: "+" + d.replace("-", ""),
+}
+
+
+@pytest.mark.parametrize("form", ["integer", "float", "signed"])
+def test_a_numerical_date_column_splits_and_scores_as_its_iso_twin(
+    tmp_path, capsys, monkeypatch, form
+):
+    # 20180322, 20180322.0 and +20180322 each load as the number 20180322.0,
+    # whose date text the OOT split writes from its value
+    monkeypatch.setattr(pipeline, "_worker_count", lambda tasks: 1)
+    outputs = {}
+    for name in ("iso", form):
+        base = tmp_path / name
+        base.mkdir()
+        iso_of = _dated_csv(base / "f.csv", _DATE_FORMS[name])
+        code, _ = _run(capsys, "split", base / "f.csv", "--mode", "oot", "--date-col", "date",
+                       "--shock-date", "2018-03-22", "--runs", "2", "--seed", "3",
+                       "--out", base / "split")
+        assert code == 0
+        files = {}
+        for path in sorted((base / "split").iterdir()):
+            with open(path, encoding="utf-8", newline="") as fh:
+                header, *rows = csv.reader(fh)
+            # each date cell keeps its own text: compared as its ISO twin
+            files[path.name] = [header] + [[iso_of[r[0]], *r[1:]] for r in rows]
+        config = _write_json(base, {
+            "input": str(base / "f.csv"), "label": "is_bad", "levels": ["without", 5],
+            "split": {"mode": "oot", "date_column": "date", "shock_date": "20180322",
+                      "mc_runs": 2, "seed": 3},
+            "train": {"epochs": 20}, "upsample_target": 0,
+        }, name="config.json")
+        code, report = _run(capsys, "pipeline", config)
+        assert code == 0
+        outputs[name] = files, {k: report[k] for k in ("drift", "a_model", "levels")}
+    assert len(outputs["iso"][0]) == 6
+    assert outputs[form] == outputs["iso"]
+
+
+@pytest.mark.parametrize("value, shown", [("2018.5", "2018.5"), ("123456789", "123456789.0")])
+@pytest.mark.parametrize("command", ["split", "pipeline"])
+def test_a_numerical_date_that_is_no_yyyymmdd_integer_exits_3_naming_its_row(
+    tmp_path, capsys, command, value, shown
+):
+    path = tmp_path / "f.csv"
+    _dated_csv(path, _DATE_FORMS["integer"])
+    lines = path.read_bytes().split(b"\r\n")
+    lines[8] = value.encode() + lines[8][len("20170322"):]  # the frame's row 7
+    path.write_bytes(b"\r\n".join(lines))
+    if command == "split":
+        argv = ["split", str(path), "--mode", "oot", "--date-col", "date",
+                "--shock-date", "2018-03-22", "--out", str(tmp_path / "split")]
+    else:
+        argv = ["pipeline", str(_write_json(tmp_path, {
+            "input": str(path), "label": "is_bad", "levels": ["without"],
+            "split": {"mode": "oot", "date_column": "date", "shock_date": "2018-03-22"},
+        }, name="config.json"))]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == f"error: row 7: cannot parse {shown!r} as a date\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "path, value, message, reads",
+    [
+        ("split.date_column", "is_bad", "date_column 'is_bad' is the label: an OOT split "
+         "needs its dates in a column apart from the 0/1 label", False),
+        ("categorical_override", 2, "categorical_override must be 0 or 1, got 2: at 2 or "
+         "more it loads the 0/1 label 'is_bad' as categorical", False),
+        ("nonneg_columns", ["nope"], "nonneg column 'nope' is not a numerical model column",
+         True),
+        ("nonneg_columns", ["date"], "nonneg column 'date' is not a numerical model column",
+         True),
+        ("nonneg_columns", ["price", "sector"],
+         "nonneg column 'sector' is not a numerical model column", True),
+    ],
+    ids=["date-is-label", "override-2", "nonneg-unknown", "nonneg-oot-date",
+         "nonneg-categorical"],
+)
+def test_a_pipeline_that_can_never_run_exits_2_before_any_fit(
+    fixture_csv, tmp_path, capsys, monkeypatch, path, value, message, reads
+):
+    # the two config faults stop before the CSV is read; a nonneg column is
+    # checked against the model frame, before any generator or model fits
+    calls = []
+    for name in ("fit", "train_baseline", "train_baselines"):
+        monkeypatch.setattr(pipeline, name, lambda *a, _name=name: calls.append(_name))
+    read = []
+    monkeypatch.setattr(
+        pipeline, "load_csv", lambda *a, **k: read.append(a) or load_csv(*a, **k)
+    )
+    config = {
+        "input": str(fixture_csv), "label": "is_bad", "levels": ["without", 5],
+        "split": {"mode": "oot", "date_column": "date", "shock_date": "2018-03-22",
+                  "mc_runs": 2},
+    }
+    code = main(["pipeline", str(_write_json(tmp_path, _set(config, path, value)))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert calls == []
+    assert bool(read) == reads
 
 
 def test_a_utf8_byte_order_mark_is_not_read_into_the_first_column_name(tmp_path, capsys):

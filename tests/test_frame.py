@@ -25,7 +25,7 @@ from shockstab import frame as frame_module
 from shockstab.fixtures import make_shocked_fixture
 from shockstab.frame import ColumnKind, TabularFrame, concat_frames, detect_schema, load_csv
 
-from conftest import make_frame, num_col, with_compact_dates
+from conftest import make_frame, num_col
 
 
 def test_load_csv_infers_kinds(write_csv):
@@ -252,39 +252,37 @@ def test_moments_match_pandas_conventions():
 
 def test_take_and_concat_preserve_raw(write_csv, tmp_path):
     path = write_csv("raw.csv", "a,b\n1.50,x\n2.25,y\n3.00,z\n")
-    # a numerical column named in text_columns loads as categorical, its
+    # a numerical column under the override loads as categorical, its
     # cells' text its categories
-    kept = load_csv(path, text_columns=["a"])
+    kept = load_csv(path, categorical_override=3, lines=False)
     assert kept.lines is None
     assert kept.column("a").categories == ("1.50", "2.25", "3.00")
     assert kept.take([2, 0]).column("a").raw == ("3.00", "1.50")
     assert concat_frames(kept.take([2]), kept.take([0])).column("a").raw == ("3.00", "1.50")
-    # the export load keeps each row's line in its place
+    # the export load keeps each row's line in its place; a stacked frame
+    # keeps none, and renders its rows from its columns
     frame = load_csv(path)
     sub = frame.take([2, 0])
     assert sub.column("a").raw is None
     assert sub.lines == ("3.00,z", "1.50,x")
-    assert concat_frames(sub, frame.take([1])).lines == ("3.00,z", "1.50,x", "2.25,y")
+    assert concat_frames(sub, frame.take([1])).lines is None
     out = tmp_path / "sub.csv"
     sub.to_csv(out)
     assert out.read_bytes() == b"a,b\r\n3.00,z\r\n1.50,x\r\n"
 
 
-def test_dropped_and_reordered_columns_keep_the_exported_bytes(write_csv, tmp_path):
+def test_frames_built_from_columns_keep_no_lines(write_csv, tmp_path):
+    # only a load and its takes keep lines: a frame of some or all of a
+    # loaded frame's columns renders its rows from them, a number as its repr
     path = write_csv("q.csv", 'a,b,c\n1.50,"x,y",NA\n2.0e1,z,7\n')
     frame = load_csv(path)
-    dropped = frame.drop_columns(["c"])
-    assert dropped.lines == ('1.50,"x,y"', "2.0e1,z")
-    assert frame.drop_columns(["a", "b", "c"]).lines is None
+    dropped = TabularFrame([frame.column(n) for n in ("a", "b")])
     reordered = TabularFrame([frame.column(n) for n in ("c", "a", "b")])
-    assert reordered.lines is None
-    # the second frame's lines follow the first frame's column order
+    assert dropped.lines is None and reordered.lines is None
     swapped = load_csv(write_csv("swapped.csv", "b,c,a\nw,8,3.25\n"))
-    assert concat_frames(frame, swapped).lines == (
-        '1.50,"x,y",', "2.0e1,z,7", "3.25,w,8"
-    )
+    assert concat_frames(frame, swapped).lines is None
     dropped.to_csv(tmp_path / "dropped.csv")
-    assert (tmp_path / "dropped.csv").read_bytes() == b'a,b\r\n1.50,"x,y"\r\n2.0e1,z\r\n'
+    assert (tmp_path / "dropped.csv").read_bytes() == b'a,b\r\n1.5,"x,y"\r\n20.0,z\r\n'
 
 
 def test_take_accepts_list_range_and_array(write_csv):
@@ -314,8 +312,8 @@ def test_take_accepts_list_range_and_array(write_csv):
     assert loaded.take([]).lines == ()
     assert loaded.take([2]).lines == ("3.00,z,9",)
     assert loaded.take(np.array([3, 1, 3])).lines == ("4.5,w,", ",,8", "4.5,w,")
-    # and so the text of the columns named in text_columns
-    kept = load_csv(path, text_columns=["a", "c"])
+    # and so the text of the columns the override loads as categorical
+    kept = load_csv(path, categorical_override=3, lines=False)
     assert kept.take(range(1, 4)).column("a").raw == (None, "3.00", "4.5")
     assert [c.raw for c in kept.take([]).columns] == [(), (), ()]
     assert [c.raw for c in kept.take([2]).columns] == [("3.00",), ("z",), ("9",)]
@@ -356,7 +354,7 @@ def test_negative_categorical_override_is_config_error(write_csv):
         load_csv(path, categorical_override=-1)
 
 
-@pytest.mark.parametrize("argument", ["missing_tokens", "text_columns"])
+@pytest.mark.parametrize("argument", ["missing_tokens"])
 def test_load_csv_refuses_a_bare_string_for_a_list_of_strings(write_csv, argument):
     # a string would name each of its characters: "NA" the tokens N and A
     path = write_csv("s.csv", "date,x\n20180322,NA\n")
@@ -496,92 +494,66 @@ def fixture_20k(tmp_path_factory):
     return path, frame.column_names
 
 
+# an override above each column's distinct count loads every column as
+# categorical, each keeping its cell text as its categories
+_EVERY_COLUMN_TEXT = {"categorical_override": 20_000, "lines": False}
+
+
 def test_load_csv_without_text_keeps_and_peaks_less(fixture_20k):
-    path, names = fixture_20k
-    # naming every column keeps each one's cell text as its categories
-    text_kept, text_peak = _traced_load(path, text_columns=names)
-    lean_kept, lean_peak = _traced_load(path, text_columns=())
-    # measured: 0.96 MiB kept against 6.25 MiB, a peak of 7.13 MiB against 13.91
+    path, _ = fixture_20k
+    text_kept, text_peak = _traced_load(path, **_EVERY_COLUMN_TEXT)
+    lean_kept, lean_peak = _traced_load(path, lines=False)
+    # measured: 0.96 MiB kept against 7.35 MiB, a peak of 5.93 MiB against 15.02
     assert lean_kept <= 0.2 * text_kept
     assert lean_peak < text_peak
 
 
 def test_load_csv_export_lines_keep_less_than_cell_text_and_peak_no_higher(fixture_20k):
-    path, names = fixture_20k
-    text_kept, text_peak = _traced_load(path, text_columns=names)
+    path, _ = fixture_20k
+    text_kept, text_peak = _traced_load(path, **_EVERY_COLUMN_TEXT)
     lines_kept, lines_peak = _traced_load(path)
-    # measured: 3.85 MiB kept against 6.25 MiB, a peak of 8.05 MiB against 13.91
+    # measured: 3.85 MiB kept against 7.35 MiB, a peak of 8.05 MiB against 15.02
     assert lines_kept < text_kept
     assert lines_peak <= text_peak
 
 
-def test_a_named_numerical_date_column_keeps_no_more_than_its_floats(tmp_path):
-    # a date such as 20180322 named in text_columns is held once per
-    # distinct date, with an int32 code per row, not as a float per row
-    path = tmp_path / "dates.csv"
-    with_compact_dates(make_shocked_fixture(rows=20_000)).to_csv(path)
-    named_kept, _ = _traced_load(path, text_columns=("date",))
-    lean_kept, _ = _traced_load(path, text_columns=())
-    assert named_kept <= lean_kept
-
-
 _FULL_READ = 8192  # rows per chunk: more than any drawn file holds
-
-
-def _named(column: tuple, text: list) -> tuple:
-    """`_loaded`'s record of `column` loaded as named in text_columns: a
-    categorical column whose categories are its cells' `text`, "" marking a
-    missing cell, as an export load's lines give it back."""
-    raw = tuple(t or None for t in text)
-    categories = tuple(sorted({t for t in raw if t is not None}))
-    codes = np.array([categories.index(t) if t is not None else -1 for t in raw], np.int32)
-    return column[0], ColumnKind.CATEGORICAL, raw, codes.tobytes(), categories
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     drawn=_csv_files(),
     categorical_override=st.integers(0, 2),
-    kept=st.sets(st.sampled_from("abcde")),
+    lines=st.booleans(),
 )
 @example(
     # column a turns categorical at row 5, after several chunks of numbers
     drawn=(b"a,b\n1,2\nNA,3\n2.50,\n1e3,4\nx,5\n7,null\n", ["a", "b"]),
     categorical_override=0,
-    kept=set(),
+    lines=False,
 )
 @example(
     # b has at most 2 distinct values, so the override turns it categorical
     drawn=(b"a,b\n1,2\n2,2.0\n3,\n4,NA\n5,2\n", ["a", "b"]),
     categorical_override=2,
-    kept={"a"},
+    lines=True,
 )
-@example(drawn=(b"a,b\n1,2\n3,\xff\n5,6\n", ["a", "b"]), categorical_override=1, kept=set())
+@example(drawn=(b"a,b\n1,2\n3,\xff\n5,6\n", ["a", "b"]), categorical_override=1, lines=False)
 def test_load_csv_keeps_numerical_text_only_for_text_columns(
-    tmp_path_factory, drawn, categorical_override, kept
+    tmp_path_factory, drawn, categorical_override, lines
 ):
-    # no column keeps numerical text: a column named in text_columns loads
-    # as categorical, its cells' text its categories, and any other column
-    # loads as it does with none named
+    # a column's kind comes from its cells and the override alone: a load
+    # with lines holds the same columns as one without, and a numerical
+    # column keeps no text in either
     data, names = drawn
     path = tmp_path_factory.getbasetemp() / "text.csv"
     path.write_bytes(data)
-    whole = _loaded(path, _FULL_READ, categorical_override=categorical_override, text_columns=())
+    whole = _loaded(path, _FULL_READ, categorical_override=categorical_override, lines=False)
     if isinstance(whole, list):
-        exported = load_csv(path, categorical_override=categorical_override)
-        whole = [
-            _named(column, list(exported.text(column[0]))) if column[0] in kept else column
-            for column in whole
-        ]
+        assert all(c[2] is None for c in whole if c[1] is ColumnKind.NUMERICAL)
     for chunk_rows in (1, 2, 3, _FULL_READ):
-        named = _loaded(
-            path, chunk_rows, categorical_override=categorical_override,
-            text_columns=sorted(kept),
-        )
-        assert named == whole
-        # the export load keeps no numerical text in its columns
-        if not kept:
-            assert _loaded(path, chunk_rows, categorical_override=categorical_override) == named
+        loaded = _loaded(path, chunk_rows, categorical_override=categorical_override, lines=lines)
+        assert loaded == whole
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 2, 8192])
@@ -593,7 +565,7 @@ def test_a_column_without_text_turns_categorical_with_its_cell_text(
     # stays missing
     path = write_csv("late.csv", "a,b\n1.50,1\n\x00,2\n1e3,3\n-0,4\nx,5\n")
     with mock.patch.object(frame_module, "_CSV_READ_ROWS", chunk_rows):
-        frame = load_csv(path, missing_tokens=("", "\x00"), text_columns=())
+        frame = load_csv(path, missing_tokens=("", "\x00"), lines=False)
     a, b = frame.columns
     assert a.kind is ColumnKind.CATEGORICAL
     assert a.raw == ("1.50", None, "1e3", "-0", "x")
@@ -620,14 +592,14 @@ def _piped(tmp_path, data: bytes, load):
         fifo.unlink()
 
 
-@pytest.mark.parametrize("text_columns", [(), None], ids=["columns", "export"])
-def test_a_pipe_loads_equal_to_its_file_when_a_column_turns_late(tmp_path, text_columns):
+@pytest.mark.parametrize("lines", [False, True], ids=["columns", "export"])
+def test_a_pipe_loads_equal_to_its_file_when_a_column_turns_late(tmp_path, lines):
     # at 2 rows per chunk, a turns to text in its second chunk and g's two
     # numbers put it under the override: both are read again, from a spool
     data = b"a,g,x\n1,0,1.5\n2,1,2.5\nx,1.0,3.5\n4,0,NA\n"
     path = tmp_path / "f.csv"
     path.write_bytes(data)
-    kwargs = dict(categorical_override=2, text_columns=text_columns)
+    kwargs = dict(categorical_override=2, lines=lines)
     piped = _piped(tmp_path, data, lambda p: _loaded(p, 2, **kwargs))
     assert piped == _loaded(path, 2, **kwargs)
     assert [column[1] for column in piped] == [
@@ -644,5 +616,5 @@ def test_a_numerical_load_peaks_under_three_times_what_it_keeps(fixture_20k):
     # at 1,024-row chunks (3.8x while each chunk's text was kept)
     path, _ = fixture_20k
     with mock.patch.object(frame_module, "_CSV_READ_ROWS", 1024):
-        kept, peak = _traced_load(path, text_columns=())
+        kept, peak = _traced_load(path, lines=False)
     assert peak < 3 * kept

@@ -87,7 +87,7 @@ def test_numerical_text_reads_missingness_from_the_nan_mask():
 
 
 def test_concat_remaps_codes_onto_the_union_of_categories(write_csv):
-    loaded = load_csv(write_csv("t.csv", "s,x\nb,1\nd,2\n,3\n")).drop_columns(["x"])
+    loaded = TabularFrame([load_csv(write_csv("t.csv", "s,x\nb,1\nd,2\n,3\n")).column("s")])
     plain = TabularFrame([cat_col("s", ["c", "a", None, 1])])
     for first, second in ((loaded, plain), (plain, loaded), (loaded, loaded)):
         out = concat_frames(first, second).column("s")

@@ -98,20 +98,20 @@ def test_load_csv_matches_per_cell_reference(tmp_path_factory, cells, categorica
         writer.writerow(["row", "cell"])
         writer.writerows(enumerate(cells))
     kind, values, raw = _reference_column(cells, ("", "NA", "null"), categorical_override)
-    col = load_csv(path, categorical_override=categorical_override, text_columns=()).column("cell")
+    col = load_csv(path, categorical_override=categorical_override, lines=False).column("cell")
     assert col.kind is kind
     # a categorical column's categories are its text; a numerical one keeps none
     assert col.raw == (raw if kind is ColumnKind.CATEGORICAL else None)
-    # the export load gives the same text back from its lines
+    # the export load keeps each cell's text in its lines, a missing one empty
     exported = load_csv(path, categorical_override=categorical_override)
     assert exported.kind_of("cell") is kind
-    assert list(exported.text("cell")) == ["" if r is None else r for r in raw]
-    # a column named in text_columns is categorical, its cells' text its
-    # categories, whatever they hold
-    named = load_csv(path, text_columns=["cell"]).column("cell")
-    assert named.kind is ColumnKind.CATEGORICAL
-    assert named.raw == raw
-    assert named.categories == tuple(sorted({r for r in raw if r is not None}))
+    assert [row[1] for row in csv.reader(exported.lines)] == ["" if r is None else r for r in raw]
+    # an override above the column's distinct count loads it as categorical,
+    # its cells' text its categories, whatever they hold
+    every = load_csv(path, categorical_override=len(cells) + 1, lines=False).column("cell")
+    assert every.kind is ColumnKind.CATEGORICAL
+    assert every.raw == raw
+    assert every.categories == tuple(sorted({r for r in raw if r is not None}))
     assert col.values.dtype == values.dtype
     if kind is ColumnKind.NUMERICAL:
         assert col.values.tobytes() == values.tobytes()
@@ -193,9 +193,9 @@ def test_to_csv_quotes_a_lone_empty_cell(tmp_path, keeps_text):
     assert (tmp_path / "two.csv").read_bytes() == b"a,b\r\n,\r\nx,y\r\n"
 
 
-# `shockstab split` against the per-cell column path: load_csv with every
-# header name in text_columns keeps each cell's text in its column, and
-# to_csv renders the rows from it.
+# `shockstab split` against a per-cell reference: each column of csv.reader's
+# cells held as text, split by split_once, and each part's rows rendered
+# from its columns by to_csv.
 
 _export_cells = st.one_of(
     st.sampled_from(["", "NA", "null", "0", "-0.0", "1e3", " 2.5 ", "x", "a,b", 'say "hi"',
@@ -275,9 +275,12 @@ def test_split_export_equals_the_per_cell_reference(tmp_path_factory, drawn, rea
         train_fraction=float(parsed["--train-fraction"]), mc_runs=runs, seed=5,
     )
     with open(path, encoding="utf-8", newline="") as fh:
-        header = [h.strip() for h in next(csv.reader(fh))]
-    frame = load_csv(path, text_columns=header)
-    assert frame.lines is None
+        header, *cells = csv.reader(fh)
+    frame = TabularFrame([
+        _text_column(name.strip(), [None if row[i] in ("", "NA", "null") else row[i]
+                                    for row in cells], keeps_text=True)
+        for i, name in enumerate(header)
+    ])
     for run in range(runs):
         split = split_once(frame, spec, run)
         for name, part in (("train", frame.take(split.train)), ("test", frame.take(split.test)),

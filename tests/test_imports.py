@@ -5,7 +5,8 @@ schema profile uses it. scipy.special costs about a third of that, and only
 the Levy family's tail draws load it, for `erfinv`; `import shockstab`
 loads neither. Each command is checked in a fresh interpreter. And no module
 reaches for another's private helpers, and only the modules that make or
-read splits name `ShockSplit`.
+read splits name `ShockSplit`, and only frame.py's load, take and write
+touch a frame's export lines.
 """
 
 import ast
@@ -274,6 +275,78 @@ def test_date_decision_check_finds_each_form():
         "config.split.date_column",
         "oot_partition(frame, config.split)",
         "splitting.oot_partition(frame, spec)",
+    ]
+
+
+# The functions of frame.py that may touch a frame's export lines: they are
+# only loaded, gathered by a take and written back, and nothing reads a cell
+# from them.
+_LINE_OWNERS = frozenset({
+    "load_csv", "_with_lines", "TabularFrame.__init__", "TabularFrame.take",
+    "TabularFrame.to_csv", "TabularFrame.lines",
+})
+
+
+def _lines_uses(source: str, owners=frozenset()) -> list[str]:
+    """Each place in `source` outside the functions `owners` that touches
+    `_lines`, as an attribute or as the string "_lines" (getattr, setattr,
+    vars), prefixed by its function's qualified name or "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            touched = (isinstance(child, ast.Attribute) and child.attr == "_lines") or (
+                isinstance(child, ast.Constant) and child.value == "_lines"
+            )
+            if touched and scope not in owners:
+                found.append(f"{scope or '<module>'}: {ast.unparse(child)}")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_only_the_load_take_and_write_touch_export_lines():
+    root = Path(shockstab.__file__).parent
+    found = {
+        p.name: uses
+        for p in sorted(root.glob("*.py"))
+        if (uses := _lines_uses(
+            p.read_text(encoding="utf-8"), _LINE_OWNERS if p.name == "frame.py" else frozenset()
+        ))
+    }
+    assert found == {}
+
+
+def test_lines_check_finds_each_form():
+    source = (
+        "class TabularFrame:\n"
+        "    def take(self, rows):\n"
+        "        return self._lines\n"
+        "    def text(self, name):\n"
+        "        return self._lines[0]\n"
+        "def concat_frames(a, b):\n"
+        "    a._lines = a._lines + getattr(b, '_lines')\n"
+        "def load_csv(path):\n"
+        "    def render(frame):\n"
+        "        return frame._lines\n"
+        "    return render, path.lines, '_lines_of'\n"
+        "LINES = vars(frame)['_lines']\n"
+    )
+    assert _lines_uses(source, {"TabularFrame.take", "load_csv"}) == [
+        "TabularFrame.text: self._lines",
+        "concat_frames: a._lines",
+        "concat_frames: a._lines",
+        "concat_frames: '_lines'",
+        "load_csv.render: frame._lines",
+        "<module>: '_lines'",
+    ]
+    # outside frame.py no function may touch them
+    assert _lines_uses("def take(frame):\n    return frame._lines\n") == [
+        "take: frame._lines"
     ]
 
 

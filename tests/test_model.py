@@ -157,9 +157,15 @@ def _reference_gd(x, y, config):
     return w, b
 
 
+def _undated_fixture(rows, **kwargs):
+    """make_shocked_fixture's frame without its date column."""
+    frame = make_shocked_fixture(rows=rows, **kwargs)
+    return TabularFrame([c for c in frame.columns if c.name != "date"])
+
+
 @pytest.mark.parametrize("rows", [300, 2240])
 def test_train_baseline_bitwise_equals_reference_loop(rows):
-    frame = make_shocked_fixture(rows=rows).drop_columns({"date"})
+    frame = _undated_fixture(rows)
     config = TrainConfig()
     model = train_baseline(frame, "is_bad", config)
     x = model.encoding.design_matrix(frame)
@@ -181,7 +187,7 @@ def _assert_reference_bits(frames, models, label, config):
 @pytest.mark.parametrize("rows", [300, 2240])
 def test_train_baselines_bitwise_equals_reference_loop(rows, k):
     frames = [
-        make_shocked_fixture(rows=rows, seed=seed).drop_columns({"date"})
+        _undated_fixture(rows, seed=seed)
         for seed in range(k)
     ]
     config = TrainConfig()
@@ -194,7 +200,7 @@ def test_train_baselines_bitwise_equals_reference_loop(rows, k):
 def test_train_baselines_groups_designs_by_shape():
     shapes = [(300, 0), (240, 1), (300, 2), (240, 3), (300, 4)]
     frames = [
-        make_shocked_fixture(rows=rows, seed=seed).drop_columns({"date"})
+        _undated_fixture(rows, seed=seed)
         for rows, seed in shapes
     ]
     # a constant column keeps a zero weight, whose sign must be +0

@@ -562,8 +562,9 @@ def test_oos_mode_runs(fixture_csv):
 
 
 def test_failed_cells_are_reported_not_dropped(fixture_csv):
-    # an absurd shock fraction leaves a single pre-shock row per run: the
-    # A-model cannot train, every cell records its diagnostic
+    # an absurd shock fraction leaves 2 of the 2,000 rows before the shock,
+    # one training row and one test row per run: the A-model cannot train
+    # on one class, and every cell records its diagnostic
     config = _config(
         fixture_csv,
         runs=2,
