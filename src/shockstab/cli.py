@@ -125,13 +125,14 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
 
     The file is a flat record list, which needs `ds_flag`, or a nested
     table {"ds", "models": [{"name", "levels": [{"outliers_pct", "runs":
-    [{four AUCs}, ...]}]}]}, whose DS `ds_flag` overrides. A nested level
-    gives one record of each AUC's `aggregate` median over its runs, or
-    with `per_run` one record per run, named "<model>#run<k>". Each AUC, the
-    DS and each model name go through `check`: a number in [0, 1], a number
-    >= 0 and a non-empty string, or a data error naming the file, record
-    and field. A file with no record (an empty list, a model with no
-    levels, a level with no runs) is a data error too.
+    [{four AUCs}, ...]}]}]}, whose DS `ds_flag` overrides; a table with no
+    "ds" needs `ds_flag` too. A nested level gives one record of each AUC's
+    `aggregate` median over its runs, or with `per_run` one record per run,
+    named "<model>#run<k>". Each AUC, the DS and each model name go through
+    `check`: a number in [0, 1], a number >= 0 and a non-empty string, or a
+    data error naming the file, record and field. A file with no record (an
+    empty list, a model with no levels, a level with no runs) is a data
+    error too.
     """
     payload = _load_json(path)
     if isinstance(payload, list):
@@ -159,7 +160,10 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
         raise DataError(f"{path}: expected an object with a 'models' list")
     if not payload["models"]:
         raise EmptyInputError(f"{path}: empty model list")
-    ds = check(payload.get("ds", 0.0), "a number", ">= 0", what=f"{path}: ds", error=DataError)
+    if "ds" in payload:
+        ds = check(payload["ds"], "a number", ">= 0", what=f"{path}: ds", error=DataError)
+    elif ds_flag is None:
+        raise ConfigError(f"{path}: --ds is required with a table that has no 'ds'")
     records = []
     for j, m in enumerate(_objects(payload["models"], f"{path}: models")):
         name = check(m.get("name"), "a non-empty string", what=f"{path}: model {j} name",
@@ -196,19 +200,15 @@ def _grid_records(path: str, ds_flag: float | None, per_run: bool = False):
 # ---------------------------------------------------------------------------
 
 def _cmd_schema(args) -> int:
-    frame = load_csv(
-        args.file,
-        missing_tokens=tuple(args.missing_tokens),
-        categorical_override=args.categorical_override,
-        lines=False,
-    )
+    frame = load_csv(args.file, missing_tokens=tuple(args.missing_tokens),
+                     categorical_override=args.categorical_override)
     _emit(detect_schema(frame).to_dict(), args.json)
     return EXIT_OK
 
 
 def _cmd_ds(args) -> int:
-    base = load_csv(args.base, lines=False)
-    shock = load_csv(args.shock, lines=False)
+    base = load_csv(args.base)
+    shock = load_csv(args.shock)
     excluded = _split_list(args.exclude) if args.exclude else []
     report = distribution_shift(base, shock, tau=args.tau, excluded=excluded)
     _emit(report.to_dict(), args.json)
@@ -260,7 +260,7 @@ def _cmd_split(args) -> int:
         mc_runs=args.runs,
         seed=args.seed,
     )
-    frame = load_csv(args.file)  # each row's CSV line, which the exports write back
+    frame = load_csv(args.file, lines=True)  # each row's line, which the exports write
     first = split_once(frame, spec, 0)  # a bad date or cut stops before any file
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -281,7 +281,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    frame = load_csv(args.file, lines=False)
+    frame = load_csv(args.file)
     generator = fit(frame)
     spec = OutlierSpec(
         family=args.family,
@@ -362,6 +362,8 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.kind == "radial" and len(args.files) != 1:
+        raise ConfigError(f"report radial takes one report file, got {len(args.files)}")
     payloads = [_load_json(p) for p in args.files]
     if args.kind == "radial":
         _emit(emit_radial_data(payloads[0], nonzero=args.nonzero), args.json)

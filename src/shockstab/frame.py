@@ -7,20 +7,20 @@ by str, with -1 marking a missing cell; `Column.values` decodes them into
 an object array with None for missing cells. Missingness is always read
 from these arrays: the NaN mask or code -1.
 
-A categorical column's categories are its cell strings, so a column
-loaded from CSV holds each such cell's text once, and `Column.raw` gives
-it back per cell. A numerical column holds its floats and no text. Each
-column's kind comes from its cells and `categorical_override` alone: a
-date such as 20180322 loads as a number, and `splitting` writes its text
-back from the value.
+A categorical column's categories are its cell strings. Each column's
+kind comes from its cells and `categorical_override` alone: a date such as
+20180322 loads as a number, and `splitting` writes its text back from the
+value. A numerical column holds its floats and no text.
 
-With `lines=True`, the default and the export mode of `shockstab split`,
-the frame also keeps each row's CSV line exactly as `to_csv` writes it.
-The lines are only loaded, gathered by `take` and written back by
+Whether a frame keeps CSV text is decided once, at load. By default it
+keeps none: `Column.raw` is None and `lines` is None. With `lines=True`,
+the export mode that only `shockstab split` asks for, the frame keeps each
+row's CSV line exactly as `to_csv` writes it, and each categorical
+column's `raw` gives its cells' text back. The lines are only loaded,
+passed to `TabularFrame` by `load_csv` and `take`, and written back by
 `to_csv`, so every non-missing input cell is exported byte-equal; nothing
 reads a cell from them. Any other frame keeps none, and `to_csv` renders
-its rows from its columns. The pipeline, `schema`, `ds` and `synth` load
-with `lines=False`.
+its rows from its columns.
 
 `load_csv` reads a file in chunks of `_CSV_READ_ROWS` (8,192) rows and
 classifies each chunk's cells before it reads the next, so a categorical
@@ -79,8 +79,8 @@ def _parse_floats(cells) -> np.ndarray | None:
 
 
 class Column:
-    """One named column: typed values, and for a loaded categorical column
-    a mark that its categories are its cells' CSV text.
+    """One named column: typed values, and for a categorical column of an
+    export load a mark that its categories are its cells' CSV text.
 
     A numerical column holds float64 values, NaN marking a missing cell,
     and no text. A categorical column holds int32 `codes` into
@@ -206,12 +206,6 @@ class Column:
             )
         return Column(self.name, self.kind, self._floats[indices])
 
-    def without_text(self) -> "Column":
-        """The same column, keeping no CSV text."""
-        if not self._keeps_text:
-            return self
-        return Column.from_codes(self.name, self.codes, self.categories)
-
 
 def _encode(cells: list) -> tuple[np.ndarray, tuple]:
     """int32 codes of `cells` into their distinct values sorted by str, and
@@ -247,12 +241,12 @@ def _gather(items: tuple, positions: list) -> tuple:
 class TabularFrame:
     """Immutable ordered collection of equally long, uniquely named columns.
 
-    A frame that `load_csv` exports from also keeps `lines`: each row's CSV
-    line as `to_csv` writes it, with no line end. Any other frame keeps
-    none, and `lines` is None.
+    `lines`, which only `load_csv` and `take` pass, are each row's CSV line
+    as `to_csv` writes it, with no line end, one per row. A frame built
+    without them keeps none, and `lines` is None.
     """
 
-    def __init__(self, columns: list[Column]):
+    def __init__(self, columns: list[Column], lines: tuple | None = None):
         names = [c.name for c in columns]
         if len(set(names)) != len(names):
             dup = next(n for n in names if names.count(n) > 1)
@@ -263,7 +257,9 @@ class TabularFrame:
         self.columns = tuple(columns)
         self.row_count = lengths.pop() if lengths else 0
         self._by_name = {c.name: c for c in self.columns}
-        self._lines = None
+        if lines is not None and len(lines) != self.row_count:
+            raise ValueError(f"{len(lines)} lines for {self.row_count} rows")
+        self._lines = lines
 
     @property
     def column_names(self):
@@ -291,7 +287,7 @@ class TabularFrame:
         present."""
         indices = np.asarray(indices, dtype=np.intp)
         lines = None if self._lines is None else _gather(self._lines, indices.tolist())
-        return _with_lines([c.take(indices) for c in self.columns], lines)
+        return TabularFrame([c.take(indices) for c in self.columns], lines)
 
     def require_same_columns(self, other: "TabularFrame", excluded=()) -> None:
         """Raise SchemaMismatchError unless both frames hold the same column
@@ -329,15 +325,6 @@ class TabularFrame:
                     lines = _render_rows([t[start:stop] for t in texts])
                 fh.write("\r\n".join(lines))
                 fh.write("\r\n")
-
-
-def _with_lines(columns: list[Column], lines: tuple | None) -> TabularFrame:
-    """A frame of `columns` that keeps `lines`, one per row."""
-    frame = TabularFrame(columns)
-    if lines is not None and len(lines) != frame.row_count:
-        raise ValueError(f"{len(lines)} lines for {frame.row_count} rows")
-    frame._lines = lines
-    return frame
 
 
 # Rows per write in TabularFrame.to_csv: enough that the per-chunk overhead
@@ -378,16 +365,14 @@ def _needs_quotes(text: str) -> bool:
 
 def concat_frames(first: TabularFrame, second: TabularFrame) -> TabularFrame:
     """Stack two frames with the same columns, first on top, in the first
-    frame's column order. The result keeps no lines."""
+    frame's column order. The result keeps no CSV text and no lines."""
     first.require_same_columns(second)
     columns = []
     for a in first.columns:
         b = second.column(a.name)
         if a.kind is ColumnKind.CATEGORICAL:
-            categories, a_codes, b_codes = union_codes(a, b)
-            codes = np.concatenate([a_codes, b_codes])
-            keeps_text = a._keeps_text and b._keeps_text
-            columns.append(Column.from_codes(a.name, codes, categories, keeps_text))
+            categories, *codes = union_codes(a, b)
+            columns.append(Column.from_codes(a.name, np.concatenate(codes), categories))
             continue
         columns.append(Column(a.name, a.kind, np.concatenate([a.values, b.values])))
     return TabularFrame(columns)
@@ -401,7 +386,7 @@ def load_csv(
     path,
     missing_tokens=DEFAULT_MISSING_TOKENS,
     categorical_override: int = 0,
-    lines: bool = True,
+    lines: bool = False,
 ) -> TabularFrame:
     """Load a comma-separated file with a header row into a TabularFrame.
 
@@ -412,9 +397,11 @@ def load_csv(
     override routes numeric columns with at most that many distinct values
     to categorical; one that is not an integer >= 0 is a ConfigError.
     Missing cells are any cell equal to one of `missing_tokens`, a list of
-    strings. With `lines`, the frame also keeps each row's CSV line as
-    `to_csv` writes it (a missing cell empty, no line end), rendered chunk
-    by chunk. A UTF-8 byte-order mark at the start of the file is skipped.
+    strings. The frame keeps no CSV text unless `lines` asks for it, as
+    only an export does: then it keeps each row's CSV line as `to_csv`
+    writes it (a missing cell empty, no line end), rendered chunk by chunk,
+    and each categorical column's `raw` gives its cells' text. A UTF-8
+    byte-order mark at the start of the file is skipped.
 
     Rows are read in chunks of `_CSV_READ_ROWS`, and each chunk's cells are
     classified column by column before the next is read. A column found
@@ -461,7 +448,7 @@ def load_csv(
                     error = _read_rows(reader, readers, rendered)
                     if error is not None:
                         break
-                    columns = [r.column(categorical_override) for r in readers]
+                    columns = [r.column(categorical_override, lines) for r in readers]
                     late = {r.name for r, c in zip(readers, columns) if c is None}
                     if not late:
                         break
@@ -482,7 +469,7 @@ def load_csv(
         ) from None
     if error is not None:
         raise error
-    return _with_lines(columns, None if rendered is None else tuple(rendered))
+    return TabularFrame(columns, None if rendered is None else tuple(rendered))
 
 
 def _read_rows(reader, columns: list, lines: list | None) -> RaggedRowError | None:
@@ -587,9 +574,10 @@ class _ColumnReader:
             np.fromiter(map(lookup.__getitem__, cells), dtype=np.int32, count=len(cells))
         )
 
-    def column(self, categorical_override: int) -> Column | None:
+    def column(self, categorical_override: int, keeps_text: bool) -> Column | None:
         """The loaded column, its kind decided on all of its cells; None for
-        a late one, as `categorical_override` can also make it."""
+        a late one, as `categorical_override` can also make it. A categorical
+        one is marked as keeping its cells' text when `keeps_text`."""
         if self.late:
             return None
         if self.codes is None:
@@ -600,12 +588,12 @@ class _ColumnReader:
                     return None
                 return Column(self.name, ColumnKind.NUMERICAL, values)
             # no cell is present
-            return Column.from_codes(self.name, np.full(values.size, -1), (), keeps_text=True)
+            return Column.from_codes(self.name, np.full(values.size, -1), (), keeps_text)
         # the lookup lists None, then each cell by its provisional code; its
         # codes into the categories sorted by str remap every cell's code
         remap, categories = _encode(list(self.lookup))
         codes = remap[np.concatenate(self.codes) + 1]
-        return Column.from_codes(self.name, codes, categories, keeps_text=True)
+        return Column.from_codes(self.name, codes, categories, keeps_text)
 
 
 # ---------------------------------------------------------------------------

@@ -431,19 +431,18 @@ def run_pipeline(config: PipelineConfig) -> PipelineReport:
     in parallel processes (see `_map_runs`); their outcomes fill the report
     in one pass, which is byte-identical for every process count.
     """
-    frame = load_csv(
-        config.input_path,
-        missing_tokens=config.missing_tokens,
-        categorical_override=config.categorical_override,
-        lines=False,
-    )
-    # a label that is missing or not numerical 0/1 stops the run before any
-    # split is made
+    frame = load_csv(config.input_path, missing_tokens=config.missing_tokens,
+                     categorical_override=config.categorical_override)
+    # a label that is missing or not numerical 0/1, or a DS exclusion that
+    # names no column, stops the run before any split is made
     extract_labels(frame, config.label)
-    # the splits are row indices into one model frame that keeps no CSV
-    # text, so the loaded frame, an OOT date column among its columns, goes
-    # before any model trains; each task takes its own run's rows
-    frame, splits = model_splits(frame, config.split, config.label)
+    for name in config.exclude_from_ds:
+        if name not in frame:
+            raise ConfigError(f"exclude_from_ds column {name!r} is not in the data")
+    # the splits are row indices into one model frame, so the loaded frame,
+    # an OOT date column among its columns, goes before any model trains;
+    # each task takes its own run's rows
+    frame, splits = model_splits(frame, config.split)
     # each synthetic frame holds the model frame's columns: a nonneg column
     # is checked here, before any fit, and not in every cell
     for name in config.nonneg_columns:

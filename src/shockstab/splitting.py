@@ -211,16 +211,16 @@ def monte_carlo(frame: TabularFrame, spec: SplitSpec) -> list[ShockSplit]:
     return [split_once(frame, spec, r) for r in range(spec.mc_runs)]
 
 
-def model_splits(frame: TabularFrame, spec: SplitSpec, label: str) -> tuple:
+def model_splits(frame: TabularFrame, spec: SplitSpec) -> tuple:
     """The frame a model trains and is evaluated on, and its Monte Carlo splits.
 
     The model frame holds `frame`'s rows in their order, so each split's
-    row indices point into both. It keeps no CSV text or lines. An OOT date
-    column, which `oot_partition` parses, is neither a feature nor a DS
-    column, so it is dropped unless it is the label.
+    row indices point into both, and every column but an OOT date column,
+    which `oot_partition` parses and which is neither a feature nor a DS
+    column. It keeps no lines.
     """
-    drop = {spec.date_column} - {label} if spec.mode == OOT else set()
-    columns = [c.without_text() for c in frame.columns if c.name not in drop]
+    drop = spec.date_column if spec.mode == OOT else None
+    columns = [c for c in frame.columns if c.name != drop]
     return TabularFrame(columns), monte_carlo(frame, spec)
 
 

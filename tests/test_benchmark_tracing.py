@@ -68,15 +68,19 @@ def test_take_counts_read_each_columns_raw_text(tracing, write_csv):
     path = write_csv("t.csv", "a,b\n1.5,x\nNA,\n3,z\n")
     # the export load keeps the numerical column's text in its lines, so
     # only the categorical column's cells count; under the override, a's
-    # two numbers load as categorical text, and its cells count too
-    for kwargs, raw_cells in [({}, 2), ({"categorical_override": 2, "lines": False}, 4)]:
+    # two numbers load as categorical text, and its cells count too; a
+    # default load keeps no text, and none count
+    for kwargs, raw_cells in [
+        ({"lines": True}, 2),
+        ({"categorical_override": 2, "lines": True}, 4),
+        ({"categorical_override": 2}, 0),
+    ]:
         frame = load_csv(path, **kwargs)
         taken = frame.take([2, 0])
         assert tracing._take_counts((frame, [2, 0]), {}, taken) == {
             "frame.take.rows": 2,
             "frame.take.raw_cells": raw_cells,
         }
-    assert frame.column("b").without_text().raw is None
 
 
 def test_split_calls_split_once_per_run_and_to_csv_per_file(tracing, tmp_path, capsys):

@@ -384,7 +384,7 @@ def test_train_eval_runs_equal_the_pipeline_a_model_runs(tmp_path, capsys, monke
     code, out = _run(capsys, "pipeline", tmp_path / "a_only.json")
     assert code == 0
     spec = SplitSpec.from_dict(config["split"])
-    frame, splits = model_splits(load_csv(path), spec, "is_bad")
+    frame, splits = model_splits(load_csv(path), spec)
     reference = [
         evaluate_pair(
             train_baseline(frame.take(split.train), "is_bad", TrainConfig(epochs=60)),
@@ -652,6 +652,22 @@ def test_report_radial_rejects_grid_json(tmp_path, capsys):
     path.write_text(json.dumps(grid))
     code, _ = _run(capsys, "report", "radial", path)
     assert code == 2
+
+
+def test_report_radial_takes_one_file_and_digest_many(tmp_path, capsys):
+    # radial plots one report: a second file is refused, not dropped
+    paths = [_write_json(tmp_path, _REPORT, name=f"r{i}.json") for i in range(2)]
+    code = main(["report", "radial", *map(str, paths)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: report radial takes one report file, got 2\n"
+    assert captured.out == ""
+    code, radial = _run(capsys, "report", "radial", paths[0])
+    assert code == 0
+    assert radial["dataset"] == "d"
+    code, digest = _run(capsys, "report", "digest", *paths)
+    assert code == 0
+    assert len(digest["rows"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -944,6 +960,27 @@ def _auc_table(**level_overrides):
     run = {"auc_base_a": 0.8, "auc_shock_a": 0.7, "auc_base_b": 0.81, "auc_shock_b": 0.76}
     level = {"outliers_pct": 5, "runs": [run], **level_overrides}
     return {"ds": 0.1, "models": [{"name": "gbm", "levels": [level]}]}
+
+
+@pytest.mark.parametrize("command", ["su-grid", "sweep"])
+def test_a_nested_table_with_no_ds_needs_the_ds_flag(tmp_path, capsys, command):
+    # a table with no ds is not scored at DS 0.0: it needs --ds, as a flat
+    # record list does
+    table = _auc_table()
+    for name in ("bare", "own"):
+        (tmp_path / name).mkdir()
+    bare = _write_json(tmp_path / "bare", {"models": table["models"]})
+    code = main([command, str(bare)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {bare}: --ds is required with a table that has no 'ds'\n"
+    assert captured.out == ""
+    # --ds alone scores it as the table's own ds does
+    code, flagged = _run(capsys, command, bare, "--ds", "0.1")
+    assert code == 0
+    code, own = _run(capsys, command, _write_json(tmp_path / "own", table))
+    assert code == 0
+    assert flagged == own
 
 
 @pytest.mark.parametrize(
@@ -1663,8 +1700,12 @@ def test_only_split_and_an_oot_date_keep_numerical_text(tmp_path, capsys, monkey
         categorical = {c.name for c in frame.columns if c.kind is ColumnKind.CATEGORICAL}
         assert frame.kind_of("date") is ColumnKind.NUMERICAL
         assert categorical == {"sector"}
-        assert all(c.raw is None for c in frame.columns if c.name not in categorical)
-        assert (frame.lines is not None) == (argv[0] == "split")
+        # only the split command's export load keeps text: its lines, and
+        # its categorical column's cells
+        exported = argv[0] == "split"
+        assert all((c.raw is not None) == (exported and c.name in categorical)
+                   for c in frame.columns)
+        assert (frame.lines is not None) == exported
 
 
 def test_pipeline_whose_label_is_its_oot_date_column_exits_2_before_reading(
@@ -1785,15 +1826,20 @@ def test_a_numerical_date_that_is_no_yyyymmdd_integer_exits_3_naming_its_row(
          True),
         ("nonneg_columns", ["price", "sector"],
          "nonneg column 'sector' is not a numerical model column", True),
+        ("exclude_from_ds", ["sectr"], "exclude_from_ds column 'sectr' is not in the data",
+         True),
+        ("exclude_from_ds", ["date", "is_bad", "nope"],
+         "exclude_from_ds column 'nope' is not in the data", True),
     ],
     ids=["date-is-label", "override-2", "nonneg-unknown", "nonneg-oot-date",
-         "nonneg-categorical"],
+         "nonneg-categorical", "exclude-unknown", "exclude-after-date-and-label"],
 )
 def test_a_pipeline_that_can_never_run_exits_2_before_any_fit(
     fixture_csv, tmp_path, capsys, monkeypatch, path, value, message, reads
 ):
-    # the two config faults stop before the CSV is read; a nonneg column is
-    # checked against the model frame, before any generator or model fits
+    # the two config faults stop before the CSV is read; a DS exclusion is
+    # checked against the loaded columns, and a nonneg column against the
+    # model frame, before any generator or model fits
     calls = []
     for name in ("fit", "train_baseline", "train_baselines"):
         monkeypatch.setattr(pipeline, name, lambda *a, _name=name: calls.append(_name))

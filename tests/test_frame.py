@@ -99,7 +99,7 @@ def test_missing_tokens(write_csv):
 def test_round_trip_non_missing_cells_byte_equal(write_csv, tmp_path):
     text = "amt,label,when\n01.50,aa,2018-01-02\n2e3,b b,2018-01-03\n,c,2018-01-04\n"
     src = write_csv("rt.csv", text)
-    frame = load_csv(src)
+    frame = load_csv(src, lines=True)
     out = tmp_path / "out.csv"
     frame.to_csv(out)
     with open(src, newline="") as fh:
@@ -253,15 +253,16 @@ def test_moments_match_pandas_conventions():
 def test_take_and_concat_preserve_raw(write_csv, tmp_path):
     path = write_csv("raw.csv", "a,b\n1.50,x\n2.25,y\n3.00,z\n")
     # a numerical column under the override loads as categorical, its
-    # cells' text its categories
-    kept = load_csv(path, categorical_override=3, lines=False)
-    assert kept.lines is None
+    # cells' text its categories; only the export load marks them as text
+    kept = load_csv(path, categorical_override=3, lines=True)
     assert kept.column("a").categories == ("1.50", "2.25", "3.00")
     assert kept.take([2, 0]).column("a").raw == ("3.00", "1.50")
-    assert concat_frames(kept.take([2]), kept.take([0])).column("a").raw == ("3.00", "1.50")
+    assert load_csv(path, categorical_override=3).column("a").raw is None
+    # a stacked frame keeps no text, as it keeps no lines
+    assert concat_frames(kept.take([2]), kept.take([0])).column("a").raw is None
     # the export load keeps each row's line in its place; a stacked frame
     # keeps none, and renders its rows from its columns
-    frame = load_csv(path)
+    frame = load_csv(path, lines=True)
     sub = frame.take([2, 0])
     assert sub.column("a").raw is None
     assert sub.lines == ("3.00,z", "1.50,x")
@@ -275,11 +276,11 @@ def test_frames_built_from_columns_keep_no_lines(write_csv, tmp_path):
     # only a load and its takes keep lines: a frame of some or all of a
     # loaded frame's columns renders its rows from them, a number as its repr
     path = write_csv("q.csv", 'a,b,c\n1.50,"x,y",NA\n2.0e1,z,7\n')
-    frame = load_csv(path)
+    frame = load_csv(path, lines=True)
     dropped = TabularFrame([frame.column(n) for n in ("a", "b")])
     reordered = TabularFrame([frame.column(n) for n in ("c", "a", "b")])
     assert dropped.lines is None and reordered.lines is None
-    swapped = load_csv(write_csv("swapped.csv", "b,c,a\nw,8,3.25\n"))
+    swapped = load_csv(write_csv("swapped.csv", "b,c,a\nw,8,3.25\n"), lines=True)
     assert concat_frames(frame, swapped).lines is None
     dropped.to_csv(tmp_path / "dropped.csv")
     assert (tmp_path / "dropped.csv").read_bytes() == b'a,b\r\n1.5,"x,y"\r\n20.0,z\r\n'
@@ -287,7 +288,7 @@ def test_frames_built_from_columns_keep_no_lines(write_csv, tmp_path):
 
 def test_take_accepts_list_range_and_array(write_csv):
     path = write_csv("t.csv", "a,b,c\n1.50,x,7\nNA,,8\n3.00,z,9\n4.5,w,\n")
-    loaded = load_csv(path)
+    loaded = load_csv(path, lines=True)
     plain = make_frame(a=[1.5, None, 3.0, 4.5], b=["x", None, "z", "w"])
     for frame in (loaded, plain):
         takes = [
@@ -313,7 +314,7 @@ def test_take_accepts_list_range_and_array(write_csv):
     assert loaded.take([2]).lines == ("3.00,z,9",)
     assert loaded.take(np.array([3, 1, 3])).lines == ("4.5,w,", ",,8", "4.5,w,")
     # and so the text of the columns the override loads as categorical
-    kept = load_csv(path, categorical_override=3, lines=False)
+    kept = load_csv(path, categorical_override=3, lines=True)
     assert kept.take(range(1, 4)).column("a").raw == (None, "3.00", "4.5")
     assert [c.raw for c in kept.take([]).columns] == [(), (), ()]
     assert [c.raw for c in kept.take([2]).columns] == [("3.00",), ("z",), ("9",)]
@@ -496,22 +497,29 @@ def fixture_20k(tmp_path_factory):
 
 # an override above each column's distinct count loads every column as
 # categorical, each keeping its cell text as its categories
-_EVERY_COLUMN_TEXT = {"categorical_override": 20_000, "lines": False}
+_EVERY_COLUMN_TEXT = {"categorical_override": 20_000}
 
 
 def test_load_csv_without_text_keeps_and_peaks_less(fixture_20k):
     path, _ = fixture_20k
     text_kept, text_peak = _traced_load(path, **_EVERY_COLUMN_TEXT)
-    lean_kept, lean_peak = _traced_load(path, lines=False)
+    lines_kept, _ = _traced_load(path, lines=True)
+    lean_kept, lean_peak = _traced_load(path)
     # measured: 0.96 MiB kept against 7.35 MiB, a peak of 5.93 MiB against 15.02
     assert lean_kept <= 0.2 * text_kept
     assert lean_peak < text_peak
+    # the default load keeps no lines and no cell text: measured 0.96 MiB
+    # kept against the export load's 3.85 MiB
+    assert lean_kept <= lines_kept / 3
+    lean = load_csv(path)
+    assert lean.lines is None
+    assert all(c.raw is None for c in lean.columns)
 
 
 def test_load_csv_export_lines_keep_less_than_cell_text_and_peak_no_higher(fixture_20k):
     path, _ = fixture_20k
     text_kept, text_peak = _traced_load(path, **_EVERY_COLUMN_TEXT)
-    lines_kept, lines_peak = _traced_load(path)
+    lines_kept, lines_peak = _traced_load(path, lines=True)
     # measured: 3.85 MiB kept against 7.35 MiB, a peak of 8.05 MiB against 15.02
     assert lines_kept < text_kept
     assert lines_peak <= text_peak
@@ -543,15 +551,19 @@ def test_load_csv_keeps_numerical_text_only_for_text_columns(
     tmp_path_factory, drawn, categorical_override, lines
 ):
     # a column's kind comes from its cells and the override alone: a load
-    # with lines holds the same columns as one without, and a numerical
-    # column keeps no text in either
+    # with lines holds the same columns as one without, apart from the text
+    # that only it keeps, and only for a categorical column
     data, names = drawn
     path = tmp_path_factory.getbasetemp() / "text.csv"
     path.write_bytes(data)
-    whole = _loaded(path, _FULL_READ, categorical_override=categorical_override, lines=False)
+    lean = _loaded(path, _FULL_READ, categorical_override=categorical_override)
+    whole = _loaded(path, _FULL_READ, categorical_override=categorical_override, lines=lines)
     if isinstance(whole, list):
-        assert all(c[2] is None for c in whole if c[1] is ColumnKind.NUMERICAL)
-    for chunk_rows in (1, 2, 3, _FULL_READ):
+        assert all((c[2] is not None) == (lines and c[1] is ColumnKind.CATEGORICAL) for c in whole)
+        assert [c[:2] + c[3:] for c in whole] == [c[:2] + c[3:] for c in lean]
+    else:
+        assert whole == lean
+    for chunk_rows in (1, 2, 3):
         loaded = _loaded(path, chunk_rows, categorical_override=categorical_override, lines=lines)
         assert loaded == whole
 
@@ -565,10 +577,11 @@ def test_a_column_without_text_turns_categorical_with_its_cell_text(
     # stays missing
     path = write_csv("late.csv", "a,b\n1.50,1\n\x00,2\n1e3,3\n-0,4\nx,5\n")
     with mock.patch.object(frame_module, "_CSV_READ_ROWS", chunk_rows):
-        frame = load_csv(path, missing_tokens=("", "\x00"), lines=False)
+        frame = load_csv(path, missing_tokens=("", "\x00"))
     a, b = frame.columns
     assert a.kind is ColumnKind.CATEGORICAL
-    assert a.raw == ("1.50", None, "1e3", "-0", "x")
+    assert a.values.tolist() == ["1.50", None, "1e3", "-0", "x"]
+    assert a.raw is None
     assert b.kind is ColumnKind.NUMERICAL and b.raw is None
 
 
@@ -616,5 +629,5 @@ def test_a_numerical_load_peaks_under_three_times_what_it_keeps(fixture_20k):
     # at 1,024-row chunks (3.8x while each chunk's text was kept)
     path, _ = fixture_20k
     with mock.patch.object(frame_module, "_CSV_READ_ROWS", 1024):
-        kept, peak = _traced_load(path, lines=False)
+        kept, peak = _traced_load(path)
     assert peak < 3 * kept

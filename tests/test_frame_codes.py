@@ -48,8 +48,8 @@ def test_column_of_object_cells_matches_its_cells(cells):
 
 
 def test_loaded_column_holds_its_text_once(write_csv):
-    frame = load_csv(write_csv("t.csv", "s,x\nb,1\nNA,2\na,3\nb,4\n"))
-    col = frame.column("s")
+    path = write_csv("t.csv", "s,x\nb,1\nNA,2\na,3\nb,4\n")
+    col = load_csv(path, lines=True).column("s")
     assert col.categories == ("a", "b")
     assert col.codes.tolist() == [1, -1, 0, 1]
     assert col.raw == ("b", None, "a", "b")
@@ -58,8 +58,11 @@ def test_loaded_column_holds_its_text_once(write_csv):
     taken = col.take([3, 1])
     assert taken.categories is col.categories
     assert taken.raw == ("b", None)
-    assert col.without_text().raw is None
-    assert col.without_text().values.tolist() == col.values.tolist()
+    # a default load holds the same column, and keeps no text
+    lean = load_csv(path).column("s")
+    assert lean.raw is None
+    assert lean.categories == col.categories
+    assert lean.codes.tolist() == col.codes.tolist()
 
 
 def test_constructor_checks_raw_text_and_codes():
@@ -68,7 +71,6 @@ def test_constructor_checks_raw_text_and_codes():
     assert cat_col("s", ["a", None]).raw is None
     kept = Column.from_codes("s", [1, -1, 0], ("1", "a"), keeps_text=True)
     assert kept.raw == ("a", None, "1")
-    assert kept.without_text().raw is None
     with pytest.raises(TypeError):
         Column("s", ColumnKind.CATEGORICAL, np.array(["a"], dtype=object), ("a",))
     with pytest.raises(ValueError, match="outside its categories"):
@@ -81,21 +83,21 @@ def test_numerical_text_reads_missingness_from_the_nan_mask():
     col = Column("x", ColumnKind.NUMERICAL, np.array([1.5, np.nan, 3.0, -0.0, 1e300]))
     assert col.text() == ["1.5", "", "3.0", "-0.0", "1e+300"]
     assert col.raw is None
-    assert col.without_text() is col
     assert col.take([1, 0]).text() == ["", "1.5"]
     assert num_col("x", [1.5, np.nan]).text() == ["1.5", ""]
 
 
 def test_concat_remaps_codes_onto_the_union_of_categories(write_csv):
-    loaded = TabularFrame([load_csv(write_csv("t.csv", "s,x\nb,1\nd,2\n,3\n")).column("s")])
+    path = write_csv("t.csv", "s,x\nb,1\nd,2\n,3\n")
+    loaded = TabularFrame([load_csv(path, lines=True).column("s")])
     plain = TabularFrame([cat_col("s", ["c", "a", None, 1])])
     for first, second in ((loaded, plain), (plain, loaded), (loaded, loaded)):
         out = concat_frames(first, second).column("s")
         expected = first.column("s").values.tolist() + second.column("s").values.tolist()
         assert out.values.tolist() == expected
         assert list(out.categories) == sorted(set(out.categories), key=str)
-        both_loaded = first is second
-        assert (out.raw is not None) == both_loaded
+        # a stacked frame keeps no text, as it keeps no lines
+        assert out.raw is None
 
 
 def test_consumers_use_only_the_categories_the_rows_hold():

@@ -98,17 +98,20 @@ def test_load_csv_matches_per_cell_reference(tmp_path_factory, cells, categorica
         writer.writerow(["row", "cell"])
         writer.writerows(enumerate(cells))
     kind, values, raw = _reference_column(cells, ("", "NA", "null"), categorical_override)
-    col = load_csv(path, categorical_override=categorical_override, lines=False).column("cell")
+    col = load_csv(path, categorical_override=categorical_override).column("cell")
     assert col.kind is kind
-    # a categorical column's categories are its text; a numerical one keeps none
-    assert col.raw == (raw if kind is ColumnKind.CATEGORICAL else None)
-    # the export load keeps each cell's text in its lines, a missing one empty
-    exported = load_csv(path, categorical_override=categorical_override)
+    # a default load keeps no text
+    assert col.raw is None
+    # the export load keeps each cell's text in its lines, a missing one
+    # empty; a categorical column's categories are its text, and a
+    # numerical one keeps none
+    exported = load_csv(path, categorical_override=categorical_override, lines=True)
     assert exported.kind_of("cell") is kind
+    assert exported.column("cell").raw == (raw if kind is ColumnKind.CATEGORICAL else None)
     assert [row[1] for row in csv.reader(exported.lines)] == ["" if r is None else r for r in raw]
     # an override above the column's distinct count loads it as categorical,
     # its cells' text its categories, whatever they hold
-    every = load_csv(path, categorical_override=len(cells) + 1, lines=False).column("cell")
+    every = load_csv(path, categorical_override=len(cells) + 1, lines=True).column("cell")
     assert every.kind is ColumnKind.CATEGORICAL
     assert every.raw == raw
     assert every.categories == tuple(sorted({r for r in raw if r is not None}))

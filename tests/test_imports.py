@@ -282,7 +282,7 @@ def test_date_decision_check_finds_each_form():
 # only loaded, gathered by a take and written back, and nothing reads a cell
 # from them.
 _LINE_OWNERS = frozenset({
-    "load_csv", "_with_lines", "TabularFrame.__init__", "TabularFrame.take",
+    "load_csv", "TabularFrame.__init__", "TabularFrame.take",
     "TabularFrame.to_csv", "TabularFrame.lines",
 })
 
@@ -389,6 +389,63 @@ def test_shock_split_check_finds_each_form():
         "import ShockSplit",
         "ShockSplit",
         "splitting.ShockSplit",
+    ]
+
+
+def _line_loads(source: str) -> list[str]:
+    """Calls in `source` that may pass `lines` to `load_csv`: by keyword,
+    through `**` or as its fourth argument, each prefixed by its function's
+    name or "<module>"."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and ast.unparse(child.func).rsplit(".", 1)[-1] == "load_csv"
+                and (len(child.args) > 3 or any(k.arg in ("lines", None) for k in child.keywords))
+            ):
+                found.append(f"{scope}: {ast.unparse(child)}")
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_split_command_loads_export_lines():
+    # keeping CSV text is decided once, at load: `shockstab split` alone
+    # asks for it, and every other load keeps no text for a later step to
+    # strip
+    root = Path(shockstab.__file__).parent
+    found = {
+        p.name: calls
+        for p in sorted(root.glob("*.py"))
+        if (calls := _line_loads(p.read_text(encoding="utf-8")))
+    }
+    assert found == {"cli.py": ["_cmd_split: load_csv(args.file, lines=True)"]}
+
+
+def test_line_load_check_finds_each_form():
+    source = (
+        "frame = load_csv(p, lines=True)\n"
+        "def f(p, keep):\n"
+        "    a = frame.load_csv(p, lines=keep)\n"
+        "    b = load_csv(p, ('NA',), 0, True)\n"
+        "    c = load_csv(p, **options)\n"
+        "    return load_csv(p, categorical_override=2), load_csv(p, ('NA',), 0)\n"
+        "class Loader:\n"
+        "    def load(self, p):\n"
+        "        return load_csv(p, lines=False), read_csv(p, lines=True)\n"
+    )
+    assert _line_loads(source) == [
+        "<module>: load_csv(p, lines=True)",
+        "f: frame.load_csv(p, lines=keep)",
+        "f: load_csv(p, ('NA',), 0, True)",
+        "f: load_csv(p, **options)",
+        "load: load_csv(p, lines=False)",
     ]
 
 

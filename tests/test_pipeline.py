@@ -443,11 +443,25 @@ def test_a_b_training_error_fails_every_level_not_failed_before(small_csv, monke
 
     monkeypatch.setattr(pipeline, "train_baselines", failing)
     config = _config(small_csv, runs=1)
-    frame, splits = model_splits(load_csv(small_csv), config.split, config.label)
+    frame, splits = model_splits(load_csv(small_csv), config.split)
     split = splits[0]
     assert pipeline._run_b(frame, split, config) == [
         {"run": split.run_index, "error": "no second class"}
     ] * len(config.levels)
+
+
+def test_ds_exclusions_may_name_the_oot_date_column_and_the_label(small_csv):
+    # neither is a DS column, so naming them changes nothing; a name that is
+    # no column at all is refused before any split
+    def ds(names):
+        config = _config(small_csv, runs=1, levels=["without"], real_fraction=1.0,
+                         train=TrainConfig(epochs=5), exclude_from_ds=names)
+        return run_pipeline(config).drift.ds
+
+    assert ds(["date", "is_bad"]) == ds([])
+    assert ds(["sector"]) != ds([])
+    with pytest.raises(ConfigError, match="^exclude_from_ds column 'sectr' is not in the data$"):
+        ds(["sectr"])
 
 
 def test_numerical_dates_split_on_their_text(tmp_path):
