@@ -210,6 +210,9 @@ def _cmd_ds(args) -> int:
     base = load_csv(args.base)
     shock = load_csv(args.shock)
     excluded = _split_list(args.exclude) if args.exclude else []
+    for name in excluded:
+        if name not in base and name not in shock:
+            raise ConfigError(f"--exclude column {name!r} is in neither file")
     report = distribution_shift(base, shock, tau=args.tau, excluded=excluded)
     _emit(report.to_dict(), args.json)
     return EXIT_OK

@@ -1,10 +1,12 @@
 """Built-in baseline classifier and AUC computation.
 
 The classifier is a deliberately small regularized logistic model trained
-by full-batch gradient descent: just enough to run the A-model/B-model
-pipeline end to end. `train_baselines` trains several models in one loop
-per group of equal-shape designs, and each model's weights are bitwise
-those `train_baseline` gives it alone; `train_baseline` says why.
+by full-batch gradient descent on a column-major copy of its design: just
+enough to run the A-model/B-model pipeline end to end. Each model's weights
+are bitwise the expression form `train_baseline` states, evaluated on that
+column-major design. `train_baselines` trains several models in one loop
+per group of equal-shape designs and still gives each the bits it gets
+trained alone. Scoring reads the row-major design.
 """
 
 from __future__ import annotations
@@ -201,14 +203,14 @@ def _scale(col) -> tuple[float, float]:
 
 
 def _design(train: TabularFrame, label: str) -> tuple:
-    """(encoding, design matrix, labels) of a training frame."""
+    """(encoding, column-major design matrix, labels) of a training frame."""
     y = extract_labels(train, label)
     if y.size == 0:
         raise EmptyInputError("empty training frame")
     if not (0 < y.sum() < y.size):
         raise DegenerateLabelsError("training labels contain a single class")
     encoding = build_encoding(train, label)
-    return encoding, encoding.design_matrix(train), y
+    return encoding, np.asfortranarray(encoding.design_matrix(train)), y
 
 
 def train_baseline(
@@ -220,7 +222,10 @@ def train_baseline(
     derived from `train` only. Training is deterministic: zero-initialized
     weights, fixed epoch count. Each epoch computes
     err = 1 / (1 + exp(-clip(x @ w + b, -700, 700))) - y,
-    grad_w = x.T @ err / n + l2 * w and grad_b = mean(err).
+    grad_w = x.T @ err / n + l2 * w and grad_b = mean(err), with x the
+    column-major (Fortran-order) design, whose two products read whole
+    columns at about half the row-major cost. BLAS sums them in another
+    order than on a row-major x, so the weights are those of this layout.
 
     This is `train_baselines([train], ...)[0]`. Its loop, which runs k
     models of one design shape together, gives bitwise the weights and
@@ -277,9 +282,9 @@ def train_baselines(
 
 
 def _descend(xs, y: np.ndarray, config: TrainConfig) -> list:
-    """(weights, bias) of each (n, d) design in `xs`, its labels the rows
-    of the (k, n) stack `y`; `train_baseline` states why the bits are
-    those of the expression form."""
+    """(weights, bias) of each column-major (n, d) design in `xs`, its
+    labels the rows of the (k, n) stack `y`; `train_baseline` states why
+    the bits are those of the expression form on that layout."""
     k, n = y.shape
     d = xs[0].shape[1]
     lr = config.learning_rate

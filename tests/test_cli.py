@@ -68,11 +68,19 @@ def test_ds_command_and_json_out(write_csv, capsys, tmp_path):
     assert json.loads(out_path.read_text()) == out
 
 
-def test_ds_exclude(write_csv, capsys):
+def test_ds_exclude(write_csv, capsys, monkeypatch):
     base = write_csv("b2.csv", "x,s\n0,a\n1,b\n")
-    shock = write_csv("s2.csv", "x,s\n5,a\n6,a\n")
-    code, out = _run(capsys, "ds", base, shock, "--exclude", "x")
+    shock = write_csv("s2.csv", "x,s,t\n5,a,u\n6,a,v\n")
+    code, out = _run(capsys, "ds", base, shock, "--exclude", "x,t")
     assert out["ds"] == pytest.approx(0.5)
+    # a name that is a column of neither file stops before any DS
+    calls = []
+    monkeypatch.setattr(cli, "distribution_shift", lambda *a, **k: calls.append(a))
+    assert main(["ds", str(base), str(shock), "--exclude", "t,sx"]) == 2
+    assert calls == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: --exclude column 'sx' is in neither file"]
 
 
 def test_ss_command(capsys):

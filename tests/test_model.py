@@ -137,11 +137,13 @@ def test_training_is_deterministic():
 
 
 def _reference_gd(x, y, config):
-    """A verbatim copy of train_baseline's gradient-descent loop.
+    """A verbatim copy of train_baseline's gradient-descent loop, run on
+    the column-major copy of `x` that train_baseline trains on.
 
     Reports are compared byte for byte, so a rewrite of the loop must give
     the same bits as this one.
     """
+    x = np.asfortranarray(x)
     n, d = x.shape
     w = np.zeros(d)
     b = 0.0

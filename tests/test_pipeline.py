@@ -275,13 +275,19 @@ def test_b_tasks_run_before_a_tasks(small_csv, monkeypatch):
 
 
 # SHA-256 of report.json (timestamp stripped), auc_runs.csv and uplift.csv
-# for the seeded 300-row run below, and the versions it was recorded with.
-# Only a change labelled as a behaviour change may update it.
-FROZEN_REPORT_DIGEST = "0e999a689e99727f878b9bdfe417c172d2e0cc09bed8e136e0d6b061d40819cf"
+# for the seeded 300-row run below at each fixture seed, and the versions
+# they were recorded with. Only a change labelled as a behaviour change may
+# update them.
+FROZEN_REPORT_DIGESTS = {
+    20180322: "0e999a689e99727f878b9bdfe417c172d2e0cc09bed8e136e0d6b061d40819cf",
+    7: "48cf169caf61344519d64cd7e09822bb4bc5e95ce3d359007c8c17537daa25ea",
+    99: "63cdb1104f50eb89c9ed723f5390c38a3f40d63fd37b72ff3c1e7341a5563572",
+}
 FROZEN_REPORT_VERSIONS = {"python": "3.11.7", "numpy": "2.4.6", "scipy": "1.17.1"}
 
 
-def test_seeded_report_digest_frozen(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fixture_seed", list(FROZEN_REPORT_DIGESTS))
+def test_seeded_report_digest_frozen(tmp_path, monkeypatch, fixture_seed):
     versions = {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
@@ -295,14 +301,14 @@ def test_seeded_report_digest_frozen(tmp_path, monkeypatch):
     # the report embeds the input and output paths, and config_hash covers
     # them, so both are relative to a fixed working directory
     monkeypatch.chdir(tmp_path)
-    make_shocked_fixture(rows=300).to_csv("shocked.csv")
+    make_shocked_fixture(rows=300, seed=fixture_seed).to_csv("shocked.csv")
     run_pipeline(_config("shocked.csv", runs=4, output_dir="out"))
     report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
     del report["environment"]["timestamp"]
     digest = hashlib.sha256(json.dumps(report, indent=2).encode("utf-8"))
     for name in ("auc_runs.csv", "uplift.csv"):
         digest.update((tmp_path / "out" / name).read_bytes())
-    assert digest.hexdigest() == FROZEN_REPORT_DIGEST
+    assert digest.hexdigest() == FROZEN_REPORT_DIGESTS[fixture_seed]
 
 
 def test_the_loaded_frame_is_freed_before_any_task_runs(small_csv, monkeypatch):
