@@ -663,20 +663,33 @@ def _finite_or_none(x) -> float | None:
     return None if x is None or not math.isfinite(x) else float(x)
 
 
-def _numerical_summary(name, values, missing_count) -> ColumnSummary:
-    # imported here, not with the module: only the schema profile needs it
-    from scipy import stats as sps
+def _shape_moments(values, mean) -> tuple:
+    """Bias-corrected skewness and excess kurtosis of sorted `values`, None
+    below 3 and 4 values and where the spread is within the rounding of the
+    mean. The arithmetic is scipy.stats' skew and kurtosis, step for step."""
+    n = values.size
+    d = values - mean
+    m2 = np.mean(d * d)
+    if n < 3 or not m2 > (np.finfo(float).eps * mean) ** 2:
+        return None, None
+    skew = ((n - 1.0) * n) ** 0.5 / (n - 2.0) * np.mean(d * d * d) / m2**1.5
+    if n < 4:
+        return skew, None
+    m4 = np.mean((d * d) ** 2)
+    excess = 1.0 / (n - 2) / (n - 3) * ((n**2 - 1.0) * m4 / m2**2.0 - 3 * (n - 1) ** 2.0)
+    return skew, excess + 3.0 - 3  # scipy adds 3, then takes it off
 
+
+def _numerical_summary(name, values, missing_count) -> ColumnSummary:
     values = np.sort(values)  # moments become exactly row-order invariant
     n = values.size
     # finite values can have moments beyond float's range: those are None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         q25, med, q75 = np.percentile(values, [25.0, 50.0, 75.0])
+        mean = np.mean(values)
         std = np.std(values, ddof=1) if n > 1 else 0.0
         moments = (
-            np.mean(values), std,
-            sps.skew(values, bias=False) if n >= 3 and std > 0 else None,
-            sps.kurtosis(values, fisher=True, bias=False) if n >= 4 and std > 0 else None,
+            mean, std, *_shape_moments(values, mean),
             np.min(values), q25, med, q75, np.max(values), q75 - q25,
         )
     return ColumnSummary(

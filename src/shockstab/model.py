@@ -1,12 +1,11 @@
 """Built-in baseline classifier and AUC computation.
 
 The classifier is a deliberately small regularized logistic model trained
-by full-batch gradient descent on a column-major copy of its design: just
-enough to run the A-model/B-model pipeline end to end. Each model's weights
-are bitwise the expression form `train_baseline` states, evaluated on that
-column-major design. `train_baselines` trains several models in one loop
-per group of equal-shape designs and still gives each the bits it gets
-trained alone. Scoring reads the row-major design.
+by full-batch gradient descent: just enough to run the A-model/B-model
+pipeline end to end. A frame's design is one column-major array, and each
+model's weights are bitwise the expression form `train_baseline` states on
+it. Scoring sums the design column by column, so equal rows get equal
+scores wherever they sit, and `auc` gives them tie credit.
 """
 
 from __future__ import annotations
@@ -101,22 +100,22 @@ class FeatureEncoding:
     categorical: dict  # name -> tuple of category labels (+ missing bucket)
 
     def design_matrix(self, frame: TabularFrame) -> np.ndarray:
-        blocks = []
-        for name, (mean, scale) in self.numerical.items():
+        """`frame`'s design, filled column by column into one Fortran-order array."""
+        kinds = dict.fromkeys(self.numerical, ColumnKind.NUMERICAL)
+        kinds.update(dict.fromkeys(self.categorical, ColumnKind.CATEGORICAL))
+        for name, kind in kinds.items():
             if name not in frame:
                 raise SchemaMismatchError(name, "missing at evaluation time")
-            col = frame.column(name)
-            if col.kind is not ColumnKind.NUMERICAL:
-                raise SchemaMismatchError(name, "expected numerical")
-            v = col.values.copy()
-            v[np.isnan(v)] = mean
-            blocks.append(((v - mean) / scale)[:, None])
+            if frame.kind_of(name) is not kind:
+                raise SchemaMismatchError(name, f"expected {kind.value}")
+        width = len(self.numerical) + sum(map(len, self.categorical.values()))
+        x = np.zeros((frame.row_count, width), order="F")
+        for j, (name, (mean, scale)) in enumerate(self.numerical.items()):
+            v = frame.column(name).values
+            x[:, j] = (np.where(np.isnan(v), mean, v) - mean) / scale
+        j = len(self.numerical)
         for name, cats in self.categorical.items():
-            if name not in frame:
-                raise SchemaMismatchError(name, "missing at evaluation time")
             col = frame.column(name)
-            if col.kind is not ColumnKind.CATEGORICAL:
-                raise SchemaMismatchError(name, "expected categorical")
             index = {c: k for k, c in enumerate(cats)}
             # a category's slot is keyed on its text, so 1 and "1" share one;
             # unseen categories map to -1 and encode as all-zero
@@ -125,12 +124,9 @@ class FeatureEncoding:
                 missing=index.get(MISSING_CATEGORY, -1),
             )
             rows = np.flatnonzero(codes >= 0)
-            block = np.zeros((frame.row_count, len(cats)))
-            block[rows, codes[rows]] = 1.0
-            blocks.append(block)
-        if not blocks:
-            return np.zeros((frame.row_count, 0))
-        return np.hstack(blocks)
+            x[rows, j + codes[rows]] = 1.0
+            j += len(cats)
+        return x
 
 
 @dataclass
@@ -140,7 +136,11 @@ class BaselineModel:
     encoding: FeatureEncoding
 
     def predict_scores(self, frame: TabularFrame) -> np.ndarray:
-        z = self.encoding.design_matrix(frame) @ self.weights + self.bias
+        # b + x[:, j] * w_j column by column: a row's score depends on its
+        # cells only, not on its place in a BLAS product's blocks
+        z = np.full(frame.row_count, self.bias)
+        for x_j, w_j in zip(self.encoding.design_matrix(frame).T, self.weights):
+            z += x_j * w_j
         return 1.0 / (1.0 + np.exp(-np.clip(z, -700, 700)))
 
 
@@ -210,7 +210,7 @@ def _design(train: TabularFrame, label: str) -> tuple:
     if not (0 < y.sum() < y.size):
         raise DegenerateLabelsError("training labels contain a single class")
     encoding = build_encoding(train, label)
-    return encoding, np.asfortranarray(encoding.design_matrix(train)), y
+    return encoding, encoding.design_matrix(train), y
 
 
 def train_baseline(
@@ -223,9 +223,9 @@ def train_baseline(
     weights, fixed epoch count. Each epoch computes
     err = 1 / (1 + exp(-clip(x @ w + b, -700, 700))) - y,
     grad_w = x.T @ err / n + l2 * w and grad_b = mean(err), with x the
-    column-major (Fortran-order) design, whose two products read whole
-    columns at about half the row-major cost. BLAS sums them in another
-    order than on a row-major x, so the weights are those of this layout.
+    column-major `design_matrix`: the weights are those of BLAS's sum order
+    on this layout. Scoring adds b + x[:, j] * w_j column by column, with
+    no BLAS product, so equal rows get equal scores.
 
     This is `train_baselines([train], ...)[0]`. Its loop, which runs k
     models of one design shape together, gives bitwise the weights and

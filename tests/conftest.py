@@ -1,7 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
+from shockstab.fixtures import make_shocked_fixture
 from shockstab.frame import Column, ColumnKind, TabularFrame
+from shockstab.model import train_baseline
 
 
 def num_col(name, values):
@@ -41,3 +45,17 @@ def with_compact_dates(frame):
     compact = [d.replace("-", "") for d in frame.column("date").values]
     dates = cat_col("date", compact)
     return TabularFrame([dates if c.name == "date" else c for c in frame.columns])
+
+
+def undated_fixture(rows, **kwargs):
+    """make_shocked_fixture's frame without its date column."""
+    frame = make_shocked_fixture(rows=rows, **kwargs)
+    return TabularFrame([c for c in frame.columns if c.name != "date"])
+
+
+@functools.cache
+def undated_fixture_model():
+    """The 600-row undated fixture at seed 3 and the baseline trained on
+    it, for tests that score repeats of its rows."""
+    frame = undated_fixture(600, seed=3)
+    return frame, train_baseline(frame, "is_bad")

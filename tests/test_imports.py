@@ -1,12 +1,12 @@
 """What the package's modules import.
 
-scipy.stats takes most of a second and about 70 MB to import, so only the
-schema profile uses it. scipy.special costs about a third of that, and only
-the Levy family's tail draws load it, for `erfinv`; `import shockstab`
-loads neither. Each command is checked in a fresh interpreter. And no module
-reaches for another's private helpers, and only the modules that make or
-read splits name `ShockSplit`, and only frame.py's load, take and write
-touch a frame's export lines.
+scipy.stats takes most of a second and about 70 MB to import, so no command
+loads it: schema computes its moments in numpy. scipy.special costs about a
+third of that, and only the Levy family's tail draws load it, for `erfinv`;
+`import shockstab` loads neither. Each command is checked in a fresh
+interpreter. And no module reaches for another's private helpers, and only
+the modules that make or read splits name `ShockSplit`, and only frame.py's
+load, take and write touch a frame's export lines.
 """
 
 import ast
@@ -74,6 +74,11 @@ def _command_loads(tmp_path, argv: list) -> dict:
         "                  'special': 'scipy.special' in sys.modules}))\n",
         tmp_path,
     )
+
+
+def test_schema_command_loads_no_scipy(tmp_path):
+    schema = ["schema", "f.csv"]
+    assert _command_loads(tmp_path, schema) == {"code": 0, "stats": False, "special": False}
 
 
 def test_synth_and_train_eval_commands_load_no_scipy_stats(tmp_path):

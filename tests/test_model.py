@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from shockstab import cli
 from shockstab.errors import (
@@ -24,7 +26,7 @@ from shockstab.model import (
     train_baselines,
 )
 
-from conftest import cat_col, make_frame, num_col
+from conftest import cat_col, make_frame, num_col, undated_fixture, undated_fixture_model
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +140,8 @@ def test_training_is_deterministic():
 
 def _reference_gd(x, y, config):
     """A verbatim copy of train_baseline's gradient-descent loop, run on
-    the column-major copy of `x` that train_baseline trains on.
+    `x` in column-major order, the layout of the design_matrix that
+    train_baseline trains on.
 
     Reports are compared byte for byte, so a rewrite of the loop must give
     the same bits as this one.
@@ -159,15 +162,9 @@ def _reference_gd(x, y, config):
     return w, b
 
 
-def _undated_fixture(rows, **kwargs):
-    """make_shocked_fixture's frame without its date column."""
-    frame = make_shocked_fixture(rows=rows, **kwargs)
-    return TabularFrame([c for c in frame.columns if c.name != "date"])
-
-
 @pytest.mark.parametrize("rows", [300, 2240])
 def test_train_baseline_bitwise_equals_reference_loop(rows):
-    frame = _undated_fixture(rows)
+    frame = undated_fixture(rows)
     config = TrainConfig()
     model = train_baseline(frame, "is_bad", config)
     x = model.encoding.design_matrix(frame)
@@ -189,7 +186,7 @@ def _assert_reference_bits(frames, models, label, config):
 @pytest.mark.parametrize("rows", [300, 2240])
 def test_train_baselines_bitwise_equals_reference_loop(rows, k):
     frames = [
-        _undated_fixture(rows, seed=seed)
+        undated_fixture(rows, seed=seed)
         for seed in range(k)
     ]
     config = TrainConfig()
@@ -202,7 +199,7 @@ def test_train_baselines_bitwise_equals_reference_loop(rows, k):
 def test_train_baselines_groups_designs_by_shape():
     shapes = [(300, 0), (240, 1), (300, 2), (240, 3), (300, 4)]
     frames = [
-        _undated_fixture(rows, seed=seed)
+        undated_fixture(rows, seed=seed)
         for rows, seed in shapes
     ]
     # a constant column keeps a zero weight, whose sign must be +0
@@ -270,7 +267,24 @@ def test_one_hot_equals_per_row_reference():
             if key in cats:
                 expected[i, cats.index(key)] = 1.0
         assert enc.design_matrix(test).tobytes() == expected.tobytes()
+        assert enc.design_matrix(test).flags.f_contiguous
         assert enc.design_matrix(test.take([])).shape == (0, len(cats))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(st.integers(0, 599), min_size=1, max_size=6, unique=True),
+    picks=st.lists(st.integers(0, 5), min_size=2, max_size=300),
+)
+# three copies of row 38 got two scores from a row-major BLAS product
+@example(rows=[38], picks=[0, 0, 0])
+def test_equal_design_rows_get_one_score_at_any_position(rows, picks):
+    frame, model = undated_fixture_model()
+    test = frame.take([rows[p % len(rows)] for p in picks])
+    _, group = np.unique(model.encoding.design_matrix(test), axis=0, return_inverse=True)
+    bits = model.predict_scores(test).view(np.uint64)
+    for g in np.unique(group):
+        assert np.unique(bits[group == g]).size == 1
 
 
 def test_single_class_training_error():

@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +312,38 @@ def test_seeded_report_digest_frozen(tmp_path, monkeypatch, fixture_seed):
     for name in ("auc_runs.csv", "uplift.csv"):
         digest.update((tmp_path / "out" / name).read_bytes())
     assert digest.hexdigest() == FROZEN_REPORT_DIGESTS[fixture_seed]
+
+
+def test_blas_thread_count_leaves_report_bytes_unchanged(tmp_path):
+    # BLAS reads its thread count once, as it loads, so each count gets a
+    # fresh interpreter; the pipeline's worker count follows it too
+    code = (
+        "from shockstab import pipeline\n"
+        "from shockstab.fixtures import make_shocked_fixture\n"
+        "from shockstab.splitting import SplitSpec\n"
+        "make_shocked_fixture(rows=300).to_csv('f.csv')\n"
+        "print(pipeline.run_pipeline(pipeline.PipelineConfig(\n"
+        "    input_path='f.csv', label='is_bad', levels=['without', 10],\n"
+        "    split=SplitSpec(mode='oot', date_column='date', shock_date='2018-03-22',\n"
+        "                    mc_runs=2),\n"
+        ")).to_json(strip_timestamp=True))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in pipeline._BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(pipeline.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    children = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        children.append(subprocess.Popen(
+            [sys.executable, "-c", code], cwd=tmp_path / threads,
+            env={**env, "OPENBLAS_NUM_THREADS": threads},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ))
+    (one, err_one), (two, err_two) = (child.communicate(timeout=300) for child in children)
+    assert [child.returncode for child in children] == [0, 0], err_one + err_two
+    assert json.loads(one)["partial"] is False
+    assert one == two
 
 
 def test_the_loaded_frame_is_freed_before_any_task_runs(small_csv, monkeypatch):
